@@ -112,7 +112,7 @@ loadcurve-smoke:
 		--rates 0.02,0.06,0.18 --out results/loadcurve-smoke.json
 
 # Golden-result gate (docs/testing.md): recompute the headline metrics
-# at tier-1 scale and compare against results/golden.json, then prove
+# at tier-1 scale and compare against tests/data/golden.json, then prove
 # the gate catches a ±10% drift of any single metric.
 golden:
 	$(PYTHON) -m repro.harness golden

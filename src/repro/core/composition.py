@@ -33,7 +33,7 @@ from heapq import heappush
 from typing import Generator, Optional
 
 from repro.config import ControllerKind
-from repro.core.requests import ReadRequest, WriteKind, WriteRequest
+from repro.core.requests import WriteKind, WriteRequest
 from repro.engine import Signal
 from repro.engine.resources import PipelineLane, Resource
 
@@ -153,7 +153,7 @@ class DirectInsertWrite:
     """
 
     #: Generator strategies leave the controller's generic
-    #: ``submit_write``/``read`` in place.
+    #: ``submit_write`` in place.
     callback = False
 
     def __init__(self, controller) -> None:
@@ -226,8 +226,8 @@ class MiSUWriteEngine:
     ``Process.__init__``.
     """
 
-    #: Callback strategies replace the controller's ``submit_write`` and
-    #: ``read`` wholesale (bound at construction).
+    #: Callback strategies replace the controller's ``submit_write``
+    #: wholesale (bound at construction).
     callback = True
 
     def __init__(self, controller) -> None:
@@ -396,44 +396,6 @@ class MiSUWriteEngine:
                     "misu.protect",
                     f"{entry.index}:{entry.request.seq}",
                 )
-
-    # -- read -----------------------------------------------------------
-    def read(self, address: int) -> Signal:
-        c = self.c
-        sim = c.sim
-        c.reads_received += 1
-        c.stats.add("controller.reads")
-        done = Signal(sim, "read")
-        request = ReadRequest(address, sim.now)
-        heap = sim._queue._heap
-        if sim._batch_pending or (heap and heap[0][0] == sim.now):
-            sim.call_after(0, partial(self._read_start, request, done))
-        else:
-            self._read_start(request, done)
-        return done
-
-    def _read_start(self, request: ReadRequest, done: Signal) -> None:
-        c = self.c
-        sim = c.sim
-        if c.wpq.lookup(request.address) is not None:
-            c.wpq.read_hits += 1
-            sim.call_after(
-                c._wpq_read_hit_latency(),
-                partial(self._read_fire, request, done),
-            )
-            return
-        finish = c.nvm.timed_access(sim.now, request.address, False)
-        sim.call_after(
-            finish - sim.now, partial(self._read_verify, request, done)
-        )
-
-    def _read_verify(self, request: ReadRequest, done: Signal) -> None:
-        c = self.c
-        verify = c.masu.read_verify_latency(c.sim.now, request.address)
-        c.sim.call_after(verify, partial(self._read_fire, request, done))
-
-    def _read_fire(self, request: ReadRequest, done: Signal) -> None:
-        done.fire(self.c.sim.now - request.arrival)
 
 
 # ======================================================================

@@ -34,10 +34,13 @@ The core-facing protocol:
   PERSIST write is architecturally persisted (EVICTION writes return
   ``None`` and are handled in the background).
 * ``read(address)`` returns a Signal fired with the read latency.
+* ``fill(address)`` books the same read but returns nothing (store-miss
+  fills, which nothing waits on).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Generator, Optional
 
 from repro.config import ControllerKind, SimConfig
@@ -118,10 +121,9 @@ class MemoryController:
         if self._write.callback:
             # Callback strategies (the Dolos Mi-SU engine) replace the
             # per-write Process + generator machinery wholesale; binding
-            # the engine's methods keeps the hot path free of per-call
+            # the engine's method keeps the hot path free of per-call
             # dispatch.
             self.submit_write = self._write.submit_write  # type: ignore[method-assign]
-            self.read = self._write.read  # type: ignore[method-assign]
         battery = getattr(self._domain, "battery_drain", None)
         if battery is not None:
             # Only battery-backed domains expose ``battery_drain`` (the
@@ -168,28 +170,66 @@ class MemoryController:
 
     def read(self, address: int) -> Signal:
         """Demand read (LLC miss).  Signal fires with total latency."""
-        self.reads_received += 1
-        self.stats.add("controller.reads")
-        done = Signal(self.sim, "read")
-        Process(self.sim, self._read_path(ReadRequest(address, self.sim.now), done))
+        sim = self.sim
+        done = Signal(sim, "read")
+        self._read(ReadRequest(address, sim.now), done)
         return done
 
-    def _read_path(self, request: ReadRequest, done: Signal) -> Generator:
+    def fill(self, address: int) -> None:
+        """Write-allocate fill (store miss): a read nothing waits on.
+
+        Books exactly the timing :meth:`read` books — WPQ tag check,
+        device read, Ma-SU verification at completion — but allocates
+        no Signal and schedules no completion event.
+        """
+        self._read(ReadRequest(address, self.sim.now), None)
+
+    def _read(self, request: ReadRequest, done: Optional[Signal]) -> None:
+        """Start a read; deferred behind events pending this cycle.
+
+        The zero-delay start honours the same pending-same-cycle guard
+        as ``Process.__init__``.
+        """
+        self.reads_received += 1
+        self.stats.add("controller.reads")
+        sim = self.sim
+        heap = sim._queue._heap
+        if sim._batch_pending or (heap and heap[0][0] == sim.now):
+            sim.call_after(0, partial(self._read_start, request, done))
+        else:
+            self._read_start(request, done)
+
+    def _read_start(self, request: ReadRequest, done: Optional[Signal]) -> None:
         """Serve a read from the WPQ or the device (+ verification).
 
-        The verification yield exists only when the composition has a
+        The verification step exists only when the composition has a
         Ma-SU — the non-secure ideal pays device timing alone.
         """
+        sim = self.sim
         if self.wpq.lookup(request.address) is not None:
             self.wpq.read_hits += 1
-            yield self._wpq_read_hit_latency()
-            done.fire(self.sim.now - request.arrival)
+            if done is not None:
+                sim.call_after(
+                    self._wpq_read_hit_latency(),
+                    partial(self._read_fire, request, done),
+                )
             return
-        finish = self.nvm.timed_access(self.sim.now, request.address, False)
-        yield finish - self.sim.now
+        finish = self.nvm.timed_access(sim.now, request.address, False)
         if self.masu is not None:
-            verify = self.masu.read_verify_latency(self.sim.now, request.address)
-            yield verify
+            sim.call_after(
+                finish - sim.now, partial(self._read_verify, request, done)
+            )
+        elif done is not None:
+            sim.call_after(
+                finish - sim.now, partial(self._read_fire, request, done)
+            )
+
+    def _read_verify(self, request: ReadRequest, done: Optional[Signal]) -> None:
+        verify = self.masu.read_verify_latency(self.sim.now, request.address)
+        if done is not None:
+            self.sim.call_after(verify, partial(self._read_fire, request, done))
+
+    def _read_fire(self, request: ReadRequest, done: Signal) -> None:
         done.fire(self.sim.now - request.arrival)
 
     def _drain_loop(self) -> Generator:

@@ -1,9 +1,13 @@
 """The trace-driven core.
 
-The core is a single simulation process that walks a trace, batching
-pure-latency work (compute, cache hits) into one ``Delay`` and
-interacting with the event queue only where concurrency matters:
-LLC-miss reads, persist submissions, and fences.
+A run has two passes.  :func:`repro.cpu.resolve.resolve` walks the op
+stream through the cache hierarchy and the IPC model once, keeping only
+the events the memory controller sees (a :class:`PackedTrace` memoizes
+that per cache geometry, so every design replaying a cached trace
+shares it).  The core then *replays* those events as a single
+simulation process, batching the resolved latency into one delay per
+yield and interacting with the event queue only where concurrency
+matters: demand-miss reads, persist submissions, and fences.
 
 Persist semantics (the crux of the paper):
 
@@ -18,25 +22,25 @@ Persist semantics (the crux of the paper):
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple, Union
 
 from repro.config import SimConfig
 from repro.core.controller import MemoryController
 from repro.core.requests import WriteKind, WriteRequest
-from repro.cpu.trace import (
-    ARRIVAL_CYCLE_MASK,
-    ARRIVAL_TENANT_SHIFT,
-    OP_ARRIVAL,
-    OP_CLWB,
-    OP_FENCE,
-    OP_LOAD,
-    OP_STORE,
-    OP_TXBEGIN,
-    OP_TXEND,
-    OP_WORK,
+from repro.cpu.resolve import (
+    EV_EVICT,
+    EV_FENCE,
+    EV_FILL,
+    EV_LOAD,
+    EV_PERSIST,
+    EV_TXBEGIN,
+    EV_TXEND,
+    ResolvedTrace,
+    resolve,
 )
+from repro.cpu.trace import ARRIVAL_CYCLE_MASK, ARRIVAL_TENANT_SHIFT
+from repro.cpu.trace_io import PackedTrace
 from repro.engine import Process, Signal, Simulator
-from repro.mem.hierarchy import CacheHierarchy
 from repro.stats import StatsRegistry
 
 
@@ -54,132 +58,90 @@ class TraceCore:
         self.config = config
         self.controller = controller
         self.stats = stats if stats is not None else StatsRegistry()
-        self.hierarchy = CacheHierarchy(config)
+        #: Cycles for a flush to traverse L1, L2 and the LLC.
+        self.flush_latency = (
+            config.l1.latency + config.l2.latency + config.llc.latency
+        )
         self.instructions = 0
         self.cycles = 0
         self.finished = False
         self._outstanding_persists = 0
         self._fence_signal = Signal(sim, "core.fence")
         self._process: Optional[Process] = None
-        self._work_carry = 0.0
         #: Optional instrumentation (span tracing): when attached, the
         #: core logs one ``core.fence_stall`` event per fence wake-up.
         #: The hot path pays a single ``None`` check otherwise.
         self.timeline = None
 
     # ------------------------------------------------------------------
-    def run(self, trace: Iterable[Tuple]) -> Process:
-        """Start replaying ``trace``; returns the core process."""
+    def run(self, trace: Union[PackedTrace, Iterable[Tuple]]) -> Process:
+        """Start replaying ``trace``; returns the core process.
+
+        A :class:`PackedTrace` replays its memoized resolved stream; op
+        tuple lists and other iterables are resolved on the spot.
+        """
         if self._process is not None:
             raise RuntimeError("core already running a trace")
-        self._process = Process(self.sim, self._run(trace), name="core")
+        if isinstance(trace, PackedTrace):
+            stream = trace.resolved(self.config)
+        else:
+            stream = resolve(trace, self.config)
+        self._process = Process(self.sim, self._replay(stream), name="core")
         return self._process
 
-    def _run(self, trace: Iterable[Tuple]):
-        # Hot loop: one iteration per trace op.  Delays are yielded as
-        # bare ints and waits as bare Signals (the allocation-free
-        # directive forms); invariant collaborators are hoisted into
-        # locals once — the generator's frame keeps them live across
-        # yields.
+    def _replay(self, stream: ResolvedTrace):
+        # Hot loop: one iteration per controller-visible event.  Delays
+        # are yielded as bare ints and waits as bare Signals (the
+        # allocation-free directive forms); invariant collaborators are
+        # hoisted into locals once.
         sim = self.sim
-        ipc = self.config.core.ipc
         strict = self.config.core.persist_model == "strict"
-        hierarchy_access = self.hierarchy.access
-        hierarchy_clwb = self.hierarchy.clwb
         controller_read = self.controller.read
+        controller_fill = self.controller.fill
+        submit_eviction = self._submit_eviction
+        launch_persist = self._launch_persist
         stats_add = self.stats.add
-        fence_signal = self._fence_signal
-        acc = 0  # batched latency not yet yielded to the kernel
+        record = self.stats.record
         tx_start_cycle = 0
         # Open-loop bookkeeping (scenario traces only): the arrival
         # stamp preceding the current transaction, or -1 when the trace
         # is classic closed-loop.  Sojourn and queueing delay are
-        # recorded at OP_TXEND, overall and per tenant.
+        # recorded at the transaction's end, overall and per tenant.
         pending_arrival = -1
         pending_tenant = 0
-        for op in trace:
-            code = op[0]
-            if code == OP_WORK:
-                n = op[1]
-                self.instructions += n
-                cost = n / ipc + self._work_carry
-                whole = int(cost)
-                self._work_carry = cost - whole
-                acc += whole
-            elif code == OP_LOAD or code == OP_STORE:
-                self.instructions += 1
-                is_store = code == OP_STORE
-                result = hierarchy_access(op[1], is_store)
-                acc += result.latency
-                if result.needs_memory:
-                    if is_store:
-                        # Write-allocate fill: the store retires through
-                        # the store buffer; the fill proceeds in the
-                        # background (OoO cores hide store misses).
-                        controller_read(op[1])
-                        stats_add("core.store_miss_fills")
-                    else:
-                        # Demand load: the core (its dependent work)
-                        # waits for the memory + verification round trip.
-                        if acc:
-                            yield acc
-                            acc = 0
-                        done = controller_read(op[1])
-                        yield done
-                        stats_add("core.memory_reads")
-                for victim in result.writebacks:
-                    self._submit_eviction(victim)
-            elif code == OP_CLWB:
-                self.instructions += 1
-                acc += 1  # issue slot
-                line = hierarchy_clwb(op[1])
-                if line is not None:
-                    if acc:
-                        yield acc
-                        acc = 0
-                    self._launch_persist(line)
-                    if strict:
-                        # Strict persistency: the flush itself blocks
-                        # until the write is in the persistence domain.
-                        while self._outstanding_persists > 0:
-                            started = sim.now
-                            yield fence_signal
-                            stall = sim.now - started
-                            stats_add("core.fence_stall_cycles", stall)
-                            if self.timeline is not None:
-                                self.timeline.event(
-                                    sim.now, "core.fence_stall", str(stall)
-                                )
-            elif code == OP_FENCE:
-                self.instructions += 1
-                if acc:
-                    yield acc
-                    acc = 0
-                while self._outstanding_persists > 0:
-                    started = sim.now
-                    yield fence_signal
-                    stall = sim.now - started
-                    stats_add("core.fence_stall_cycles", stall)
-                    if self.timeline is not None:
-                        self.timeline.event(
-                            sim.now, "core.fence_stall", str(stall)
-                        )
+        for kind, operand, wait in stream.events():
+            if kind == EV_FILL:
+                # Write-allocate fill: nothing waits on it.
+                controller_fill(operand)
+                stats_add("core.store_miss_fills")
+                continue
+            if kind == EV_EVICT:
+                submit_eviction(operand)
+                continue
+            if wait:
+                yield wait
+            if kind == EV_LOAD:
+                # Demand load: the core (its dependent work) waits for
+                # the memory + verification round trip.
+                yield controller_read(operand)
+                stats_add("core.memory_reads")
+            elif kind == EV_PERSIST:
+                launch_persist(operand)
+                if strict:
+                    # Strict persistency: the flush itself blocks until
+                    # the write is in the persistence domain.
+                    yield from self._await_persists()
+            elif kind == EV_FENCE:
+                yield from self._await_persists()
                 stats_add("core.fences")
-            elif code == OP_TXBEGIN:
-                if acc:
-                    yield acc
-                    acc = 0
+            elif kind == EV_TXBEGIN:
                 tx_start_cycle = sim.now
-            elif code == OP_TXEND:
-                if acc:
-                    yield acc
-                    acc = 0
-                self.stats.record("core.tx_cycles", sim.now - tx_start_cycle)
+            elif kind == EV_TXEND:
+                record("core.tx_cycles", sim.now - tx_start_cycle)
                 stats_add("core.transactions")
                 if pending_arrival >= 0:
                     sojourn = sim.now - pending_arrival
                     queue_delay = tx_start_cycle - pending_arrival
-                    record = self.stats.record
                     record("core.sojourn_cycles", sojourn)
                     record("core.queue_delay_cycles", queue_delay)
                     tenant_scope = f"core.tenant.{pending_tenant}"
@@ -192,15 +154,11 @@ class TraceCore:
                             f"{pending_tenant}:{sojourn}",
                         )
                     pending_arrival = -1
-            elif code == OP_ARRIVAL:
+            else:  # EV_ARRIVAL
                 # The next transaction was offered at the packed cycle.
                 # If the core is ahead of the arrival clock it idles
                 # (open-loop underload); if behind, the transaction has
                 # queued and its wait shows up in the sojourn.
-                if acc:
-                    yield acc
-                    acc = 0
-                operand = op[1]
                 pending_tenant = operand >> ARRIVAL_TENANT_SHIFT
                 pending_arrival = operand & ARRIVAL_CYCLE_MASK
                 stats_add("core.arrivals")
@@ -208,17 +166,27 @@ class TraceCore:
                     yield pending_arrival - sim.now
                 else:
                     stats_add("core.arrivals_queued")
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown trace op {op!r}")
-        if acc:
-            yield acc
+        if stream.tail:
+            yield stream.tail
         # Implicit final fence so all persists land before we report.
         while self._outstanding_persists > 0:
-            yield fence_signal
-        self.cycles = self.sim.now
+            yield self._fence_signal
+        self.cycles = sim.now
+        self.instructions = stream.instructions
         self.finished = True
         self.stats.set("core.cycles", self.cycles)
         self.stats.set("core.instructions", self.instructions)
+
+    def _await_persists(self):
+        """Stall until every outstanding persist completes (a fence)."""
+        sim = self.sim
+        while self._outstanding_persists > 0:
+            started = sim.now
+            yield self._fence_signal
+            stall = sim.now - started
+            self.stats.add("core.fence_stall_cycles", stall)
+            if self.timeline is not None:
+                self.timeline.event(sim.now, "core.fence_stall", str(stall))
 
     # ------------------------------------------------------------------
     def _launch_persist(self, address: int) -> None:
@@ -229,14 +197,13 @@ class TraceCore:
         # tracer treats as the start of the persist critical path.
         request = WriteRequest(address, WriteKind.PERSIST)
         request.issue_cycle = self.sim.now
-        traversal = self.hierarchy.flush_latency()
 
         def submit() -> None:
             done = self.controller.submit_write(request)
             assert done is not None
             done.subscribe(self._persist_complete)
 
-        self.sim.call_after(traversal, submit)
+        self.sim.call_after(self.flush_latency, submit)
 
     def _persist_complete(self, _value: object = None) -> None:
         self._outstanding_persists -= 1

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.cpu.resolve import ResolvedTrace, resolve, resolve_key
 from repro.cpu.trace import OP_FENCE
 
 FORMAT_VERSION = 1
@@ -39,15 +40,17 @@ def trace_to_arrays(trace) -> "Tuple[np.ndarray, np.ndarray]":
 class PackedTrace:
     """A column-packed op stream the core can replay directly.
 
-    Holds the two int64 columns of :func:`trace_to_arrays` and hands
-    the replay loop a C-level ``zip`` over plain Python ints — no
-    per-op tuple list is ever materialised on the replay path (loading
-    a cached trace used to rebuild the whole list through a Python
-    loop with a per-op length check).  ``__iter__`` provides the
-    classic tuple stream for code that still wants it.
+    Holds the two int64 columns of :func:`trace_to_arrays`; no per-op
+    tuple list is ever materialised on the replay path (loading a
+    cached trace used to rebuild the whole list through a Python loop
+    with a per-op length check).  :meth:`resolved` memoizes the
+    stream's cache-resolved form per cache geometry and IPC, so every
+    design replaying one cached trace pays for the hierarchy once.
+    :meth:`pairs` and ``__iter__`` provide the op stream itself for
+    code that still wants it.
     """
 
-    __slots__ = ("codes", "operands", "_columns")
+    __slots__ = ("codes", "operands", "_columns", "_resolved")
 
     def __init__(self, codes: "np.ndarray", operands: "np.ndarray") -> None:
         if len(codes) != len(operands):
@@ -57,9 +60,11 @@ class PackedTrace:
             )
         self.codes = codes
         self.operands = operands
-        #: Lazily-built (codes, operands) Python-int lists; ``tolist``
-        #: is one C call and the lists are reused across replays.
+        #: Lazily-built (codes, operands) Python-int lists behind
+        #: :meth:`pairs`; ``tolist`` is one C call.
         self._columns: Optional[Tuple[list, list]] = None
+        #: Resolved streams by :func:`repro.cpu.resolve.resolve_key`.
+        self._resolved: Dict[tuple, ResolvedTrace] = {}
 
     @classmethod
     def from_trace(cls, trace) -> "PackedTrace":
@@ -78,9 +83,26 @@ class PackedTrace:
         return columns
 
     def pairs(self):
-        """Iterator of ``(code, operand)`` pairs for the replay loop."""
+        """Iterator of ``(code, operand)`` pairs (a C-level ``zip``)."""
         codes, operands = self.columns()
         return zip(codes, operands)
+
+    def resolved(self, config) -> ResolvedTrace:
+        """The stream resolved under ``config``'s caches (memoized).
+
+        Resolving reads the columns through one transient pair of
+        Python lists rather than caching them: after the first design,
+        only the numpy columns and the (much shorter) resolved stream
+        stay resident.
+        """
+        key = resolve_key(config)
+        stream = self._resolved.get(key)
+        if stream is None:
+            codes, operands = self._columns or (
+                self.codes.tolist(), self.operands.tolist()
+            )
+            stream = self._resolved[key] = resolve(zip(codes, operands), config)
+        return stream
 
     def to_trace(self) -> List[Tuple]:
         """Materialise the classic tuple-list form."""

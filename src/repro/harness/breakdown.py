@@ -60,16 +60,18 @@ def breakdown_of(result: RunResult, read_stall_cycles: int) -> CycleBreakdown:
 
 def run_with_breakdown(
     config: SimConfig,
-    trace: List[Tuple],
+    trace,
     workload: str = "trace",
     transactions: int = 0,
     timeline=None,
 ) -> Tuple[RunResult, CycleBreakdown]:
     """Run one trace and return (result, cycle breakdown).
 
-    Read-stall cycles are measured directly by wrapping the core's
-    blocking-read waits; everything else reuses the standard runner.
-    An optional ``timeline`` (e.g. :class:`repro.tracing.SpanTracer`)
+    Read-stall cycles are measured directly by wrapping the
+    controller's ``read``, which the core calls only for the demand
+    loads it blocks on (store-miss fills go through ``fill``);
+    everything else reuses the standard runner.  An optional
+    ``timeline`` (e.g. :class:`repro.tracing.SpanTracer`)
     is attached to both the controller and the core, so span tracing
     and the breakdown come from the same run.
     """
@@ -119,16 +121,7 @@ def run_with_breakdown(
         instructions=core.instructions,
         stats=merged,
     )
-    # Only loads block; store-miss fills ride in the background.  The
-    # wrapper above timestamps every read, so subtract the background
-    # share by scaling with the blocking fraction.
-    reads = merged.get("controller.reads", 0)
-    blocking = merged.get("core.memory_reads", 0)
-    if reads:
-        blocking_stall = read_stall["cycles"] * blocking // max(1, reads)
-    else:
-        blocking_stall = 0
-    return result, breakdown_of(result, blocking_stall)
+    return result, breakdown_of(result, read_stall["cycles"])
 
 
 def render_breakdowns(rows: List[Tuple[str, CycleBreakdown]], title: str) -> str:

@@ -534,7 +534,7 @@ def breakdown_experiment(
             return executor.run(
                 RunUnit(workload, config, transactions, seed, mode="breakdown")
             )
-        trace = cache.get(
+        trace = cache.get_packed(
             workload, transactions, config.transaction_size, seed
         )
         return run_with_breakdown(config, trace, workload, transactions)

@@ -4,7 +4,7 @@ EXPERIMENTS.md reports the paper-vs-measured comparison; nothing used
 to *guard* those numbers — a modeling change could silently shift the
 Figure 12 speedups or break the Figure 15 saturation shape and every
 test would still pass.  This module snapshots the headline metrics
-into ``results/golden.json`` and recomputes them at a small, fast
+into ``tests/data/golden.json`` and recomputes them at a small, fast
 tier-1 transaction count:
 
 * **Figure 12** — mean Dolos speedup per Mi-SU design (eager Merkle);
@@ -61,7 +61,8 @@ DEFAULT_ABS_TOL = 1e-9
 SCHEMA_VERSION = 1
 
 _REPO_ROOT = Path(__file__).resolve().parents[3]
-GOLDEN_PATH = _REPO_ROOT / "results" / "golden.json"
+#: Tracked with the tests (``results/`` is build output and gitignored).
+GOLDEN_PATH = _REPO_ROOT / "tests" / "data" / "golden.json"
 
 #: Short design slugs used in metric names.
 _DESIGN_SLUGS = {design: design.value for design in DESIGNS}

@@ -96,11 +96,11 @@ def execute_unit(unit: RunUnit, cache: TraceCache):
     Plain runs are replayed from the packed trace columns through the
     content-addressed unit memo — a unit whose op stream, config and
     simulator sources all match an earlier run is not resimulated.
-    Breakdown runs bypass both layers: their instrumented results
-    carry per-span state the memo does not capture.
+    Breakdown runs replay the packed trace too but bypass the memo:
+    their instrumented results carry per-span state it does not capture.
     """
     if unit.mode == "breakdown":
-        trace = cache.get(
+        trace = cache.get_packed(
             unit.workload, unit.transactions, unit.config.transaction_size,
             unit.seed,
         )

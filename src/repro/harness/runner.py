@@ -9,7 +9,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.config import ControllerKind, MiSUDesign, SimConfig
 from repro.core.controller import MemoryController, make_controller
 from repro.cpu.core import TraceCore
-from repro.cpu.trace_io import PackedTrace
 from repro.engine import Simulator
 from repro.stats import StatsRegistry
 from repro.workloads import generate_trace
@@ -60,15 +59,16 @@ def run_trace(
     """Replay one prebuilt trace under ``config``; returns the result.
 
     ``trace`` is either the classic list of op tuples or a
-    :class:`repro.cpu.trace_io.PackedTrace`, whose columns are replayed
-    directly (no per-op tuple list is rebuilt — the batched path every
-    cache hit and every sweep repeat takes).
+    :class:`repro.cpu.trace_io.PackedTrace`.  A packed trace replays its
+    memoized cache-resolved stream, so every design run on one cached
+    trace resolves it against the caches once (the path every cache hit
+    and every sweep repeat takes).
     """
     sim = Simulator()
     stats = StatsRegistry()
     controller = make_controller(sim, config, stats)
     core = TraceCore(sim, config, controller, stats)
-    core.run(trace.pairs() if isinstance(trace, PackedTrace) else trace)
+    core.run(trace)
     sim.run()
     if not core.finished:
         raise RuntimeError(

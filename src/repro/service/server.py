@@ -92,6 +92,8 @@ class _ClientSession:
 
     def post(self, message: Dict[str, object]) -> None:
         """Best-effort enqueue (progress narration; droppable)."""
+        if self.closed:
+            return
         try:
             self.queue.put_nowait(message)
         except asyncio.QueueFull:
@@ -99,10 +101,18 @@ class _ClientSession:
 
     async def post_critical(self, message: Dict[str, object]) -> None:
         """Guaranteed enqueue (results/errors; awaits queue space)."""
+        if self.closed:
+            return
         await self.queue.put(message)
 
     async def drain_writer(self) -> None:
-        """Sentinel-close the queue and wait for the writer to flush."""
+        """Sentinel-close the queue so the writer flushes and exits.
+
+        The session counts as closed from here on: a post landing
+        behind the sentinel would never be consumed, and a shutdown
+        waiting for this queue to flush would stall until its timeout.
+        """
+        self.closed = True
         await self.queue.put(None)
 
 
@@ -210,7 +220,6 @@ class ExperimentServer:
         finally:
             await session.drain_writer()
             await writer_task
-            session.closed = True
             self._sessions.discard(session)
             try:
                 writer.close()

@@ -15,6 +15,13 @@ from repro.workloads import generate_trace
 
 HEAP = 0x1_0000_0000
 
+#: The non-secure ideal (no Ma-SU), Dolos and the pre-WPQ baseline.
+BREAKDOWN_KINDS = (
+    ControllerKind.NON_SECURE_IDEAL,
+    ControllerKind.DOLOS,
+    ControllerKind.PRE_WPQ_SECURE,
+)
+
 
 class TestCycleBreakdown:
     def test_components_sum_to_total(self):
@@ -35,6 +42,37 @@ class TestCycleBreakdown:
         assert breakdown.total == result.cycles
         assert 0 < breakdown.fence_stall < breakdown.total
         assert breakdown.other > 0
+
+    @pytest.mark.parametrize("kind", BREAKDOWN_KINDS)
+    def test_read_stall_is_zero_when_only_store_fills_miss(self, kind):
+        # Store misses reach the controller as reads, but the core never
+        # blocks on them.
+        trace = [(OP_STORE, HEAP + i * 4096) for i in range(6)]
+        result, breakdown = run_with_breakdown(
+            SimConfig().with_(controller=kind), trace
+        )
+        assert result.stats["controller.reads"] == 6
+        assert "core.memory_reads" not in result.stats
+        assert breakdown.read_stall == 0
+
+    @pytest.mark.parametrize("kind", BREAKDOWN_KINDS)
+    def test_read_stall_is_the_demand_miss_round_trips(self, kind):
+        # With no persists, a run's cycles are its hierarchy latency,
+        # its work and the round trips of the loads it blocks on, so the
+        # measured read stall is exactly the rest — store fills to the
+        # same banks included.
+        config = SimConfig().with_(controller=kind)
+        miss = config.l1.latency + config.l2.latency + config.llc.latency
+        trace = [
+            (OP_STORE, HEAP), (OP_LOAD, HEAP + 64), (OP_STORE, HEAP + 4096),
+            (OP_WORK, 10), (OP_LOAD, HEAP + 8192),
+        ]
+        result, breakdown = run_with_breakdown(config, trace)
+        assert result.stats["controller.reads"] == 4
+        assert result.stats["core.memory_reads"] == 2
+        work = int(10 / config.core.ipc)
+        assert breakdown.read_stall == result.cycles - 4 * miss - work
+        assert breakdown.other == 4 * miss + work
 
     def test_dolos_has_smaller_fence_share_than_baseline(self):
         trace = generate_trace("ctree", 25, 1024, seed=1)

@@ -1,4 +1,4 @@
-"""Golden-result regression suite over ``results/golden.json``.
+"""Golden-result regression suite over ``tests/data/golden.json``.
 
 The snapshot pins the reproduced headline numbers — Figure 12/16 mean
 speedups, the Figure 15 saturation curve, the Table 2 NStore:YCSB

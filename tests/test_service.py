@@ -10,6 +10,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -29,7 +30,7 @@ from repro.service.scheduler import (
     ExperimentScheduler,
     JobStatus,
 )
-from repro.service.server import ExperimentServer, TokenBucket
+from repro.service.server import ExperimentServer, TokenBucket, _ClientSession
 from repro.tracing import JOB_EVENT_KINDS, JobEventLog
 
 #: Small enough to finish in milliseconds, large enough to be a real run.
@@ -531,6 +532,43 @@ class TestServer:
             await client.close()
 
         _run_async(_with_server(scenario))
+
+    def test_shutdown_racing_a_bye_finishes_promptly(self, monkeypatch):
+        # Land a shutdown in the window after a session has queued its
+        # writer sentinel (right after ``bye``) but before the session
+        # is torn down.  A ``draining`` post queued behind the sentinel
+        # is never consumed, so a shutdown that waited for that queue to
+        # flush would sit out its whole 15 s timeout.
+        original = _ClientSession.drain_writer
+        shutdowns = []
+
+        async def drain_then_shutdown(session):
+            await original(session)
+            started = time.monotonic()
+            shutdowns.append(
+                (started, asyncio.create_task(session.server.shutdown()))
+            )
+            # Hold the teardown back until the shutdown has had time to
+            # post to this session and collect the queues to flush.
+            await asyncio.sleep(0.05)
+
+        monkeypatch.setattr(_ClientSession, "drain_writer", drain_then_shutdown)
+
+        async def scenario():
+            server = ExperimentServer(_scheduler(), port=0)
+            await server.start()
+            client = await _AsyncClient.connect(server)
+            await client.send({"type": "bye"})
+            assert (await client.read_until({"bye"}))["type"] == "bye"
+            while not shutdowns:
+                await asyncio.sleep(0.001)
+            started, shutdown = shutdowns[0]
+            await shutdown
+            elapsed = time.monotonic() - started
+            await client.close()
+            return elapsed
+
+        assert _run_async(scenario(), timeout=30.0) < 1.0
 
     def test_shutdown_drains_accepted_jobs_then_refuses(self, caplog):
         async def scenario():
