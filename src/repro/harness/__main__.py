@@ -12,6 +12,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 
@@ -25,70 +26,44 @@ from repro.harness.experiments import (
 #: Experiments that take no workload parameters.
 STATIC_EXPERIMENTS = {"tab03", "sec55"}
 
+#: Subcommands that are not experiments: name -> (module whose
+#: ``main(argv)`` runs it, help text).  Each owns its flag set, so it is
+#: dispatched before the experiment parser runs; the module is imported
+#: only when its subcommand is.
+SUBCOMMANDS = {
+    "check": ("repro.oracle.check", "crash oracle"),
+    "trace": ("repro.tracing.cli", "persist-span tracing"),
+    "faults": ("repro.faults.campaign", "fault-injection campaign"),
+    "serve": ("repro.service.server", "experiment service"),
+    "submit": ("repro.service.client", "service client"),
+    "golden": ("repro.harness.golden", "golden-result gate"),
+    "fleet": ("repro.fleet.dispatcher", "distributed campaign dispatcher"),
+    "chaos": (
+        "repro.chaos.campaign", "fault-injection fleet hardening campaign"
+    ),
+    "matrix": ("repro.matrix", "print controller-matrix labels"),
+    "loadcurve": ("repro.scenarios.cli", "open-loop latency vs offered load"),
+}
+
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # ``check`` (crash oracle), ``trace`` (span tracing) and ``faults``
-    # (fault-injection campaign) are not experiments; each owns its
-    # flag set, so dispatch before the experiment parser runs.
-    if argv and argv[0] == "check":
-        from repro.oracle.check import main as oracle_main
-
-        return oracle_main(list(argv[1:]))
-    if argv and argv[0] == "trace":
-        from repro.tracing.cli import main as trace_main
-
-        return trace_main(list(argv[1:]))
-    if argv and argv[0] == "faults":
-        from repro.faults.campaign import main as faults_main
-
-        return faults_main(list(argv[1:]))
-    if argv and argv[0] == "serve":
-        from repro.service.server import main as serve_main
-
-        return serve_main(list(argv[1:]))
-    if argv and argv[0] == "submit":
-        from repro.service.client import main as submit_main
-
-        return submit_main(list(argv[1:]))
-    if argv and argv[0] == "golden":
-        from repro.harness.golden import main as golden_main
-
-        return golden_main(list(argv[1:]))
-    if argv and argv[0] == "fleet":
-        from repro.fleet.dispatcher import main as fleet_main
-
-        return fleet_main(list(argv[1:]))
-    if argv and argv[0] == "chaos":
-        from repro.chaos.campaign import main as chaos_main
-
-        return chaos_main(list(argv[1:]))
-    if argv and argv[0] == "matrix":
-        from repro.matrix import main as matrix_main
-
-        return matrix_main(list(argv[1:]))
-    if argv and argv[0] == "loadcurve":
-        from repro.scenarios.cli import main as loadcurve_main
-
-        return loadcurve_main(list(argv[1:]))
+    if argv and argv[0] in SUBCOMMANDS:
+        module = importlib.import_module(SUBCOMMANDS[argv[0]][0])
+        return module.main(list(argv[1:]))
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
         description="Reproduce the Dolos paper's tables and figures.",
     )
+    subcommands = ", ".join(
+        f"'{name}' ({text})" for name, (_, text) in SUBCOMMANDS.items()
+    )
     parser.add_argument(
         "experiment",
         help="experiment id (fig06, fig12-16, tab02, tab03, sec55, "
-        "motivation), 'all', 'list', 'check' (crash oracle), "
-        "'trace' (persist-span tracing), 'faults' (fault-injection "
-        "campaign), 'serve' (experiment service), 'submit' (service "
-        "client), 'golden' (golden-result gate), 'fleet' (distributed "
-        "campaign dispatcher), 'chaos' (fault-injection fleet "
-        "hardening campaign), 'matrix' (print controller-matrix "
-        "labels), or 'loadcurve' (open-loop latency vs offered load); "
-        "see python -m repro.harness "
-        "{check,trace,faults,serve,submit,golden,fleet,chaos,matrix,"
-        "loadcurve} --help",
+        f"motivation), 'all', 'list', {subcommands}; see python -m "
+        f"repro.harness {{{','.join(SUBCOMMANDS)}}} --help",
     )
     parser.add_argument(
         "--transactions",

@@ -575,16 +575,6 @@ class WarmPool:
             _execute_pooled, (unit,), callback=_ok, error_callback=_err
         )
 
-    def submit_batch(
-        self,
-        units: Sequence[RunUnit],
-        on_done: Callable[[RunUnit, object, Optional[BaseException]], None],
-    ) -> int:
-        """Submit every unit in ``units``; returns the count submitted."""
-        for unit in units:
-            self.submit(unit, on_done)
-        return len(units)
-
     # -- lifecycle -------------------------------------------------------
     @property
     def in_flight(self) -> int:

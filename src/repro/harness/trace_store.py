@@ -219,10 +219,11 @@ class ResultStore:
 
     The :mod:`repro.service` scheduler keys each job by a digest
     computed exactly the way :meth:`TraceStore.digest` keys traces
-    (canonical JSON of the full identity, SHA-256, truncated) and
-    stores the job's JSON result payload here, so identical jobs
-    resubmitted across server restarts replay from disk instead of
-    re-simulating.  Every entry embeds a digest of its payload bytes
+    (canonical JSON of the full identity, SHA-256, truncated), joined
+    with the simulator-source fingerprint, and stores the job's JSON
+    result payload here, so identical jobs resubmitted across server
+    restarts replay from disk instead of re-simulating — until the
+    simulator changes.  Every entry embeds a digest of its payload bytes
     that is re-verified on load — a corrupt or truncated entry is
     quarantined (same policy as :class:`TraceStore`) and treated as a
     miss, never surfaced as a JSON error or, worse, a wrong result.

@@ -3,18 +3,18 @@
 Every other entry point in this repository is a one-shot CLI — it
 cold-starts a pool, runs, and exits, so concurrent users re-simulate
 identical configurations.  ``repro.service`` turns the harness into a
-request-serving system with the batching/queueing/backpressure shape
-of an inference frontend:
+request-serving system with the queueing/backpressure shape of an
+inference frontend:
 
 * :mod:`repro.service.protocol` — the JSON-lines wire protocol, job
   specs, content-hash job keys (same canonical-JSON + SHA-256 scheme
   as :class:`repro.harness.trace_store.TraceStore`), and result
   payload digests;
 * :mod:`repro.service.scheduler` — dedup of identical
-  in-flight/completed jobs, admission batching onto a warm
+  in-flight/completed jobs, dispatch at admission onto a warm
   :class:`repro.harness.parallel.WarmPool`, the persistent
-  :class:`~repro.harness.trace_store.ResultStore`, and
-  drain-on-shutdown;
+  :class:`~repro.harness.trace_store.ResultStore` (keyed by job and
+  simulator source), and drain-on-shutdown;
 * :mod:`repro.service.server` — the asyncio server (loopback TCP +
   Unix socket), per-client token-bucket rate limiting, bounded event
   queues, graceful SIGTERM drain;

@@ -81,7 +81,8 @@ class ServiceClient:
         self._sock: Optional[socket.socket] = None
         self._file = None
         self._ids = itertools.count(1)
-        #: Progress frames observed while waiting for results.
+        #: Non-reply frames (``accepted``, ``draining``, ...) observed
+        #: while waiting for results.
         self.progress: List[dict] = []
         #: Transport retries performed (supervision evidence).
         self.retries = 0
@@ -271,7 +272,7 @@ class ServiceClient:
                         str(frame.get("code")), str(frame.get("message"))
                     )
                 self.progress.append(frame)
-            elif kind in ("progress", "accepted", "draining"):
+            elif kind in ("accepted", "draining"):
                 self.progress.append(frame)
             # hello/pong/stats frames interleaved here are ignorable
 

@@ -16,8 +16,8 @@ Client -> server::
 Server -> client::
 
     {"type": "hello", "version": 1, ...}
-    {"type": "accepted", "id": "r1", "key": "...", "dedup": "new|inflight|cached"}
-    {"type": "progress", "key": "...", "state": "...", ...}
+    {"type": "accepted", "id": "r1", "key": "...", "dedup": "new|inflight|cached",
+     "state": "running|done|failed"}
     {"type": "result", "id": "r1", "key": "...", "payload": {...},
      "digest": "...", "cached": false}
     {"type": "error", "id": "r1", "code": "...", "message": "..."}
@@ -113,8 +113,8 @@ class JobSpec:
     ``prewpq-eager``, ``prewpq-lazy``, ``eadr``, ``triad``,
     ``writethrough`` — see :mod:`repro.matrix`); ``overrides`` tweaks
     the whitelisted :class:`~repro.config.SimConfig` knobs.
-    ``experiment_id`` is a client-side label (echoed in progress
-    events, excluded from the job hash).
+    ``experiment_id`` is a client-side label (recorded in the
+    ``job.submitted`` event, excluded from the job hash).
     """
 
     workload: str

@@ -1,4 +1,4 @@
-"""Job admission: dedup, batching, the warm pool, and drain.
+"""Job admission: dedup, dispatch, the warm pool, and drain.
 
 The scheduler is the single-writer owner of all job state; it runs on
 the server's asyncio loop, so no locks are needed — pool completion
@@ -8,16 +8,20 @@ trampolined back onto the loop with ``call_soon_threadsafe``.
 Admission pipeline for one ``submit``:
 
 1. **Key** the spec (:func:`repro.service.protocol.job_key`).
-2. **Dedup** — an identical job already RUNNING/QUEUED gains a waiter
-   (``dedup="inflight"``); a key present in the persistent
+2. **Dedup** — a job with the same key admitted earlier in this
+   scheduler's life (running or finished) is shared
+   (``dedup="inflight"``); a result in the persistent
    :class:`~repro.harness.trace_store.ResultStore` replays from disk
    with its payload digest re-verified (``dedup="cached"``); otherwise
-   the job is new.
-3. **Batch** — new jobs buffer briefly (``batch_window`` seconds, or
-   until ``batch_max`` accumulate) so a burst of submissions dispatches
-   to the pool as one batch; the window is the service's equivalent of
-   an inference frontend's request batcher.
-4. **Execute** — batches go to a shared
+   the job is new.  Store entries are keyed by the job key plus
+   :func:`repro.harness.memo.model_fingerprint`, so a server restarted
+   after a simulator change re-runs the job instead of replaying a
+   payload the old code computed.
+3. **Dispatch** — a new job starts before ``submit`` returns.  Each
+   job is its own pool submission, and every caller waits for one
+   result before sending its next request, so holding jobs back to
+   group them would only add latency.
+4. **Execute** — jobs run on a shared
    :class:`~repro.harness.parallel.WarmPool` (``jobs >= 2``) or an
    in-process thread (``jobs <= 1``; identical results either way,
    both run :func:`repro.harness.parallel.execute_unit`).  A unit
@@ -28,8 +32,8 @@ Admission pipeline for one ``submit``:
    result store, and every waiter's future resolves.
 
 ``drain()`` implements graceful shutdown: new submissions are refused,
-but every *accepted* job — queued, batched, or running — completes and
-reaches its waiters before drain returns.
+but every *accepted* job completes and reaches its waiters before
+drain returns.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 import asyncio
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.harness.parallel import WarmPool, execute_unit, RunUnit
 from repro.harness.trace_store import (
@@ -60,7 +64,6 @@ class DrainingError(RuntimeError):
 
 
 class JobStatus(enum.Enum):
-    QUEUED = "queued"
     RUNNING = "running"
     DONE = "done"
     FAILED = "failed"
@@ -73,7 +76,8 @@ class Job:
     key: str
     spec: JobSpec
     unit: RunUnit
-    status: JobStatus = JobStatus.QUEUED
+    #: RUNNING from admission (dispatch does not wait) until terminal.
+    status: JobStatus = JobStatus.RUNNING
     payload: Optional[dict] = None
     digest: Optional[str] = None
     error: Optional[str] = None
@@ -81,11 +85,8 @@ class Job:
     cached: bool = False
     #: Completed by the in-process retry after a worker death.
     degraded: bool = False
-    batch_id: Optional[int] = None
     #: Resolved (with this Job) when the job reaches a terminal state.
     done: asyncio.Future = field(default_factory=asyncio.Future)
-    #: Progress callbacks: fn(job, state) — must not block.
-    watchers: List[Callable[["Job", str], None]] = field(default_factory=list)
 
     @property
     def finished(self) -> bool:
@@ -93,19 +94,15 @@ class Job:
 
 
 class ExperimentScheduler:
-    """Dedup + batching front of the simulation pool (single-loop)."""
+    """Dedup + dispatch front of the simulation pool (single-loop)."""
 
     def __init__(
         self,
         jobs: int = 1,
-        batch_window: float = 0.02,
-        batch_max: int = 16,
         result_cache_dir=TraceCache.AUTO,
         events: Optional[JobEventLog] = None,
     ) -> None:
         self.jobs = max(1, jobs)
-        self.batch_window = batch_window
-        self.batch_max = max(1, batch_max)
         if result_cache_dir is TraceCache.AUTO:
             result_cache_dir = default_result_cache_dir()
         self.results = (
@@ -118,9 +115,6 @@ class ExperimentScheduler:
         self._pool: Optional[WarmPool] = None
         self._thread_cache: Optional[TraceCache] = None
         self._jobs: Dict[str, Job] = {}
-        self._pending_batch: List[Job] = []
-        self._batch_timer: Optional[asyncio.TimerHandle] = None
-        self._batch_counter = 0
         self._draining = False
         self._idle = asyncio.Event()
         self._idle.set()
@@ -136,16 +130,25 @@ class ExperimentScheduler:
         loop = self._loop or asyncio.get_event_loop()
         self.events.event(int(loop.time() * 1e6), kind, detail)
 
-    def _notify(self, job: Job, state: str) -> None:
-        for watcher in list(job.watchers):
-            watcher(job, state)
+    @staticmethod
+    def _store_key(key: str) -> str:
+        """The ResultStore key of job ``key``: it names the simulator too.
+
+        ``job_key`` stays the job's identity (dedup, the ``accepted``
+        frame, FleetDB rows); only stored payloads depend on the code
+        that computed them.  The fingerprint is hashed on first use,
+        not at server start.
+        """
+        from repro.harness.memo import model_fingerprint
+
+        return f"{key}-{model_fingerprint()}"
 
     # ------------------------------------------------------------------
     async def submit(self, spec: JobSpec) -> Job:
         """Admit one job; returns its (possibly shared) :class:`Job`.
 
-        The returned job may already be finished (cache replay / dedup
-        against a completed job); otherwise await ``job.done``.
+        The returned job is finished (cache replay / dedup against a
+        completed job) or already running; await ``job.done``.
         """
         self._loop = asyncio.get_running_loop()
         if self._draining:
@@ -177,7 +180,7 @@ class ExperimentScheduler:
         self._jobs[key] = job
 
         if self.results is not None:
-            payload = self.results.load(key)
+            payload = self.results.load(self._store_key(key))
             if payload is not None:
                 self.dedup_cached += 1
                 job.cached = True
@@ -186,35 +189,11 @@ class ExperimentScheduler:
                 return job
 
         self._idle.clear()
-        self._pending_batch.append(job)
-        if len(self._pending_batch) >= self.batch_max:
-            self._flush_batch()
-        elif self._batch_timer is None:
-            self._batch_timer = self._loop.call_later(
-                self.batch_window, self._flush_batch
-            )
+        self._dispatch(job)
         return job
 
-    # -- batching --------------------------------------------------------
-    def _flush_batch(self) -> None:
-        if self._batch_timer is not None:
-            self._batch_timer.cancel()
-            self._batch_timer = None
-        batch, self._pending_batch = self._pending_batch, []
-        if not batch:
-            return
-        self._batch_counter += 1
-        batch_id = self._batch_counter
-        for job in batch:
-            job.batch_id = batch_id
-            self._emit("job.batched", f"{job.key}:batch{batch_id}")
-        for job in batch:
-            self._dispatch(job)
-
     def _dispatch(self, job: Job) -> None:
-        job.status = JobStatus.RUNNING
         self._emit("job.started", job.key)
-        self._notify(job, "running")
         if self.jobs >= 2:
             self._ensure_pool().submit(job.unit, self._pool_done(job))
         else:
@@ -273,7 +252,7 @@ class ExperimentScheduler:
             if payload is None:
                 payload = result_payload(result)
                 if self.results is not None:
-                    self.results.store(job.key, payload)
+                    self.results.store(self._store_key(job.key), payload)
             job.payload = payload
             job.digest = result_digest(payload)
             job.status = JobStatus.DONE
@@ -282,7 +261,6 @@ class ExperimentScheduler:
         self._emit("job.completed", f"{job.key}:{outcome}")
         if not job.done.done():
             job.done.set_result(job)
-        self._notify(job, job.status.value)
         if not any(not j.finished for j in self._jobs.values()):
             self._idle.set()
 
@@ -313,7 +291,6 @@ class ExperimentScheduler:
     async def drain(self) -> None:
         """Refuse new work, then wait until every accepted job finishes."""
         self._draining = True
-        self._flush_batch()
         await self._idle.wait()
 
     async def close(self) -> None:

@@ -12,10 +12,11 @@ Per-client machinery:
   through TCP/SO_SNDBUF instead of through unbounded server queues.
 * **Bounded event queue** — replies flow through one
   ``asyncio.Queue(maxsize=...)`` per client drained by a writer task.
-  Progress events are droppable (a slow reader loses narration, never
-  correctness; drops are counted and reported on ``bye``); results and
-  errors are *critical* — enqueueing them awaits space, so a slow
-  client slows only its own deliveries.
+  Acknowledgements (``accepted``, ``pong``, ``draining``, ...) are
+  droppable (a slow reader loses them, never correctness; drops are
+  counted and reported on ``bye``); results and errors are *critical*
+  — enqueueing them awaits space, so a slow client slows only its own
+  deliveries.
 * **Graceful drain** — on SIGTERM/SIGINT (or :meth:`shutdown`), the
   listeners close, new submissions are refused with ``draining``, the
   scheduler drains every accepted job, all pending result deliveries
@@ -91,7 +92,7 @@ class _ClientSession:
         self.closed = False
 
     def post(self, message: Dict[str, object]) -> None:
-        """Best-effort enqueue (progress narration; droppable)."""
+        """Best-effort enqueue (acknowledgements; droppable)."""
         if self.closed:
             return
         try:
@@ -349,21 +350,6 @@ class ExperimentServer:
                 "state": job.status.value,
             }
         )
-        if not job.finished:
-            # Droppable narration: running / done transitions.
-            def watch(j: Job, state: str, _s=session, _id=request_id) -> None:
-                if not _s.closed and state == "running":
-                    _s.post(
-                        {
-                            "type": "progress",
-                            "id": _id,
-                            "key": j.key,
-                            "state": state,
-                            "batch": j.batch_id,
-                        }
-                    )
-
-            job.watchers.append(watch)
         task = asyncio.create_task(
             self._deliver_result(session, request_id, job)
         )
@@ -539,8 +525,6 @@ class ExperimentServer:
 async def _amain(args) -> int:
     scheduler = ExperimentScheduler(
         jobs=args.jobs,
-        batch_window=args.batch_window,
-        batch_max=args.batch_max,
         result_cache_dir=(
             Path(args.result_cache)
             if args.result_cache
@@ -598,8 +582,6 @@ def main(argv=None) -> int:
         help="simulation workers (>=2 uses a warm process pool; "
         "0 = all cores)",
     )
-    parser.add_argument("--batch-window", type=float, default=0.02)
-    parser.add_argument("--batch-max", type=int, default=16)
     parser.add_argument(
         "--result-cache",
         default=None,

@@ -13,8 +13,8 @@ kind                    detail
 ``job.dedup``           ``key:{inflight|cached}`` — coalesced onto an
                         identical in-flight job / replayed from the
                         result cache
-``job.batched``         ``key:batch<id>`` — admitted into a batch
-``job.started``         ``key`` — batch dispatched to the pool
+``job.started``         ``key`` — dispatched to the pool or an
+                        in-process thread at admission
 ``job.completed``       ``key:{ok|error|degraded}`` — terminal state
 ======================  ==============================================
 
@@ -33,7 +33,6 @@ from repro.instrumentation import Timeline
 JOB_EVENT_KINDS = (
     "job.submitted",
     "job.dedup",
-    "job.batched",
     "job.started",
     "job.completed",
 )

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.harness.__main__ import main as cli_main
+from repro.harness.__main__ import SUBCOMMANDS, main as cli_main
 from repro.harness.experiments import ExperimentResult, sec55_recovery
 from repro.harness.export import load_json, to_csv, to_json, write_result
 
@@ -78,3 +78,10 @@ class TestCli:
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError):
             cli_main(["fig99"])
+
+    @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+    def test_every_subcommand_has_help(self, name, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([name, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage:")

@@ -423,7 +423,8 @@ class TestWarmPool:
 
         with WarmPool(2, cache_dir=tmp_path / "traces") as pool:
             assert pool.jobs == 2
-            pool.submit_batch(units, on_done)
+            for unit in units:
+                pool.submit(unit, on_done)
             assert done.wait(timeout=120)
             assert pool.in_flight == 0
 

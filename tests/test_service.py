@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.config import ControllerKind, MiSUDesign
+from repro.harness import memo, parallel
 from repro.harness.parallel import RunUnit, execute_unit
 from repro.harness.runner import RunResult
 from repro.harness.trace_store import (
@@ -255,7 +256,6 @@ def _run_async(coro, timeout: float = 60.0):
 
 def _scheduler(**kwargs) -> ExperimentScheduler:
     kwargs.setdefault("jobs", 1)
-    kwargs.setdefault("batch_window", 0.005)
     kwargs.setdefault("result_cache_dir", None)
     return ExperimentScheduler(**kwargs)
 
@@ -277,7 +277,7 @@ class TestScheduler:
 
     def test_inflight_duplicates_share_one_job(self):
         async def scenario():
-            scheduler = _scheduler(batch_window=0.05)
+            scheduler = _scheduler()
             first = await scheduler.submit(SPEC)
             second = await scheduler.submit(_spec(experiment_id="other"))
             await first.done
@@ -318,26 +318,47 @@ class TestScheduler:
         assert stats["dedup_cached"] == 1
         assert stats["result_store_hits"] == 1
 
-    def test_batching_groups_a_burst(self):
-        specs = [_spec(seed=seed) for seed in (10, 11, 12)]
+    def test_result_store_misses_after_a_simulator_change(
+        self, tmp_path, monkeypatch
+    ):
+        store_dir = tmp_path / "results"
 
-        async def scenario():
-            scheduler = _scheduler(batch_window=30.0, batch_max=2)
-            jobs = [await scheduler.submit(spec) for spec in specs]
-            # batch_max=2: the first two dispatched immediately as one
-            # batch; the third waits on the (long) window until drain
-            # force-flushes it.
-            await asyncio.gather(jobs[0].done, jobs[1].done)
-            assert jobs[2].batch_id is None
-            await scheduler.drain()
+        async def life():
+            scheduler = _scheduler(result_cache_dir=store_dir)
+            job = await scheduler.submit(SPEC)
+            await job.done
             stats = scheduler.stats()
             await scheduler.close()
-            return jobs, stats
+            return job, stats
 
-        jobs, stats = _run_async(scenario())
-        assert jobs[0].batch_id == jobs[1].batch_id == 1
-        assert jobs[2].batch_id == 2
-        assert stats["completed"] == 3
+        _run_async(life())
+        # A new fingerprint stands for edited simulator sources; the
+        # unit memo is off so the cold run leaves no entry under it.
+        monkeypatch.setattr(memo, "_MODEL_FINGERPRINT", "edited-simulator")
+        monkeypatch.setattr(parallel, "_UNIT_MEMO", memo.UnitMemo(None))
+        job, stats = _run_async(life())
+        assert not job.cached
+        assert stats["result_store_hits"] == 0
+        monkeypatch.undo()
+        job, stats = _run_async(life())
+        assert job.cached
+        assert stats["result_store_hits"] == 1
+
+    def test_cold_job_is_dispatched_at_admission(self):
+        events = JobEventLog()
+
+        async def scenario():
+            scheduler = _scheduler(events=events)
+            job = await scheduler.submit(SPEC)
+            status = job.status
+            await job.done
+            await scheduler.close()
+            return job, status
+
+        job, status = _run_async(scenario())
+        assert status is JobStatus.RUNNING
+        kinds = [kind for _time, kind, _detail in events.history(job.key)]
+        assert kinds[:2] == ["job.submitted", "job.started"]
 
     def test_drain_refuses_new_work_but_finishes_accepted(self):
         async def scenario():
@@ -371,7 +392,6 @@ class TestScheduler:
         counts = events.counts
         assert counts["job.submitted"] == 2
         assert counts["job.dedup"] == 1
-        assert counts["job.batched"] == 1
         assert counts["job.started"] == 1
         assert counts["job.completed"] == 1
         kinds = [kind for _time, kind, _detail in events.history(job.key)]
@@ -464,6 +484,8 @@ class TestServer:
             assert accepted["id"] == "r1"
             assert accepted["dedup"] == "new"
             assert accepted["key"] == proto.job_key(SPEC)
+            # A cold job is dispatched before the accepted frame is sent.
+            assert accepted["state"] == "running"
             result = await client.read_until({"result"})
             assert result["id"] == "r1"
             assert result["payload"] == direct

@@ -126,9 +126,7 @@ def _run_async(coro, timeout: float = 60.0):
 
 
 async def _with_server(handler):
-    scheduler = ExperimentScheduler(
-        jobs=1, batch_window=0.005, result_cache_dir=None
-    )
+    scheduler = ExperimentScheduler(jobs=1, result_cache_dir=None)
     server = ExperimentServer(scheduler, port=0)
     await server.start()
     try:
