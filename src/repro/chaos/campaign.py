@@ -354,8 +354,7 @@ def run_chaos_once(
     )
     env = dict(os.environ)
     env["REPRO_TRACE_CACHE"] = str(out_dir / "trace-cache")
-    env["REPRO_RESULT_CACHE"] = str(result_cache)
-    env["REPRO_UNIT_MEMO"] = "off"
+    env["REPRO_UNIT_MEMO"] = str(result_cache)
 
     db = FleetDB(db_path)
     dispatcher = FleetDispatcher(

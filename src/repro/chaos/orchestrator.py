@@ -210,7 +210,7 @@ class ChaosOrchestrator:
             pass
 
     def _corrupt_result_store(self, fault) -> None:
-        """Scribble over one cached result entry (store must quarantine)."""
+        """Scribble over one unit-memo entry (the memo must quarantine it)."""
         if self.result_cache_dir is None:
             return
         victims = sorted(self.result_cache_dir.glob("*.json"))

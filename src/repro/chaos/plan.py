@@ -21,9 +21,9 @@ Three layers:
   subprocesses: SIGSTOP pauses (hangs), SIGKILL, kill-mid-result
   (the worker dies the instant its result frame crosses the proxy,
   before the dispatcher can record it), crash-on-start.
-* **storage** — drills against the FleetDB / result store: a writer
+* **storage** — drills against the FleetDB / unit memo: a writer
   killed mid-``BEGIN IMMEDIATE``, a torn sqlite WAL tail, a corrupted
-  result-cache entry.
+  unit-memo entry.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ PROCESS_KINDS = (
 STORAGE_KINDS = (
     "db-crash-writer",  # SIGKILL a writer inside BEGIN IMMEDIATE
     "db-torn-wal",      # append a garbage tail to the sqlite WAL
-    "store-corrupt",    # scribble over a result-cache entry mid-run
+    "store-corrupt",    # scribble over a unit-memo entry mid-run
 )
 
 _LAYER_OF = (

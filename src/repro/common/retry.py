@@ -17,8 +17,7 @@ Design points:
   backoff trace.  Callers that do not care pass nothing and get a
   module-level RNG.
 * **Policies are data** — a frozen dataclass, trivially serialisable
-  into reports, comparable in tests, and buildable from environment
-  variables (:meth:`RetryPolicy.from_env`).
+  into reports and comparable in tests.
 * **Breakers are per-peer** — a :class:`CircuitBreaker` wraps one
   flaky dependency (one fleet worker, one socket peer).  Closed →
   open after K *consecutive* failures; open → half-open after a
@@ -29,10 +28,9 @@ Design points:
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Tuple, Type
 
 __all__ = [
@@ -137,29 +135,6 @@ class RetryPolicy:
             f"{type(last).__name__}: {last}",
             attempts=self.attempts,
         ) from last
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_env(cls, prefix: str, **defaults) -> "RetryPolicy":
-        """Build a policy from ``<prefix>_{ATTEMPTS,BASE,MAX,JITTER}``.
-
-        Unset variables fall back to ``defaults`` (then to the class
-        defaults), so one policy object carries both the operator's
-        overrides and the subsystem's chosen baseline.
-        """
-        policy = cls(**defaults) if defaults else cls()
-        overrides = {}
-        for attr, suffix, conv in (
-            ("attempts", "ATTEMPTS", int),
-            ("base_delay", "BASE", float),
-            ("max_delay", "MAX", float),
-            ("multiplier", "MULTIPLIER", float),
-            ("jitter", "JITTER", float),
-        ):
-            raw = os.environ.get(f"{prefix}_{suffix}", "").strip()
-            if raw:
-                overrides[attr] = conv(raw)
-        return replace(policy, **overrides) if overrides else policy
 
 
 # ----------------------------------------------------------------------

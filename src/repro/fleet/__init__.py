@@ -5,7 +5,7 @@ experiment service: a :mod:`dispatcher <repro.fleet.dispatcher>` that
 expands a declarative campaign matrix (configs × workloads × seeds ×
 fault plans) into shard manifests and drives many worker processes
 over the existing :mod:`repro.service` wire protocol (with work
-stealing and straggler re-dispatch), a persistent sqlite
+stealing and re-dispatch of a dead worker's units), a persistent sqlite
 :mod:`experiment database <repro.fleet.db>` recording every unit with
 idempotent upserts, and a :mod:`report generator <repro.fleet.report>`
 producing JSON + static HTML aggregates served read-only by the

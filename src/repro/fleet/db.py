@@ -20,8 +20,12 @@ every thread gets its own connection (sqlite3 connections are not
 thread-safe), so multiple dispatcher threads — or multiple dispatcher
 *processes* on a shared filesystem — can record units concurrently.
 
+The database is an experiment ledger keyed by job key, not a result
+cache: the unit memo (:mod:`repro.harness.memo`) is the one cache that
+replays results, and only for the simulator sources that computed them.
+
 Environment: ``REPRO_FLEET_DB=<path>`` names the default database
-file (documented beside ``REPRO_TRACE_CACHE``/``REPRO_RESULT_CACHE``
+file (documented beside ``REPRO_TRACE_CACHE``/``REPRO_UNIT_MEMO``
 in docs/fleet.md); unset falls back to
 ``~/.cache/dolos-repro/fleet.sqlite`` (respects ``XDG_CACHE_HOME``).
 """
@@ -271,7 +275,7 @@ class FleetDB:
 
         Returns ``"inserted"`` for a first record and ``"duplicate"``
         when the row already existed with an identical payload digest
-        (re-dispatch / straggler clone / work stealing race — the
+        (re-dispatch / work stealing race — the
         duplicate is *counted*, never double-recorded).  Raises
         :class:`UnitDigestMismatch` when the digests differ.
         """

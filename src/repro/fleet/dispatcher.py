@@ -17,10 +17,6 @@ the PR-5 wire protocol unchanged) and drives each from its own thread:
   survivors; this rides the same retry philosophy as
   :func:`repro.harness.parallel._resilient_map` but across *worker
   processes* instead of pool children.
-* **Straggler cloning** — when everything pending is exhausted but
-  another worker has held a unit longer than ``straggler_after``
-  seconds, an idle worker runs a clone; whichever finishes first wins
-  and the database's idempotent upsert absorbs the duplicate.
 
 Every completed unit is recorded into the :class:`~repro.fleet.db
 .FleetDB` the moment its result frame lands, so a dispatcher crash
@@ -62,8 +58,8 @@ from repro.service.protocol import (
     JobSpec,
     ProtocolError,
     job_key,
-    resolve_config,
     result_payload,
+    spec_to_run_unit,
 )
 from repro.workloads import ALL_WORKLOADS, ORACLE_SEMANTICS
 
@@ -320,23 +316,6 @@ def shard_manifests(
     return manifests
 
 
-def spec_to_run_unit(spec: JobSpec) -> RunUnit:
-    """The in-process :class:`RunUnit` equivalent of a wire job."""
-    return RunUnit(
-        spec.workload,
-        resolve_config(spec),
-        spec.transactions,
-        spec.seed,
-        mode=spec.mode,
-        fault_sites=spec.fault_sites if spec.mode == "faults" else 0,
-        scenario=(
-            tuple(sorted(dict(spec.scenario).items()))
-            if spec.mode == "scenario"
-            else ()
-        ),
-    )
-
-
 # ----------------------------------------------------------------------
 # The unit ledger: pending shards, in-flight claims, completions
 # ----------------------------------------------------------------------
@@ -344,19 +323,18 @@ class UnitLedger:
     """Thread-safe unit state shared by all worker threads.
 
     Invariant: every unit is in exactly one of *pending* (some shard's
-    deque), *in-flight* (claimed by ≥1 workers — more than one only
-    for straggler clones), or *done*.  ``claim``/``complete``/
-    ``requeue`` keep the sets consistent under any interleaving, which
-    the Hypothesis suite exercises with random stealing and death
-    schedules.
+    deque), *in-flight* (claimed by one worker), or *done*.
+    ``claim``/``complete``/``requeue`` keep the sets consistent under
+    any interleaving, which the Hypothesis suite exercises with random
+    stealing and death schedules.
     """
 
     def __init__(self, manifests: Sequence[Sequence[FleetUnit]]) -> None:
         self._pending: List[Deque[FleetUnit]] = [
             deque(manifest) for manifest in manifests
         ]
-        #: unit key -> {worker_id: claim time} for units being run.
-        self._inflight: Dict[str, Dict[str, float]] = {}
+        #: unit key -> the worker running it.
+        self._inflight: Dict[str, str] = {}
         self._units: Dict[str, FleetUnit] = {}
         for manifest in manifests:
             for unit in manifest:
@@ -369,26 +347,19 @@ class UnitLedger:
         self._lock = threading.Lock()
         self.steals = 0
         self.redispatches = 0
-        self.straggler_clones = 0
 
     # ------------------------------------------------------------------
-    def claim(
-        self,
-        shard: int,
-        worker_id: str,
-        straggler_after: Optional[float] = None,
-    ) -> Optional[FleetUnit]:
-        """Next unit for ``worker_id``: own shard, then steal, then clone.
+    def claim(self, shard: int, worker_id: str) -> Optional[FleetUnit]:
+        """Next unit for ``worker_id``: own shard, then steal.
 
         Returns ``None`` when there is nothing this worker can usefully
-        run right now (its shard and every other shard are empty, and
-        no in-flight unit qualifies as a straggler).
+        run right now (its shard and every other shard are empty).
         """
         with self._lock:
             own = self._pending[shard]
             if own:
                 unit = own.popleft()
-                self._claim_locked(unit, worker_id)
+                self._inflight[unit.key] = worker_id
                 return unit
             victim = max(
                 (d for i, d in enumerate(self._pending) if i != shard),
@@ -400,28 +371,9 @@ class UnitLedger:
                 # head, so the two never contend for the same unit.
                 unit = victim.pop()
                 self.steals += 1
-                self._claim_locked(unit, worker_id)
+                self._inflight[unit.key] = worker_id
                 return unit
-            if straggler_after is not None:
-                now = time.monotonic()
-                oldest_key = None
-                oldest_at = None
-                for key, claims in self._inflight.items():
-                    if worker_id in claims:
-                        continue  # never clone one's own claim
-                    started = min(claims.values())
-                    if now - started < straggler_after:
-                        continue
-                    if oldest_at is None or started < oldest_at:
-                        oldest_key, oldest_at = key, started
-                if oldest_key is not None:
-                    self.straggler_clones += 1
-                    self._inflight[oldest_key][worker_id] = now
-                    return self._units[oldest_key]
             return None
-
-    def _claim_locked(self, unit: FleetUnit, worker_id: str) -> None:
-        self._inflight.setdefault(unit.key, {})[worker_id] = time.monotonic()
 
     def complete(self, key: str, worker_id: str) -> bool:
         """Mark ``key`` done; True only for the *first* completion."""
@@ -435,19 +387,13 @@ class UnitLedger:
     def requeue(self, worker_id: str) -> int:
         """Return a dead worker's claims to pending; count re-dispatches.
 
-        A unit some *other* worker also has in flight (a straggler
-        clone) just loses the dead claim; units only the dead worker
-        held go back to the head of their home shard for the survivors
-        to steal.
+        Its units go back to the head of their home shard for the
+        survivors to steal.
         """
         with self._lock:
             requeued = 0
-            for key in list(self._inflight):
-                claims = self._inflight[key]
-                if worker_id not in claims:
-                    continue
-                del claims[worker_id]
-                if claims:
+            for key, holder in list(self._inflight.items()):
+                if holder != worker_id:
                     continue
                 del self._inflight[key]
                 if key in self._done:
@@ -618,7 +564,6 @@ class FleetRunSummary:
     duplicates: int
     steals: int
     redispatches: int
-    straggler_clones: int
     worker_deaths: int
     elapsed_s: float
     hangs: int = 0
@@ -641,7 +586,6 @@ class FleetDispatcher:
         experiment_id: Optional[str] = None,
         worker_jobs: int = 1,
         runtime_dir: Optional[Path] = None,
-        straggler_after: Optional[float] = None,
         worker_env: Optional[Dict[str, str]] = None,
         on_record: Optional[Callable[[str, str], None]] = None,
         supervision: Optional[SupervisionConfig] = None,
@@ -653,7 +597,6 @@ class FleetDispatcher:
         self.experiment_id = experiment_id or campaign.name
         self.worker_jobs = worker_jobs
         self.runtime_dir = runtime_dir
-        self.straggler_after = straggler_after
         self.worker_env = worker_env
         #: ``on_record(worker_id, unit_key)`` fires after every db
         #: record — the integration tests' kill-injection hook.
@@ -717,7 +660,6 @@ class FleetDispatcher:
             duplicates=int(status["duplicates"]),
             steals=ledger.steals if ledger else 0,
             redispatches=ledger.redispatches if ledger else 0,
-            straggler_clones=ledger.straggler_clones if ledger else 0,
             worker_deaths=sum(1 for r in reports if r.died),
             elapsed_s=time.monotonic() - started,
             hangs=self._monitor.hangs if self._monitor else 0,
@@ -972,10 +914,7 @@ class FleetDispatcher:
         )
         try:
             while True:
-                unit = ledger.claim(
-                    shard, worker.worker_id,
-                    straggler_after=self.straggler_after,
-                )
+                unit = ledger.claim(shard, worker.worker_id)
                 if unit is None:
                     if ledger.outstanding() == 0:
                         return None
@@ -1073,7 +1012,6 @@ def _cmd_run(args) -> int:
         workers=args.workers,
         experiment_id=args.experiment or None,
         worker_jobs=args.worker_jobs,
-        straggler_after=args.straggler_after,
         supervision=_supervision_from_args(args),
     )
     summary = dispatcher.run()
@@ -1164,10 +1102,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     run.add_argument(
         "--db", default=None,
         help=f"sqlite database path (default: ${ENV_DB_HELP})",
-    )
-    run.add_argument(
-        "--straggler-after", type=float, default=None,
-        help="clone units held longer than this many seconds",
     )
     run.add_argument(
         "--heartbeat", type=float, default=None,

@@ -4,9 +4,8 @@ The dispatcher's original failure model was *fail-stop*: a worker that
 died took a connection error with it, and the unit ledger requeued its
 claims.  That model misses the nastier half of real fleet failures —
 workers that *hang* (SIGSTOP, livelock, a wedged trace generation)
-hold their claims forever while the straggler cloner burns survivors
-re-running them, and workers that crash-loop burn the campaign's time
-dying over and over.
+hold their claims forever, and workers that crash-loop burn the
+campaign's time dying over and over.
 
 This module adds the missing supervision plane, deliberately separate
 from the data plane:
@@ -109,15 +108,16 @@ class SupervisionConfig:
 
     @classmethod
     def from_env(cls) -> "SupervisionConfig":
-        """Read ``REPRO_FLEET_*`` overrides; defaults stay off."""
+        """Read ``REPRO_FLEET_*`` overrides; defaults stay off.
+
+        The probe timeout, breaker cooldown and trip budget keep their
+        field defaults; callers that need others set them in code.
+        """
         return cls(
             heartbeat_interval=_env_float("REPRO_FLEET_HEARTBEAT", 0.0),
             stale_after=_env_float("REPRO_FLEET_STALE_AFTER", 0.0),
             respawn_budget=_env_int("REPRO_FLEET_RESPAWNS", 0),
-            probe_timeout=_env_float("REPRO_FLEET_PROBE_TIMEOUT", 1.0),
             breaker_threshold=_env_int("REPRO_FLEET_BREAKER_THRESHOLD", 3),
-            breaker_cooldown=_env_float("REPRO_FLEET_BREAKER_COOLDOWN", 0.5),
-            breaker_max_trips=_env_int("REPRO_FLEET_BREAKER_TRIPS", 3),
         )
 
 

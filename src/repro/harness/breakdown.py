@@ -67,61 +67,40 @@ def run_with_breakdown(
 ) -> Tuple[RunResult, CycleBreakdown]:
     """Run one trace and return (result, cycle breakdown).
 
-    Read-stall cycles are measured directly by wrapping the
-    controller's ``read``, which the core calls only for the demand
-    loads it blocks on (store-miss fills go through ``fill``);
-    everything else reuses the standard runner.  An optional
-    ``timeline`` (e.g. :class:`repro.tracing.SpanTracer`)
-    is attached to both the controller and the core, so span tracing
-    and the breakdown come from the same run.
+    The run is :func:`repro.harness.runner.run_trace` itself, so the
+    result is the plain run's, stat for stat.  Read-stall cycles are
+    measured through its ``probe`` hook by wrapping the controller's
+    ``read``, which the core calls only for the demand loads it blocks
+    on (store-miss fills go through ``fill``).  An optional
+    ``timeline`` (e.g. :class:`repro.tracing.SpanTracer`) is attached
+    to both the controller and the core, so span tracing and the
+    breakdown come from the same run.
     """
-    from repro.core.controller import make_controller
-    from repro.cpu.core import TraceCore
-    from repro.engine import Simulator
-    from repro.stats import StatsRegistry
+    read_stall = [0]
 
-    sim = Simulator()
-    stats = StatsRegistry()
-    controller = make_controller(sim, config, stats)
-    core = TraceCore(sim, config, controller, stats)
-    if timeline is not None:
-        controller.attach_timeline(timeline)
-        core.timeline = timeline
+    def probe(sim, controller, core) -> None:
+        if timeline is not None:
+            controller.attach_timeline(timeline)
+            core.timeline = timeline
+        original_read = controller.read
 
-    # Measure blocking-read stall time by timestamping read round trips.
-    read_stall = {"cycles": 0}
-    original_read = controller.read
+        # Measure blocking-read stall time by timestamping round trips.
+        def timed_read(address: int):
+            issued = sim.now
+            signal = original_read(address)
+            original_fire = signal.fire
 
-    def timed_read(address: int):
-        issued = sim.now
-        signal = original_read(address)
-        original_fire = signal.fire
+            def fire(value=None):
+                read_stall[0] += sim.now - issued
+                original_fire(value)
 
-        def fire(value=None):
-            read_stall["cycles"] += sim.now - issued
-            original_fire(value)
+            signal.fire = fire
+            return signal
 
-        signal.fire = fire
-        return signal
+        controller.read = timed_read
 
-    controller.read = timed_read
-    core.run(trace)
-    sim.run()
-    if not core.finished:
-        raise RuntimeError("simulation deadlocked")
-    merged = dict(stats.as_dict())
-    merged.update(controller.stats_snapshot())
-    result = RunResult(
-        workload=workload,
-        controller=config.controller,
-        misu_design=config.misu_design,
-        transactions=transactions,
-        payload_bytes=config.transaction_size,
-        cycles=core.cycles,
-        instructions=core.instructions,
-        stats=merged,
-    )
-    return result, breakdown_of(result, read_stall["cycles"])
+    result = run_trace(config, trace, workload, transactions, probe=probe)
+    return result, breakdown_of(result, read_stall[0])
 
 
 def render_breakdowns(rows: List[Tuple[str, CycleBreakdown]], title: str) -> str:

@@ -90,17 +90,15 @@ def _run(
 ) -> RunResult:
     """Execute (or, under a parallel executor, record/replay) one run unit.
 
-    Serial execution takes the batched path: packed trace columns
-    replayed through the content-addressed unit memo (identical units
-    are simulated once ever — see :mod:`repro.harness.memo`).
+    Serial execution is :func:`repro.harness.parallel.execute_unit`:
+    the unit memo first (identical units are simulated once ever — see
+    :mod:`repro.harness.memo`), then packed trace columns from ``cache``.
     """
+    unit = RunUnit(workload, config, transactions, seed)
     executor = _parallel.active_executor()
     if executor is not None:
-        return executor.run(RunUnit(workload, config, transactions, seed))
-    packed = cache.get_packed(
-        workload, transactions, config.transaction_size, seed
-    )
-    return _parallel._unit_memo().run(config, packed, workload, transactions)
+        return executor.run(unit)
+    return _parallel.execute_unit(unit, cache)
 
 
 # ======================================================================
@@ -524,20 +522,14 @@ def breakdown_experiment(
     transactions: int = DEFAULT_TRANSACTIONS, seed: int = DEFAULT_SEED
 ) -> ExperimentResult:
     """Fence/read/compute decomposition per workload and controller."""
-    from repro.harness.breakdown import run_with_breakdown
-
     cache = TraceCache()
 
     def _run_breakdown(config: SimConfig, workload: str):
+        unit = RunUnit(workload, config, transactions, seed, mode="breakdown")
         executor = _parallel.active_executor()
         if executor is not None:
-            return executor.run(
-                RunUnit(workload, config, transactions, seed, mode="breakdown")
-            )
-        trace = cache.get_packed(
-            workload, transactions, config.transaction_size, seed
-        )
-        return run_with_breakdown(config, trace, workload, transactions)
+            return executor.run(unit)
+        return _parallel.execute_unit(unit, cache)
 
     result = ExperimentResult(
         "breakdown",

@@ -1,33 +1,32 @@
-"""Content-addressed memoization of whole run units.
+"""The one result cache: memoization of whole run units.
 
-Sweeps and fleet campaigns resimulate the same (trace, config) pairs
-constantly — across processes, sessions and seeds.  This module gives
-each run unit a *content* identity and caches its end-state metrics on
-disk, so a unit whose op stream, configuration and simulator sources
-are all byte-identical to an earlier run is simulated once **ever**
-and replayed as a dictionary lookup afterwards.
+Sweeps, service jobs and fleet campaigns resimulate the same run units
+constantly — across processes, sessions and seeds.  This module caches
+each unit's result on disk under a key derived from the unit itself,
+so a unit is simulated once **ever** (per simulator version) and
+replayed as a dictionary lookup afterwards.
 
-The unit key chains three fingerprints:
+The unit key hashes:
 
-* **trace chain** — the op stream is split into segments at
-  transaction boundaries (:data:`SEGMENT_TRANSACTIONS` per segment)
-  and digested as a chain, ``d_i = H(d_{i-1} | segment_bytes)``,
-  reusing the column digests of the PR-1 trace store.  Two traces
-  share every ``d_i`` up to their first divergent segment, whatever
-  seeds produced them — identical streams collide on the full chain
-  regardless of provenance, and the chain makes the key incremental
-  to compute.
-* **config fingerprint** — canonical JSON of the full
-  :class:`repro.config.SimConfig`.
+* **the unit's identity** — workload, transactions, seed, mode, fault
+  sites, scenario descriptor, and the config fingerprint (canonical
+  JSON of the full :class:`repro.config.SimConfig`).  Every memoized
+  trace comes from ``TraceCache.get_packed(workload, transactions,
+  config.transaction_size, seed)``, so together with
+  ``GENERATOR_VERSION`` these fields name exactly the op stream a run
+  replays;
 * **model fingerprint** — a digest over the ``repro`` package sources,
   so *any* code change invalidates every cached result (metrics are
-  pinned bit-exactly; a stale hit would be a silent wrong answer).
+  pinned bit-exactly; a stale hit would be a silent wrong answer);
+* :data:`MEMO_VERSION`.
 
-Reuse is whole-unit: the simulator cannot resume from a mid-trace
-snapshot, so a cached entry is only consulted when the *entire* chain
-matches.  Results are stored through the quarantining
-:class:`repro.harness.trace_store.ResultStore` (corrupt entries are
-moved aside and count as misses, never as wrong results).
+Because the key needs no trace, a hit neither loads nor generates one,
+and the service scheduler can decide a replay at admission, before any
+work exists.  ``run``, ``faults`` and ``scenario`` units are memoized;
+``breakdown`` units bypass the memo (their instrumented results carry
+per-span state it does not capture).  Results are stored through the
+quarantining :class:`repro.harness.trace_store.ResultStore` (corrupt
+entries are moved aside and count as misses, never as wrong results).
 
 Environment:
 
@@ -47,23 +46,23 @@ import os
 from dataclasses import asdict
 from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.config import ControllerKind, MiSUDesign, SimConfig
-from repro.cpu import trace_io
-from repro.cpu.trace import OP_TXEND
-from repro.harness.runner import RunResult, run_trace
+from repro.config import SimConfig
+from repro.harness.runner import payload_to_result, result_payload, run_trace
 from repro.harness.trace_store import (
     _DISABLED_VALUES,
     ResultStore,
+    TraceCache,
     default_cache_dir,
 )
+from repro.workloads import GENERATOR_VERSION
 
-#: Transactions per digest segment of the trace chain.
-SEGMENT_TRANSACTIONS = 64
+if TYPE_CHECKING:  # parallel imports this module
+    from repro.harness.parallel import RunUnit
 
 #: Bump to invalidate every cached unit result (format changes).
-MEMO_VERSION = 1
+MEMO_VERSION = 2
 
 _MODEL_FINGERPRINT: Optional[str] = None
 
@@ -110,43 +109,70 @@ def config_fingerprint(config: SimConfig) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()[:24]
 
 
-def trace_chain_digests(trace) -> list:
-    """Chained per-segment digests of the op stream.
+def simulate(unit: RunUnit, cache: TraceCache):
+    """Compute one ``run``/``faults``/``scenario`` unit (no memo).
 
-    Segments close every :data:`SEGMENT_TRANSACTIONS` transaction-end
-    ops (the trailing partial segment closes at end-of-trace).  Each
-    link digests the previous link plus the segment's column bytes, so
-    ``out[-1]`` identifies the whole stream while ``out[:k]`` is shared
-    with any stream that matches on the first ``k`` segments.
+    Run units replay their packed trace from ``cache``.
     """
-    codes, operands = trace_io.trace_to_arrays(trace)
-    code_bytes = codes.tobytes()
-    operand_bytes = operands.tobytes()
-    # One int64 op per 8 bytes; segment boundaries land after every
-    # SEGMENT_TRANSACTIONS-th OP_TXEND.
-    ends = (codes == OP_TXEND).nonzero()[0]
-    cuts = [int(ends[i]) + 1 for i in range(
-        SEGMENT_TRANSACTIONS - 1, len(ends), SEGMENT_TRANSACTIONS
-    )]
-    if not cuts or cuts[-1] != len(codes):
-        cuts.append(len(codes))
-    out = []
-    previous = b"chain-v%d" % MEMO_VERSION
-    start = 0
-    for stop in cuts:
-        digest = hashlib.sha256()
-        digest.update(previous)
-        digest.update(code_bytes[start * 8:stop * 8])
-        digest.update(b"|")
-        digest.update(operand_bytes[start * 8:stop * 8])
-        previous = digest.hexdigest()[:24].encode()
-        out.append(previous.decode())
-        start = stop
-    return out
+    if unit.mode == "faults":
+        # Fault units run the seeded injection campaign (crash sites +
+        # recovery classification) instead of a plain simulation; their
+        # result is the stable payload dict the fleet db records.
+        from repro.faults.campaign import fault_unit_payload, run_fault_unit
+        from repro.oracle.check import controller_matrix
+
+        label = next(
+            (
+                name
+                for name, config in controller_matrix().items()
+                if config == unit.config
+            ),
+            getattr(unit.config.controller, "value", str(unit.config.controller)),
+        )
+        report = run_fault_unit(
+            unit.workload,
+            label,
+            unit.config,
+            unit.transactions,
+            seed=unit.seed,
+            sites=unit.fault_sites or 2,
+        )
+        return fault_unit_payload(report)
+    if unit.mode == "scenario":
+        # Scenario units replay an arrival-stamped open-loop trace and
+        # return the JSON-shaped sojourn/queueing payload.  The stamped
+        # trace is built fresh, not through the trace cache (it is cheap
+        # relative to simulation and keyed by more knobs than the cache
+        # folds).
+        from repro.scenarios.loadcurve import run_scenario, scenario_tenants
+
+        tenants = scenario_tenants(unit.workload, dict(unit.scenario))
+        payload = run_scenario(
+            unit.config,
+            tenants,
+            unit.transactions,
+            seed=unit.seed,
+            workload_name=unit.workload,
+        )
+        payload["kind"] = "scenario"
+        return payload
+    packed = cache.get_packed(
+        unit.workload, unit.transactions, unit.config.transaction_size, unit.seed
+    )
+    return run_trace(unit.config, packed, unit.workload, unit.transactions)
+
+
+def _decode(payload: dict, mode: str):
+    """A stored payload as the result type of a ``mode`` unit."""
+    if mode == "run":
+        return payload_to_result(payload)
+    if payload.get("kind") != mode:
+        raise ValueError(f"stored payload is not a {mode} result")
+    return dict(payload)
 
 
 class UnitMemo:
-    """Disk memo of completed run units, keyed by content."""
+    """Disk memo of completed run units, keyed by the unit."""
 
     #: Sentinel meaning "resolve the directory from the environment".
     AUTO = object()
@@ -168,15 +194,19 @@ class UnitMemo:
         return self._store.quarantined if self._store is not None else 0
 
     # ------------------------------------------------------------------
-    def key_for(self, config: SimConfig, trace) -> str:
-        """The unit's content key (full trace chain + fingerprints)."""
-        chain = trace_chain_digests(trace)
+    def key_for(self, unit: RunUnit) -> str:
+        """The unit's key (identity + generator, model and memo versions)."""
         material = json.dumps(
             {
                 "memo_version": MEMO_VERSION,
-                "trace_chain": chain[-1] if chain else "empty",
-                "segments": len(chain),
-                "config": config_fingerprint(config),
+                "workload": unit.workload,
+                "transactions": unit.transactions,
+                "seed": unit.seed,
+                "mode": unit.mode,
+                "fault_sites": unit.fault_sites,
+                "scenario": unit.scenario,
+                "config": config_fingerprint(unit.config),
+                "generator_version": GENERATOR_VERSION,
                 "model": model_fingerprint(),
             },
             sort_keys=True,
@@ -184,7 +214,8 @@ class UnitMemo:
         return hashlib.sha256(material.encode("utf-8")).hexdigest()[:24]
 
     # ------------------------------------------------------------------
-    def load(self, key: str) -> Optional[RunResult]:
+    def load(self, key: str, mode: str):
+        """The result of a ``mode`` unit stored under ``key``, or ``None``."""
         if self._store is None:
             return None
         payload = self._store.load(key)
@@ -192,10 +223,10 @@ class UnitMemo:
             self.misses += 1
             return None
         try:
-            result = _result_from_payload(payload)
+            result = _decode(payload, mode)
         except Exception:
             # The payload passed the store's byte-digest check but does
-            # not decode to a RunResult (bad enum value, missing field).
+            # not decode to a result (bad enum value, missing field).
             # Quarantine it like any other corrupt entry — leaving it in
             # place would fail every future load of this key while
             # blocking regeneration from ever being consulted.
@@ -207,56 +238,30 @@ class UnitMemo:
         self.hits += 1
         return result
 
-    def store(self, key: str, result: RunResult) -> None:
+    def lookup(self, unit: RunUnit):
+        """The memoized result of ``unit``, or ``None``; touches no trace."""
+        if self._store is None:
+            return None
+        return self.load(self.key_for(unit), unit.mode)
+
+    def store(self, key: str, result) -> None:
         if self._store is None:
             return
-        self._store.store(key, _result_to_payload(result))
+        self._store.store(key, result_payload(result))
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        config: SimConfig,
-        trace,
-        workload_name: str = "trace",
-        transactions: int = 0,
-    ) -> RunResult:
-        """Memoized :func:`repro.harness.runner.run_trace`.
+    def run(self, unit: RunUnit, cache: TraceCache):
+        """Memoized :func:`simulate`.
 
-        A content hit replays the cached end-state metrics without
+        A hit replays the cached result without loading a trace or
         simulating; a miss simulates and populates the memo.
         """
         if self._store is None:
-            return run_trace(config, trace, workload_name, transactions)
-        key = self.key_for(config, trace)
-        cached = self.load(key)
+            return simulate(unit, cache)
+        key = self.key_for(unit)
+        cached = self.load(key, unit.mode)
         if cached is not None:
             return cached
-        result = run_trace(config, trace, workload_name, transactions)
+        result = simulate(unit, cache)
         self.store(key, result)
         return result
-
-
-def _result_to_payload(result: RunResult) -> dict:
-    return {
-        "workload": result.workload,
-        "controller": result.controller.value,
-        "misu_design": result.misu_design.value,
-        "transactions": result.transactions,
-        "payload_bytes": result.payload_bytes,
-        "cycles": result.cycles,
-        "instructions": result.instructions,
-        "stats": dict(result.stats),
-    }
-
-
-def _result_from_payload(payload: dict) -> RunResult:
-    return RunResult(
-        workload=payload["workload"],
-        controller=ControllerKind(payload["controller"]),
-        misu_design=MiSUDesign(payload["misu_design"]),
-        transactions=payload["transactions"],
-        payload_bytes=payload["payload_bytes"],
-        cycles=payload["cycles"],
-        instructions=payload["instructions"],
-        stats=dict(payload["stats"]),
-    )

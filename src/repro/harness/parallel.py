@@ -42,7 +42,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.common.retry import RetryPolicy
 from repro.config import SimConfig
 from repro.harness.breakdown import CycleBreakdown, run_with_breakdown
-from repro.harness.runner import RunResult, run_trace
+from repro.harness.memo import UnitMemo
+from repro.harness.runner import RunResult
 from repro.harness.trace_store import TraceCache, default_cache_dir
 
 #: Fork keeps worker start cheap and inherits the warm interpreter; it
@@ -78,14 +79,13 @@ class RunUnit:
 
 
 #: Per-process unit memo (lazily constructed; see repro.harness.memo).
-_UNIT_MEMO = None
+_UNIT_MEMO: Optional[UnitMemo] = None
 
 
-def _unit_memo():
+def unit_memo() -> UnitMemo:
+    """This process's unit memo: the one result cache every path shares."""
     global _UNIT_MEMO
     if _UNIT_MEMO is None:
-        from repro.harness.memo import UnitMemo
-
         _UNIT_MEMO = UnitMemo()
     return _UNIT_MEMO
 
@@ -93,11 +93,11 @@ def _unit_memo():
 def execute_unit(unit: RunUnit, cache: TraceCache):
     """Simulate one unit, resolving its trace through ``cache``.
 
-    Plain runs are replayed from the packed trace columns through the
-    content-addressed unit memo — a unit whose op stream, config and
-    simulator sources all match an earlier run is not resimulated.
-    Breakdown runs replay the packed trace too but bypass the memo:
-    their instrumented results carry per-span state it does not capture.
+    ``run``, ``faults`` and ``scenario`` units go through the unit
+    memo: a unit already computed by the same simulator sources is
+    replayed without loading a trace or simulating.  Breakdown runs
+    replay the packed trace too but bypass the memo: their instrumented
+    results carry per-span state it does not capture.
     """
     if unit.mode == "breakdown":
         trace = cache.get_packed(
@@ -107,54 +107,7 @@ def execute_unit(unit: RunUnit, cache: TraceCache):
         return run_with_breakdown(
             unit.config, trace, unit.workload, unit.transactions
         )
-    if unit.mode == "faults":
-        # Fault units run the seeded injection campaign (crash sites +
-        # recovery classification) instead of a plain simulation; their
-        # result is the stable payload dict the fleet db records.
-        from repro.faults.campaign import fault_unit_payload, run_fault_unit
-        from repro.oracle.check import controller_matrix
-
-        label = next(
-            (
-                name
-                for name, config in controller_matrix().items()
-                if config == unit.config
-            ),
-            getattr(unit.config.controller, "value", str(unit.config.controller)),
-        )
-        report = run_fault_unit(
-            unit.workload,
-            label,
-            unit.config,
-            unit.transactions,
-            seed=unit.seed,
-            sites=unit.fault_sites or 2,
-        )
-        return fault_unit_payload(report)
-    if unit.mode == "scenario":
-        # Scenario units replay an arrival-stamped open-loop trace and
-        # return the JSON-shaped sojourn/queueing payload.  They bypass
-        # the trace cache and unit memo: the stamped trace is built
-        # fresh (it is cheap relative to simulation and keyed by more
-        # knobs than the cache folds today).
-        from repro.scenarios.loadcurve import run_scenario, scenario_tenants
-
-        tenants = scenario_tenants(unit.workload, dict(unit.scenario))
-        payload = run_scenario(
-            unit.config,
-            tenants,
-            unit.transactions,
-            seed=unit.seed,
-            workload_name=unit.workload,
-        )
-        payload["kind"] = "scenario"
-        return payload
-    packed = cache.get_packed(
-        unit.workload, unit.transactions, unit.config.transaction_size, unit.seed
-    )
-    return _unit_memo().run(
-        unit.config, packed, unit.workload, unit.transactions
-    )
+    return unit_memo().run(unit, cache)
 
 
 # ----------------------------------------------------------------------
@@ -309,16 +262,14 @@ def _worker_backoff() -> float:
 def _worker_retry_policy() -> RetryPolicy:
     """Pool-replacement backoff as a shared :class:`RetryPolicy`.
 
-    Jitter defaults to 0 so the parallel path stays bit-deterministic;
-    ``REPRO_WORKER_RETRY_JITTER`` opts in when thundering-herd matters.
+    No jitter, so the parallel path's retry schedule is deterministic.
     """
-    env = os.environ.get("REPRO_WORKER_RETRY_JITTER", "").strip()
     return RetryPolicy(
         attempts=_worker_retries() + 1,
         base_delay=_worker_backoff(),
         multiplier=2.0,
         max_delay=30.0,
-        jitter=float(env) if env else 0.0,
+        jitter=0.0,
     )
 
 

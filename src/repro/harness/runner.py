@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.config import ControllerKind, MiSUDesign, SimConfig
 from repro.core.controller import MemoryController, make_controller
@@ -50,11 +50,50 @@ class RunResult:
         return 1000.0 * self.stats.get("wpq.retry_events", 0) / writes
 
 
+def result_payload(result) -> Dict[str, object]:
+    """Serialise one unit result to a wire/cache-stable dict.
+
+    ``run`` units yield a :class:`RunResult`; ``faults`` and
+    ``scenario`` units already arrive as plain dicts (tagged
+    ``"kind": "faults"`` / ``"kind": "scenario"``), which pass through
+    untouched so their digests are stable end to end.
+    """
+    if isinstance(result, Mapping):
+        return dict(result)
+    return {
+        "workload": result.workload,
+        "controller": result.controller.value,
+        "misu_design": result.misu_design.value,
+        "transactions": result.transactions,
+        "payload_bytes": result.payload_bytes,
+        "cycles": result.cycles,
+        "instructions": result.instructions,
+        "stats": {k: result.stats[k] for k in sorted(result.stats)},
+    }
+
+
+def payload_to_result(payload: Mapping[str, object]) -> RunResult:
+    """Rebuild a :class:`RunResult` from its payload dict."""
+    return RunResult(
+        workload=payload["workload"],
+        controller=ControllerKind(payload["controller"]),
+        misu_design=MiSUDesign(payload["misu_design"]),
+        transactions=payload["transactions"],
+        payload_bytes=payload["payload_bytes"],
+        cycles=payload["cycles"],
+        instructions=payload["instructions"],
+        stats=dict(payload["stats"]),
+    )
+
+
 def run_trace(
     config: SimConfig,
     trace,
     workload_name: str = "trace",
     transactions: int = 0,
+    probe: Optional[
+        Callable[[Simulator, MemoryController, TraceCore], None]
+    ] = None,
 ) -> RunResult:
     """Replay one prebuilt trace under ``config``; returns the result.
 
@@ -62,12 +101,17 @@ def run_trace(
     :class:`repro.cpu.trace_io.PackedTrace`.  A packed trace replays its
     memoized cache-resolved stream, so every design run on one cached
     trace resolves it against the caches once (the path every cache hit
-    and every sweep repeat takes).
+    and every sweep repeat takes).  ``probe(sim, controller, core)``,
+    if given, runs once the system is built and before the replay
+    starts: the hook instrumented runs
+    (:func:`repro.harness.breakdown.run_with_breakdown`) attach through.
     """
     sim = Simulator()
     stats = StatsRegistry()
     controller = make_controller(sim, config, stats)
     core = TraceCore(sim, config, controller, stats)
+    if probe is not None:
+        probe(sim, controller, core)
     core.run(trace)
     sim.run()
     if not core.finished:

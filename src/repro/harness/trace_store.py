@@ -197,36 +197,17 @@ class TraceStore:
         return final
 
 
-def default_result_cache_dir() -> Optional[Path]:
-    """Resolve the shared *result*-cache directory from the environment.
-
-    ``REPRO_RESULT_CACHE`` mirrors ``REPRO_TRACE_CACHE`` (same disable
-    values); unset defaults to a ``results`` sibling of the trace cache.
-    """
-    env = os.environ.get("REPRO_RESULT_CACHE")
-    if env is not None:
-        if env.strip().lower() in _DISABLED_VALUES or not env.strip():
-            return None
-        return Path(env).expanduser()
-    traces = default_cache_dir()
-    if traces is None:
-        return None
-    return traces.parent / "results"
-
-
 class ResultStore:
-    """Content-addressed on-disk cache of completed experiment results.
+    """Digest-verified on-disk store of JSON result payloads.
 
-    The :mod:`repro.service` scheduler keys each job by a digest
-    computed exactly the way :meth:`TraceStore.digest` keys traces
-    (canonical JSON of the full identity, SHA-256, truncated), joined
-    with the simulator-source fingerprint, and stores the job's JSON
-    result payload here, so identical jobs resubmitted across server
-    restarts replay from disk instead of re-simulating — until the
-    simulator changes.  Every entry embeds a digest of its payload bytes
-    that is re-verified on load — a corrupt or truncated entry is
-    quarantined (same policy as :class:`TraceStore`) and treated as a
-    miss, never surfaced as a JSON error or, worse, a wrong result.
+    The backing store of :class:`repro.harness.memo.UnitMemo`, the one
+    result cache: the memo names each entry by its unit key (computed
+    the way :meth:`TraceStore.digest` keys traces — canonical JSON,
+    SHA-256, truncated) and stores the unit's result payload here.
+    Every entry embeds a digest of its payload bytes that is re-verified
+    on load — a corrupt or truncated entry is quarantined (same policy
+    as :class:`TraceStore`) and treated as a miss, never surfaced as a
+    JSON error or, worse, a wrong result.
     """
 
     QUARANTINE_DIR = TraceStore.QUARANTINE_DIR

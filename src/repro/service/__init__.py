@@ -11,10 +11,11 @@ inference frontend:
   as :class:`repro.harness.trace_store.TraceStore`), and result
   payload digests;
 * :mod:`repro.service.scheduler` — dedup of identical
-  in-flight/completed jobs, dispatch at admission onto a warm
-  :class:`repro.harness.parallel.WarmPool`, the persistent
-  :class:`~repro.harness.trace_store.ResultStore` (keyed by job and
-  simulator source), and drain-on-shutdown;
+  in-flight/completed jobs, replay at admission from the unit memo
+  (:class:`repro.harness.memo.UnitMemo`, keyed by run unit and
+  simulator source — the one result cache every run path shares),
+  dispatch at admission onto a warm
+  :class:`repro.harness.parallel.WarmPool`, and drain-on-shutdown;
 * :mod:`repro.service.server` — the asyncio server (loopback TCP +
   Unix socket), per-client token-bucket rate limiting, bounded event
   queues, graceful SIGTERM drain;

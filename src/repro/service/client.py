@@ -9,9 +9,9 @@ of them — exactly how the smoke and soak tests drive the server.
 ``submit`` frame is idempotent: re-sending it after a dropped or
 garbled connection can at worst hit the dedup path.  ``submit``/
 ``submit_many`` therefore ride the shared
-:class:`~repro.common.retry.RetryPolicy` (bounded attempts, jittered
-exponential backoff, ``REPRO_SERVICE_RETRY_*`` overrides): transport
-failures reconnect and re-send the outstanding specs, and only after
+:class:`~repro.common.retry.RetryPolicy` (four attempts, jittered
+exponential backoff from 50 ms capped at 1 s): transport failures
+reconnect and re-send the outstanding specs, and only after
 exhaustion does the caller see a typed :class:`ServiceUnavailable`
 instead of a raw ``socket.error``.  Typed server replies (``error``
 frames) are never retried — they are answers, not outages.
@@ -71,11 +71,8 @@ class ServiceClient:
     ) -> None:
         self.address = address
         self.timeout = timeout
-        self.retry = retry if retry is not None else RetryPolicy.from_env(
-            "REPRO_SERVICE_RETRY",
-            attempts=4,
-            base_delay=0.05,
-            max_delay=1.0,
+        self.retry = retry if retry is not None else RetryPolicy(
+            attempts=4, base_delay=0.05, max_delay=1.0
         )
         self._rng = rng if rng is not None else random.Random()
         self._sock: Optional[socket.socket] = None

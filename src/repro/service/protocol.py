@@ -41,11 +41,16 @@ invalidates service results and disk traces in lockstep.  The client
 label ``experiment_id`` is deliberately *not* hashed: two users asking
 for the same simulation under different labels share one execution.
 
-**Result integrity** — :func:`result_payload` serialises a
-:class:`~repro.harness.runner.RunResult` to a plain dict and
+**Result integrity** — :func:`~repro.harness.runner.result_payload`
+(re-exported here, as is its inverse ``payload_to_result``) serialises
+a :class:`~repro.harness.runner.RunResult` to a plain dict and
 :func:`result_digest` fingerprints its canonical JSON; the digest
 travels with every ``result`` message and is what the golden suite and
 the smoke compare bit-for-bit against direct in-process runs.
+
+**Units** — :func:`spec_to_run_unit` maps a job to the
+:class:`~repro.harness.parallel.RunUnit` it runs; the service scheduler
+and the fleet both use it.
 """
 
 from __future__ import annotations
@@ -56,8 +61,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
-from repro.config import ADRConfig, ControllerKind, MiSUDesign, SimConfig
-from repro.harness.runner import RunResult
+from repro.config import ADRConfig, SimConfig
+from repro.harness.parallel import RunUnit
+# The payload codec lives beside RunResult; wire users import it here.
+from repro.harness.runner import payload_to_result, result_payload  # noqa: F401
 from repro.oracle.check import controller_matrix
 from repro.workloads import ALL_WORKLOADS, GENERATOR_VERSION, ORACLE_SEMANTICS
 
@@ -334,45 +341,26 @@ def resolve_config(spec: JobSpec) -> SimConfig:
     return config
 
 
-# ----------------------------------------------------------------------
-# Result payloads
-# ----------------------------------------------------------------------
-def result_payload(result) -> Dict[str, object]:
-    """Serialise one unit result to a wire/cache-stable dict.
-
-    ``run`` units yield a :class:`RunResult`; ``faults`` and
-    ``scenario`` units already arrive as plain dicts (tagged
-    ``"kind": "faults"`` / ``"kind": "scenario"``), which pass through
-    untouched so their digests are stable end to end.
-    """
-    if isinstance(result, Mapping):
-        return dict(result)
-    return {
-        "workload": result.workload,
-        "controller": result.controller.value,
-        "misu_design": result.misu_design.value,
-        "transactions": result.transactions,
-        "payload_bytes": result.payload_bytes,
-        "cycles": result.cycles,
-        "instructions": result.instructions,
-        "stats": {k: result.stats[k] for k in sorted(result.stats)},
-    }
-
-
-def payload_to_result(payload: Mapping[str, object]) -> RunResult:
-    """Rebuild a :class:`RunResult` from its wire dict."""
-    return RunResult(
-        workload=payload["workload"],
-        controller=ControllerKind(payload["controller"]),
-        misu_design=MiSUDesign(payload["misu_design"]),
-        transactions=payload["transactions"],
-        payload_bytes=payload["payload_bytes"],
-        cycles=payload["cycles"],
-        instructions=payload["instructions"],
-        stats=dict(payload["stats"]),
+def spec_to_run_unit(spec: JobSpec) -> RunUnit:
+    """The in-process :class:`RunUnit` equivalent of a wire job."""
+    return RunUnit(
+        spec.workload,
+        resolve_config(spec),
+        spec.transactions,
+        spec.seed,
+        mode=spec.mode,
+        fault_sites=spec.fault_sites if spec.mode == "faults" else 0,
+        scenario=(
+            tuple(sorted(dict(spec.scenario).items()))
+            if spec.mode == "scenario"
+            else ()
+        ),
     )
 
 
+# ----------------------------------------------------------------------
+# Result payloads
+# ----------------------------------------------------------------------
 def result_digest(payload: Mapping[str, object]) -> str:
     """Fingerprint of a result payload's canonical JSON."""
     material = json.dumps(dict(payload), sort_keys=True, separators=(",", ":"))

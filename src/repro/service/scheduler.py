@@ -10,13 +10,14 @@ Admission pipeline for one ``submit``:
 1. **Key** the spec (:func:`repro.service.protocol.job_key`).
 2. **Dedup** — a job with the same key admitted earlier in this
    scheduler's life (running or finished) is shared
-   (``dedup="inflight"``); a result in the persistent
-   :class:`~repro.harness.trace_store.ResultStore` replays from disk
-   with its payload digest re-verified (``dedup="cached"``); otherwise
-   the job is new.  Store entries are keyed by the job key plus
-   :func:`repro.harness.memo.model_fingerprint`, so a server restarted
-   after a simulator change re-runs the job instead of replaying a
-   payload the old code computed.
+   (``dedup="inflight"``); a result in the process's
+   :class:`~repro.harness.memo.UnitMemo` — the same one-result cache
+   :func:`~repro.harness.parallel.execute_unit` fills — replays from
+   disk with its payload digest re-verified (``dedup="cached"``);
+   otherwise the job is new.  Memo keys name the run unit and the
+   simulator sources, so the lookup needs no trace and a server
+   restarted after a simulator change re-runs the job instead of
+   replaying a payload the old code computed.
 3. **Dispatch** — a new job starts before ``submit`` returns.  Each
    job is its own pool submission, and every caller waits for one
    result before sending its next request, so holding jobs back to
@@ -28,8 +29,8 @@ Admission pipeline for one ``submit``:
    whose worker dies is retried once in-process — the service-side
    analogue of :func:`repro.harness.parallel._resilient_map`'s serial
    degrade — before the job is failed.
-5. **Complete** — the result payload is digest-stamped, written to the
-   result store, and every waiter's future resolves.
+5. **Complete** — the result payload is digest-stamped (the unit memo
+   stored the result when it ran), and every waiter's future resolves.
 
 ``drain()`` implements graceful shutdown: new submissions are refused,
 but every *accepted* job completes and reaches its waiters before
@@ -43,18 +44,14 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.harness.parallel import WarmPool, execute_unit, RunUnit
-from repro.harness.trace_store import (
-    ResultStore,
-    TraceCache,
-    default_result_cache_dir,
-)
+from repro.harness.parallel import WarmPool, execute_unit, RunUnit, unit_memo
+from repro.harness.trace_store import TraceCache
 from repro.service.protocol import (
     JobSpec,
     job_key,
-    resolve_config,
     result_digest,
     result_payload,
+    spec_to_run_unit,
 )
 from repro.tracing.progress import JobEventLog
 
@@ -81,7 +78,7 @@ class Job:
     payload: Optional[dict] = None
     digest: Optional[str] = None
     error: Optional[str] = None
-    #: Replayed from the persistent result store (no simulation ran).
+    #: Replayed from the unit memo at admission (no simulation ran).
     cached: bool = False
     #: Completed by the in-process retry after a worker death.
     degraded: bool = False
@@ -99,17 +96,9 @@ class ExperimentScheduler:
     def __init__(
         self,
         jobs: int = 1,
-        result_cache_dir=TraceCache.AUTO,
         events: Optional[JobEventLog] = None,
     ) -> None:
         self.jobs = max(1, jobs)
-        if result_cache_dir is TraceCache.AUTO:
-            result_cache_dir = default_result_cache_dir()
-        self.results = (
-            ResultStore(result_cache_dir)
-            if result_cache_dir is not None
-            else None
-        )
         self.events = events if events is not None else JobEventLog()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._pool: Optional[WarmPool] = None
@@ -130,20 +119,6 @@ class ExperimentScheduler:
         loop = self._loop or asyncio.get_event_loop()
         self.events.event(int(loop.time() * 1e6), kind, detail)
 
-    @staticmethod
-    def _store_key(key: str) -> str:
-        """The ResultStore key of job ``key``: it names the simulator too.
-
-        ``job_key`` stays the job's identity (dedup, the ``accepted``
-        frame, FleetDB rows); only stored payloads depend on the code
-        that computed them.  The fingerprint is hashed on first use,
-        not at server start.
-        """
-        from repro.harness.memo import model_fingerprint
-
-        return f"{key}-{model_fingerprint()}"
-
-    # ------------------------------------------------------------------
     async def submit(self, spec: JobSpec) -> Job:
         """Admit one job; returns its (possibly shared) :class:`Job`.
 
@@ -163,30 +138,16 @@ class ExperimentScheduler:
             self._emit("job.dedup", f"{key}:inflight")
             return existing
 
-        unit = RunUnit(
-            spec.workload,
-            resolve_config(spec),
-            spec.transactions,
-            spec.seed,
-            mode=spec.mode,
-            fault_sites=spec.fault_sites if spec.mode == "faults" else 0,
-            scenario=(
-                tuple(sorted(dict(spec.scenario).items()))
-                if spec.mode == "scenario"
-                else ()
-            ),
-        )
-        job = Job(key=key, spec=spec, unit=unit)
+        job = Job(key=key, spec=spec, unit=spec_to_run_unit(spec))
         self._jobs[key] = job
 
-        if self.results is not None:
-            payload = self.results.load(self._store_key(key))
-            if payload is not None:
-                self.dedup_cached += 1
-                job.cached = True
-                self._emit("job.dedup", f"{key}:cached")
-                self._finish(job, payload=payload)
-                return job
+        result = unit_memo().lookup(job.unit)
+        if result is not None:
+            self.dedup_cached += 1
+            job.cached = True
+            self._emit("job.dedup", f"{key}:cached")
+            self._finish(job, result=result)
+            return job
 
         self._idle.clear()
         self._dispatch(job)
@@ -237,11 +198,7 @@ class ExperimentScheduler:
         self._finish(job, result=result)
 
     def _finish(
-        self,
-        job: Job,
-        result=None,
-        payload: Optional[dict] = None,
-        error: Optional[str] = None,
+        self, job: Job, result=None, error: Optional[str] = None
     ) -> None:
         if error is not None:
             job.status = JobStatus.FAILED
@@ -249,12 +206,8 @@ class ExperimentScheduler:
             self.failed += 1
             outcome = "error"
         else:
-            if payload is None:
-                payload = result_payload(result)
-                if self.results is not None:
-                    self.results.store(self._store_key(job.key), payload)
-            job.payload = payload
-            job.digest = result_digest(payload)
+            job.payload = result_payload(result)
+            job.digest = result_digest(job.payload)
             job.status = JobStatus.DONE
             self.completed += 1
             outcome = "degraded" if job.degraded else "ok"
@@ -281,7 +234,7 @@ class ExperimentScheduler:
             "dedup_hit_rate": (
                 dedup_hits / self.submitted if self.submitted else 0.0
             ),
-            "result_store_hits": self.results.hits if self.results else 0,
+            "result_store_hits": self.dedup_cached,
             "events": self.events.snapshot(),
             "draining": self._draining,
             "jobs": self.jobs,

@@ -35,7 +35,6 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Set
 
-from repro.harness.trace_store import TraceCache
 from repro.service import protocol
 from repro.service.protocol import JobSpec, ProtocolError
 from repro.service.scheduler import (
@@ -523,14 +522,7 @@ class ExperimentServer:
 # CLI: python -m repro.harness serve
 # ----------------------------------------------------------------------
 async def _amain(args) -> int:
-    scheduler = ExperimentScheduler(
-        jobs=args.jobs,
-        result_cache_dir=(
-            Path(args.result_cache)
-            if args.result_cache
-            else TraceCache.AUTO
-        ),
-    )
+    scheduler = ExperimentScheduler(jobs=args.jobs)
     server = ExperimentServer(
         scheduler,
         host=args.host,
@@ -581,12 +573,6 @@ def main(argv=None) -> int:
         default=1,
         help="simulation workers (>=2 uses a warm process pool; "
         "0 = all cores)",
-    )
-    parser.add_argument(
-        "--result-cache",
-        default=None,
-        help="persistent result-cache dir (default: $REPRO_RESULT_CACHE "
-        "or the trace cache's sibling)",
     )
     parser.add_argument("--rate", type=float, default=DEFAULT_RATE)
     parser.add_argument("--burst", type=int, default=DEFAULT_BURST)

@@ -2,14 +2,20 @@
 
 import pytest
 
-from repro.config import ControllerKind, SimConfig
+from repro.config import ControllerKind, SimConfig, eager_config
 from repro.cpu.trace import OP_CLWB, OP_FENCE, OP_LOAD, OP_STORE, OP_WORK
-from repro.cpu.trace_io import load_trace, save_trace, trace_to_arrays
+from repro.cpu.trace_io import (
+    PackedTrace,
+    load_trace,
+    save_trace,
+    trace_to_arrays,
+)
 from repro.harness.breakdown import (
     CycleBreakdown,
     render_breakdowns,
     run_with_breakdown,
 )
+from repro.harness.runner import run_trace
 from repro.mem.nvm import NVMDevice
 from repro.workloads import generate_trace
 
@@ -42,6 +48,19 @@ class TestCycleBreakdown:
         assert breakdown.total == result.cycles
         assert 0 < breakdown.fence_stall < breakdown.total
         assert breakdown.other > 0
+
+    @pytest.mark.parametrize("kind", BREAKDOWN_KINDS)
+    def test_breakdown_result_is_the_plain_run_result(self, kind):
+        # The breakdown instruments run_trace's own run, so its result
+        # carries every stat the plain run does, histogram summaries
+        # (core.tx_cycles.p99 and friends) included.
+        config = eager_config(controller=kind)
+        packed = PackedTrace.from_trace(
+            generate_trace("hashmap", 40, config.transaction_size, 1)
+        )
+        result, _ = run_with_breakdown(config, packed, "hashmap", 40)
+        assert result == run_trace(config, packed, "hashmap", 40)
+        assert "core.tx_cycles.p99" in result.stats
 
     @pytest.mark.parametrize("kind", BREAKDOWN_KINDS)
     def test_read_stall_is_zero_when_only_store_fills_miss(self, kind):

@@ -345,7 +345,6 @@ class TestCheckInvariants:
 def _worker_env_patch(monkeypatch, tmp_path):
     """Hermetic chaos runs: private caches, no cross-run memo state."""
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
-    monkeypatch.setenv("REPRO_RESULT_CACHE", "off")
     monkeypatch.setenv("REPRO_UNIT_MEMO", "off")
 
 

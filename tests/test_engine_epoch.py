@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import eager_config
+import repro.faults.campaign
+import repro.scenarios.loadcurve
+from repro.config import eager_config, lazy_config
 from repro.cpu.trace_io import PackedTrace, trace_to_arrays
 from repro.engine import EventQueue, Simulator
-from repro.harness.memo import (
-    SEGMENT_TRANSACTIONS,
-    UnitMemo,
-    config_fingerprint,
-    default_unit_memo_dir,
-    trace_chain_digests,
-)
+from repro.harness import memo, parallel, trace_store
+from repro.harness.memo import UnitMemo, config_fingerprint, default_unit_memo_dir
+from repro.harness.parallel import RunUnit, execute_unit
 from repro.harness.runner import run_trace
-from repro.workloads import generate_trace
+from repro.harness.trace_store import TraceCache
+from repro.matrix import controller_matrix
+from repro.workloads import GENERATOR_VERSION, generate_trace
 
 # ----------------------------------------------------------------------
 # Satellite: cancelled-event heap leak stays bounded
@@ -157,73 +157,118 @@ class TestPackedTrace:
 
 
 # ----------------------------------------------------------------------
-# Tentpole: sub-unit memoization
+# The unit memo: one result cache, keyed by the run unit
 # ----------------------------------------------------------------------
-class TestUnitMemo:
-    def _unit(self):
-        config = eager_config()
-        trace = generate_trace("hashmap", 20, config.transaction_size, 1)
-        return config, PackedTrace.from_trace(trace)
+def _unit(**changes) -> RunUnit:
+    fields = dict(
+        workload="hashmap", config=eager_config(), transactions=20, seed=1
+    )
+    fields.update(changes)
+    return RunUnit(**fields)
 
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Wrap ``module.name`` so each call appends to the returned list."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestUnitMemo:
     def test_miss_then_hit_bit_identical(self, tmp_path):
-        config, packed = self._unit()
-        memo = UnitMemo(tmp_path)
-        first = memo.run(config, packed, "hashmap", 20)
-        assert (memo.hits, memo.misses) == (0, 1)
-        second = memo.run(config, packed, "hashmap", 20)
-        assert (memo.hits, memo.misses) == (1, 1)
+        unit_memo = UnitMemo(tmp_path)
+        first = unit_memo.run(_unit(), TraceCache(None))
+        assert (unit_memo.hits, unit_memo.misses) == (0, 1)
+        second = unit_memo.run(_unit(), TraceCache(None))
+        assert (unit_memo.hits, unit_memo.misses) == (1, 1)
         assert first.stats == second.stats
         assert first.cycles == second.cycles
         assert first.controller is second.controller
         assert first.misu_design is second.misu_design
 
     def test_disabled_memo_always_simulates(self):
-        config, packed = self._unit()
-        memo = UnitMemo(None)
-        assert not memo.enabled
-        result = memo.run(config, packed, "hashmap", 20)
+        unit_memo = UnitMemo(None)
+        assert not unit_memo.enabled
+        result = unit_memo.run(_unit(), TraceCache(None))
         assert result.cycles > 0
-        assert (memo.hits, memo.misses) == (0, 0)
+        assert unit_memo.lookup(_unit()) is None
+        assert (unit_memo.hits, unit_memo.misses) == (0, 0)
 
-    def test_key_sensitive_to_trace_config_not_provenance(self):
-        config, packed = self._unit()
-        memo = UnitMemo(None)
-        key = memo.key_for(config, packed)
-        # Same stream, different container: identical key (cross-seed
-        # collisions are *content* collisions by design).
-        assert memo.key_for(config, packed.to_trace()) == key
-        other_trace = generate_trace(
-            "hashmap", 20, config.transaction_size, 2
-        )
-        assert memo.key_for(config, other_trace) != key
-        from repro.config import lazy_config
+    def test_key_changes_with_every_unit_field_and_version(
+        self, monkeypatch
+    ):
+        unit_memo = UnitMemo(None)
+        key = unit_memo.key_for(_unit())
+        assert unit_memo.key_for(_unit()) == key
+        variants = [
+            _unit(workload="btree"),
+            _unit(transactions=21),
+            _unit(seed=2),
+            _unit(config=lazy_config()),
+            _unit(mode="faults"),
+            _unit(fault_sites=3),
+            _unit(scenario=(("rate", 0.06),)),
+        ]
+        keys = {unit_memo.key_for(unit) for unit in variants}
+        assert len(keys) == len(variants) and key not in keys
+        monkeypatch.setattr(memo, "GENERATOR_VERSION", GENERATOR_VERSION + 1)
+        assert unit_memo.key_for(_unit()) != key
+        monkeypatch.setattr(memo, "GENERATOR_VERSION", GENERATOR_VERSION)
+        monkeypatch.setattr(memo, "_MODEL_FINGERPRINT", "edited-simulator")
+        assert unit_memo.key_for(_unit()) != key
 
-        assert memo.key_for(lazy_config(), packed) != key
+    def test_hit_neither_loads_nor_generates_a_trace(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(parallel, "_UNIT_MEMO", UnitMemo(tmp_path))
+        first = execute_unit(_unit(), TraceCache(None))
 
-    def test_chain_shares_prefix_until_divergence(self):
-        config = eager_config()
-        short = generate_trace(
-            "hashmap", SEGMENT_TRANSACTIONS, config.transaction_size, 1
+        def no_trace(*_args, **_kwargs):
+            raise AssertionError("a memo hit generated a trace")
+
+        monkeypatch.setattr(trace_store, "generate_trace", no_trace)
+        assert execute_unit(_unit(), TraceCache(None)) == first
+
+    def test_faults_unit_replays_from_the_memo(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(parallel, "_UNIT_MEMO", UnitMemo(tmp_path))
+        calls = _count_calls(
+            monkeypatch, repro.faults.campaign, "run_fault_unit"
         )
-        long = generate_trace(
-            "hashmap", 3 * SEGMENT_TRANSACTIONS, config.transaction_size, 1
+        unit = _unit(
+            config=controller_matrix()["dolos-partial"], transactions=6,
+            mode="faults", fault_sites=1,
         )
-        chain_short = trace_chain_digests(short)
-        chain_long = trace_chain_digests(long)
-        # The workload generator is seed-deterministic per transaction,
-        # so the shorter run's first full segment is a strict prefix of
-        # the longer run's — the chains must agree on that link.
-        assert chain_short[0] == chain_long[0]
-        assert chain_short[-1] != chain_long[-1]
+        first = execute_unit(unit, TraceCache(None))
+        assert execute_unit(unit, TraceCache(None)) == first
+        assert first["kind"] == "faults"
+        assert len(calls) == 1
+
+    def test_scenario_unit_replays_from_the_memo(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(parallel, "_UNIT_MEMO", UnitMemo(tmp_path))
+        calls = _count_calls(
+            monkeypatch, repro.scenarios.loadcurve, "run_scenario"
+        )
+        unit = _unit(
+            transactions=10, mode="scenario",
+            scenario=(("arrivals", "poisson"), ("rate", 0.06)),
+        )
+        first = execute_unit(unit, TraceCache(None))
+        assert execute_unit(unit, TraceCache(None)) == first
+        assert first["kind"] == "scenario"
+        assert len(calls) == 1
 
     def test_corrupt_entry_is_a_miss_not_a_wrong_result(self, tmp_path):
-        config, packed = self._unit()
-        memo = UnitMemo(tmp_path)
-        memo.run(config, packed, "hashmap", 20)
+        UnitMemo(tmp_path).run(_unit(), TraceCache(None))
         for entry in tmp_path.glob("*.json"):
             entry.write_text(entry.read_text().replace('"cycles":', '"cycl":'))
         fresh = UnitMemo(tmp_path)
-        result = fresh.run(config, packed, "hashmap", 20)
+        result = fresh.run(_unit(), TraceCache(None))
         assert result.cycles > 0
         assert fresh.hits == 0
 
@@ -233,28 +278,30 @@ class TestUnitMemo:
         """A payload whose byte digest is valid but that does not decode
         to a RunResult must be quarantined — not left in the store to
         poison every future load of the key."""
-        config, packed = self._unit()
-        memo = UnitMemo(tmp_path)
-        key = memo.key_for(config, packed)
+        unit_memo = UnitMemo(tmp_path)
+        key = unit_memo.key_for(_unit())
         # Digest-valid (the store recomputes it) but decode-invalid.
-        memo._store.store(key, {"controller": "no-such-design"})
-        assert memo.load(key) is None
-        assert memo.misses == 1
+        unit_memo._store.store(key, {"controller": "no-such-design"})
+        assert unit_memo.load(key, "run") is None
+        assert unit_memo.misses == 1
         # The poisoned entry moved to quarantine and is gone from the
         # store, so the next load is a plain path miss.
-        assert not memo._store.path_for(key).exists()
-        assert memo._store.quarantined == 1
-        quarantine = tmp_path / memo._store.QUARANTINE_DIR
+        assert not unit_memo._store.path_for(key).exists()
+        assert unit_memo._store.quarantined == 1
+        quarantine = tmp_path / unit_memo._store.QUARANTINE_DIR
         assert [p.name for p in quarantine.iterdir()] == [f"{key}.json"]
         # Regeneration round-trip: run repopulates the key, and a fresh
         # memo now hits on a decodable payload.
-        result = memo.run(config, packed, "hashmap", 20)
+        result = unit_memo.run(_unit(), TraceCache(None))
         assert result.cycles > 0
         fresh = UnitMemo(tmp_path)
-        again = fresh.load(key)
+        again = fresh.load(key, "run")
         assert again is not None
         assert again.cycles == result.cycles
         assert (fresh.hits, fresh.quarantined_entries) == (1, 0)
+        # A run payload is not a faults result either.
+        assert fresh.load(key, "faults") is None
+        assert fresh.quarantined_entries == 1
 
     def test_env_off_disables(self, monkeypatch):
         monkeypatch.setenv("REPRO_UNIT_MEMO", "off")

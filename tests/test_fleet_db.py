@@ -1,7 +1,7 @@
 """The fleet experiment database: round-trips, upserts, quarantine.
 
-The db is the fleet's ground truth — re-dispatch, work stealing and
-straggler clones all funnel through :meth:`FleetDB.record_unit`, so the
+The db is the fleet's ground truth — re-dispatch and work stealing
+both funnel through :meth:`FleetDB.record_unit`, so the
 idempotent-upsert contract (first record wins, identical re-records
 count as duplicates, *divergent* re-records raise) is what makes
 "every unit exactly once" checkable at all.  Corruption handling
@@ -102,7 +102,7 @@ class TestIdempotentUpsert:
     def test_identical_rerecord_is_counted_not_duplicated(self, db):
         db.open_experiment("exp", {})
         assert db.record_unit("exp", "k1", _spec(), _payload()) == "inserted"
-        # Re-dispatch / straggler clone landing the same bytes again.
+        # A re-dispatched unit landing the same bytes again.
         assert db.record_unit("exp", "k1", _spec(), _payload()) == "duplicate"
         assert db.record_unit("exp", "k1", _spec(), _payload()) == "duplicate"
         rows = db.unit_rows("exp")

@@ -47,7 +47,6 @@ def _worker_env(tmp_path) -> dict:
     """Hermetic workers: private trace cache, no cross-run memo state."""
     env = dict(os.environ)
     env["REPRO_TRACE_CACHE"] = str(tmp_path / "traces")
-    env["REPRO_RESULT_CACHE"] = "off"
     env["REPRO_UNIT_MEMO"] = "off"
     return env
 

@@ -110,21 +110,6 @@ class TestRetryPolicy:
             )
         assert seen == [0, 1]
 
-    def test_from_env_reads_overrides(self, monkeypatch):
-        monkeypatch.setenv("X_RETRY_ATTEMPTS", "7")
-        monkeypatch.setenv("X_RETRY_BASE", "0.5")
-        monkeypatch.setenv("X_RETRY_JITTER", "0")
-        policy = RetryPolicy.from_env("X_RETRY", attempts=2, max_delay=9.0)
-        assert policy.attempts == 7  # env beats the caller default
-        assert policy.base_delay == 0.5
-        assert policy.jitter == 0.0
-        assert policy.max_delay == 9.0  # caller default survives
-
-    def test_from_env_defaults_without_env(self):
-        policy = RetryPolicy.from_env("UNSET_PREFIX_ZZZ", attempts=3)
-        assert policy.attempts == 3
-        assert policy.jitter == RetryPolicy().jitter
-
 
 class _Clock:
     def __init__(self):

@@ -18,11 +18,7 @@ from repro.config import ControllerKind, MiSUDesign
 from repro.harness import memo, parallel
 from repro.harness.parallel import RunUnit, execute_unit
 from repro.harness.runner import RunResult
-from repro.harness.trace_store import (
-    ResultStore,
-    TraceCache,
-    default_result_cache_dir,
-)
+from repro.harness.trace_store import ResultStore, TraceCache
 from repro.oracle.check import controller_matrix
 from repro.service import protocol as proto
 from repro.service.client import ServiceClient
@@ -40,6 +36,12 @@ TX = 8
 SPEC = proto.JobSpec(
     workload="hashmap", design="dolos-partial", transactions=TX, seed=1
 )
+
+
+@pytest.fixture(autouse=True)
+def _memo_off(monkeypatch):
+    """Hermetic scheduler: no replays of units earlier runs memoized."""
+    monkeypatch.setattr(parallel, "_UNIT_MEMO", memo.UnitMemo(None))
 
 
 def _spec(**changes) -> proto.JobSpec:
@@ -238,14 +240,6 @@ class TestResultStore:
         assert store.load("b" * 24) is None
         assert store.quarantined == 1
 
-    def test_default_dir_env_handling(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "r"))
-        assert default_result_cache_dir() == tmp_path / "r"
-        monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
-        assert default_result_cache_dir() is None
-        monkeypatch.setenv("REPRO_RESULT_CACHE", "")
-        assert default_result_cache_dir() is None
-
 
 # ======================================================================
 # Scheduler
@@ -256,8 +250,12 @@ def _run_async(coro, timeout: float = 60.0):
 
 def _scheduler(**kwargs) -> ExperimentScheduler:
     kwargs.setdefault("jobs", 1)
-    kwargs.setdefault("result_cache_dir", None)
     return ExperimentScheduler(**kwargs)
+
+
+def _restart_memo(monkeypatch, memo_dir) -> None:
+    """A restarted server: a fresh process memo over ``memo_dir``."""
+    monkeypatch.setattr(parallel, "_UNIT_MEMO", memo.UnitMemo(memo_dir))
 
 
 class TestScheduler:
@@ -292,18 +290,20 @@ class TestScheduler:
         assert stats["dedup_inflight"] == 1
         assert stats["dedup_hit_rate"] == 0.5
 
-    def test_result_store_replays_across_scheduler_restarts(self, tmp_path):
-        store_dir = tmp_path / "results"
+    def test_result_store_replays_across_scheduler_restarts(
+        self, tmp_path, monkeypatch
+    ):
+        memo_dir = tmp_path / "units"
 
         async def first_life():
-            scheduler = _scheduler(result_cache_dir=store_dir)
+            scheduler = _scheduler()
             job = await scheduler.submit(SPEC)
             await job.done
             await scheduler.close()
             return job.payload
 
         async def second_life():
-            scheduler = _scheduler(result_cache_dir=store_dir)
+            scheduler = _scheduler()
             job = await scheduler.submit(SPEC)
             # Replay resolves synchronously inside submit.
             assert job.finished
@@ -311,7 +311,9 @@ class TestScheduler:
             await scheduler.close()
             return job, stats
 
+        _restart_memo(monkeypatch, memo_dir)
         payload = _run_async(first_life())
+        _restart_memo(monkeypatch, memo_dir)
         job, stats = _run_async(second_life())
         assert job.cached
         assert job.payload == payload
@@ -321,26 +323,27 @@ class TestScheduler:
     def test_result_store_misses_after_a_simulator_change(
         self, tmp_path, monkeypatch
     ):
-        store_dir = tmp_path / "results"
-
-        async def life():
-            scheduler = _scheduler(result_cache_dir=store_dir)
+        async def scenario():
+            scheduler = _scheduler()
             job = await scheduler.submit(SPEC)
             await job.done
             stats = scheduler.stats()
             await scheduler.close()
             return job, stats
 
-        _run_async(life())
-        # A new fingerprint stands for edited simulator sources; the
-        # unit memo is off so the cold run leaves no entry under it.
+        def life():
+            _restart_memo(monkeypatch, tmp_path / "units")
+            return _run_async(scenario())
+
+        life()
+        real = memo.model_fingerprint()
+        # A new fingerprint stands for edited simulator sources.
         monkeypatch.setattr(memo, "_MODEL_FINGERPRINT", "edited-simulator")
-        monkeypatch.setattr(parallel, "_UNIT_MEMO", memo.UnitMemo(None))
-        job, stats = _run_async(life())
+        job, stats = life()
         assert not job.cached
         assert stats["result_store_hits"] == 0
-        monkeypatch.undo()
-        job, stats = _run_async(life())
+        monkeypatch.setattr(memo, "_MODEL_FINGERPRINT", real)
+        job, stats = life()
         assert job.cached
         assert stats["result_store_hits"] == 1
 
