@@ -4,16 +4,22 @@ PYTHON ?= python
 # Worker processes for experiment run units (0 = all cores).
 JOBS ?= 0
 
-.PHONY: install test check-oracle fault-smoke fleet-smoke chaos-smoke \
-	bench bench-perf perf-gate profile-kernel trace-smoke service-smoke \
-	loadcurve-smoke golden golden-update coverage experiments examples \
-	clean
+.PHONY: install test test-slow check-oracle fault-smoke fleet-smoke \
+	chaos-smoke bench bench-perf perf-gate profile-kernel trace-smoke \
+	service-smoke loadcurve-smoke golden golden-update coverage \
+	experiments examples clean
 
 install:
 	$(PYTHON) setup.py develop
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# The slow tier outside the oracle sweeps (docs/testing.md): the
+# `--jobs 2` service soak and the 3-worker fleet kill.  The oracle
+# sweeps stay behind `make check-oracle`.
+test-slow:
+	$(PYTHON) -m pytest tests/ -m "slow and not oracle"
 
 # Differential crash-consistency oracle (docs/testing.md): the full
 # 200-transaction crash-site sweep over the whole controller matrix

@@ -1,11 +1,11 @@
 """Distributed experiment fleet: dispatcher, results database, reports.
 
-The fleet is the fuzzbench-shaped scale-out layer over the PR-5
-experiment service: a :mod:`dispatcher <repro.fleet.dispatcher>` that
-expands a declarative campaign matrix (configs × workloads × seeds ×
-fault plans) into shard manifests and drives many worker processes
-over the existing :mod:`repro.service` wire protocol (with work
-stealing and re-dispatch of a dead worker's units), a persistent sqlite
+The fleet is the fuzzbench-shaped scale-out layer over the experiment
+service: a :mod:`dispatcher <repro.fleet.dispatcher>` that expands a
+declarative campaign matrix (configs × workloads × seeds × fault plans)
+into units keyed by their unit-memo key and drives many worker
+processes from one shared queue over the :mod:`repro.service` wire
+protocol (re-dispatching a dead worker's units), a persistent sqlite
 :mod:`experiment database <repro.fleet.db>` recording every unit with
 idempotent upserts, and a :mod:`report generator <repro.fleet.report>`
 producing JSON + static HTML aggregates served read-only by the
@@ -17,6 +17,5 @@ from repro.fleet.dispatcher import (  # noqa: F401
     CampaignSpec,
     FleetDispatcher,
     expand_units,
-    shard_manifests,
 )
 from repro.fleet.report import build_report, render_html  # noqa: F401

@@ -1,9 +1,9 @@
 """Persistent experiment database for fleet campaigns (sqlite, WAL).
 
 Every unit a dispatcher completes is recorded here exactly once —
-content key, full spec snapshot, result payload with its digest, the
+unit key, full spec snapshot, result payload with its digest, the
 worker that ran it, timing, and retry/fault metadata — keyed by
-``(experiment_id, unit_key)`` so re-dispatched or stolen units
+``(experiment_id, unit_key)`` so re-dispatched units
 **upsert idempotently** instead of double-counting: the first record
 wins, identical re-records bump a ``duplicates`` counter, and a
 re-record whose payload digest *differs* raises
@@ -13,16 +13,20 @@ surface, never paper over).
 Integrity mirrors :class:`repro.harness.trace_store.TraceStore`: each
 row stores a digest of its payload's canonical JSON, re-verified on
 every load; a corrupted row is moved to the ``quarantine`` table and
-treated as missing so the caller re-runs the unit.
+treated as missing so the caller re-runs the unit.  Stale rows go there
+too: the unit key is the unit-memo key, which names the simulator
+sources, so a row whose key a campaign no longer expands to was
+computed by other code (:meth:`FleetDB.quarantine_stale`).
 
 Concurrency: the database runs in WAL mode with a busy timeout, and
 every thread gets its own connection (sqlite3 connections are not
 thread-safe), so multiple dispatcher threads — or multiple dispatcher
 *processes* on a shared filesystem — can record units concurrently.
 
-The database is an experiment ledger keyed by job key, not a result
-cache: the unit memo (:mod:`repro.harness.memo`) is the one cache that
-replays results, and only for the simulator sources that computed them.
+The database is an experiment ledger keyed by unit-memo key, not a
+result cache: the unit memo (:mod:`repro.harness.memo`) is the one
+cache that replays results, and only for the simulator sources that
+computed them.
 
 Environment: ``REPRO_FLEET_DB=<path>`` names the default database
 file (documented beside ``REPRO_TRACE_CACHE``/``REPRO_UNIT_MEMO``
@@ -169,7 +173,7 @@ class FleetDB:
         self.path = Path(path) if path is not None else default_db_path()
         self.readonly = readonly
         self._local = threading.local()
-        #: Corrupt rows moved aside by digest verification.
+        #: Rows moved aside: corrupt (digest verification) or stale.
         self.quarantined = 0
         if not readonly:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -275,8 +279,8 @@ class FleetDB:
 
         Returns ``"inserted"`` for a first record and ``"duplicate"``
         when the row already existed with an identical payload digest
-        (re-dispatch / work stealing race — the
-        duplicate is *counted*, never double-recorded).  Raises
+        (a re-dispatched unit — the duplicate is *counted*, never
+        double-recorded).  Raises
         :class:`UnitDigestMismatch` when the digests differ.
         """
         digest = payload_digest(payload)
@@ -418,6 +422,22 @@ class FleetDB:
             (experiment_id,),
         ).fetchall()
         return [row["unit_key"] for row in rows]
+
+    def quarantine_stale(self, experiment_id: str, keys) -> int:
+        """Quarantine rows whose key is not in ``keys``; return how many.
+
+        ``keys`` is the campaign's current expansion: a recorded key
+        outside it was computed by other simulator sources.
+        """
+        rows = self._conn().execute(
+            "SELECT * FROM units WHERE experiment_id=?", (experiment_id,)
+        ).fetchall()
+        stale = [row for row in rows if row["unit_key"] not in keys]
+        for row in stale:
+            self._quarantine_row(
+                row, "stale: recorded by other simulator sources"
+            )
+        return len(stale)
 
     def integrity_check(self) -> str:
         """Run sqlite's own ``PRAGMA integrity_check``; "ok" = healthy.

@@ -1,35 +1,34 @@
-"""The fleet dispatcher: campaign expansion, sharding, worker driving.
+"""The fleet dispatcher: campaign expansion and worker driving.
 
-Shape follows fuzzbench's ``experiment/dispatcher.py`` +
-``scheduler.py``: a declarative :class:`CampaignSpec` (configs ×
-workloads × seeds × fault plans) expands into a deterministic,
-duplicate-free unit list (:func:`expand_units`), which
-:func:`shard_manifests` partitions exactly — no loss, no overlap —
-across worker shards.  The :class:`FleetDispatcher` then spawns one
-``python -m repro.harness serve`` subprocess per worker (Unix socket,
-the PR-5 wire protocol unchanged) and drives each from its own thread:
+A declarative :class:`CampaignSpec` (configs × workloads × seeds ×
+fault plans) expands into a deterministic, duplicate-free unit list
+(:func:`expand_units`), each unit keyed by its unit-memo key.  The
+:class:`FleetDispatcher` then spawns one ``python -m repro.harness
+serve`` subprocess per worker (Unix socket, the service wire protocol)
+and drives each from its own thread through one shared queue, the
+:class:`UnitLedger`:
 
-* **Work stealing** — a worker whose shard runs dry steals from the
-  tail of the longest remaining shard, so a slow worker cannot strand
-  its manifest.
+* **One queue** — every worker thread claims the next pending unit; a
+  thread with nothing to claim waits until a completion ends the
+  campaign or a requeue hands a unit back.
 * **Re-dispatch** — a worker that dies (connection drop, kill -9) has
-  its in-flight units returned to the pending set and picked up by the
-  survivors; this rides the same retry philosophy as
-  :func:`repro.harness.parallel._resilient_map` but across *worker
-  processes* instead of pool children.
+  its in-flight units put back at the head of the queue for the
+  survivors; this is :func:`repro.harness.parallel.fan_out`'s retry
+  across *worker processes* instead of pool children.
 
 Every completed unit is recorded into the :class:`~repro.fleet.db
 .FleetDB` the moment its result frame lands, so a dispatcher crash
 loses at most the in-flight units, and a re-run of the same experiment
-id resumes idempotently.  ``workers=0`` runs the whole campaign inline
-through :func:`repro.harness.parallel.run_units` with its streaming
-``on_result`` callback — the no-subprocess path used by tests and tiny
-campaigns.
+id resumes idempotently.  Unit keys name the simulator sources, so a
+resumed campaign re-runs what a simulator change invalidated.
+``workers=0`` runs the whole campaign inline and in order — the
+no-subprocess path used by tests and tiny campaigns.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import os
@@ -51,13 +50,14 @@ from repro.fleet.supervisor import (
     SupervisionConfig,
     SupervisionLog,
 )
-from repro.harness.parallel import RunUnit, run_units
+from repro.harness.memo import UnitMemo
+from repro.harness.parallel import execute_unit
+from repro.harness.trace_store import TraceCache
 from repro.oracle.check import controller_matrix
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import (
     JobSpec,
     ProtocolError,
-    job_key,
     result_payload,
     spec_to_run_unit,
 )
@@ -69,8 +69,6 @@ logger = logging.getLogger(__name__)
 WORKER_START_TIMEOUT = 30.0
 #: Seconds SIGTERM gets before :meth:`ServiceWorker.stop` escalates.
 WORKER_STOP_TIMEOUT = 10.0
-#: Poll interval while a worker thread waits on other shards' units.
-_IDLE_POLL = 0.02
 
 
 def _env_float(name: str, default: float) -> float:
@@ -88,11 +86,6 @@ def worker_stop_timeout() -> float:
     return _env_float("REPRO_FLEET_STOP_TIMEOUT", WORKER_STOP_TIMEOUT)
 
 
-def idle_poll() -> float:
-    """``REPRO_FLEET_IDLE_POLL`` or :data:`_IDLE_POLL`."""
-    return _env_float("REPRO_FLEET_IDLE_POLL", _IDLE_POLL)
-
-
 class FleetError(RuntimeError):
     """Campaign-level failure (bad spec, incomplete run, ...)."""
 
@@ -104,7 +97,7 @@ class FleetError(RuntimeError):
 class CampaignSpec:
     """A declarative experiment matrix.
 
-    Expansion order (and therefore shard layout) is deterministic:
+    Expansion order (and therefore dispatch order) is deterministic:
     ``run`` units in workloads × designs × seeds order first, then —
     when ``scenario`` is set — one open-loop ``scenario`` unit per
     (workload, design, seed), then — when ``fault_sites > 0`` — one
@@ -214,7 +207,7 @@ class CampaignSpec:
 
 @dataclass(frozen=True)
 class FleetUnit:
-    """One dispatchable unit: a :class:`JobSpec` plus its content key."""
+    """One dispatchable unit: a :class:`JobSpec` plus its unit-memo key."""
 
     key: str
     spec: JobSpec
@@ -227,190 +220,117 @@ def _dedup_keep_order(values: Sequence) -> List:
 def expand_units(campaign: CampaignSpec) -> List[FleetUnit]:
     """Expand ``campaign`` into its deterministic, duplicate-free units.
 
-    The unit key is the service's :func:`job_key` content hash, so the
-    fleet, the per-worker scheduler dedup, and the persistent result
-    store all agree about unit identity.
+    The unit key is :meth:`UnitMemo.key_for` of the job's run unit: the
+    unit's identity plus the generator and simulator-source versions, so
+    the FleetDB, the unit memo and the workers agree about unit identity,
+    and a row recorded by other simulator sources has a different key.
     """
     campaign.validate()
+    memo = UnitMemo(None)
     overrides = {key: value for key, value in campaign.overrides}
-    workloads = _dedup_keep_order(campaign.workloads)
-    designs = _dedup_keep_order(campaign.designs)
-    seeds = _dedup_keep_order(campaign.seeds)
+    modes: List[Dict[str, object]] = [{}]
+    if campaign.scenario:
+        modes.append({"mode": "scenario", "scenario": dict(campaign.scenario)})
+    if campaign.fault_sites > 0:
+        modes.append({"mode": "faults", "fault_sites": campaign.fault_sites})
+    cells = list(
+        itertools.product(
+            _dedup_keep_order(campaign.workloads),
+            _dedup_keep_order(campaign.designs),
+            _dedup_keep_order(campaign.seeds),
+        )
+    )
 
     units: Dict[str, FleetUnit] = {}
-
-    def add(spec: JobSpec) -> None:
-        try:
-            spec = spec.validate()
-        except ProtocolError as exc:
-            raise FleetError(f"invalid unit in campaign: {exc}") from None
-        key = job_key(spec)
-        if key not in units:
-            units[key] = FleetUnit(key=key, spec=spec)
-
-    for workload in workloads:
-        for design in designs:
-            for seed in seeds:
-                add(
-                    JobSpec(
-                        workload=workload,
-                        design=design,
-                        transactions=campaign.transactions,
-                        seed=seed,
-                        experiment_id=campaign.name,
-                        overrides=overrides,
-                    )
-                )
-    if campaign.scenario:
-        scenario = {key: value for key, value in campaign.scenario}
-        for workload in workloads:
-            for design in designs:
-                for seed in seeds:
-                    add(
-                        JobSpec(
-                            workload=workload,
-                            design=design,
-                            transactions=campaign.transactions,
-                            seed=seed,
-                            experiment_id=campaign.name,
-                            overrides=overrides,
-                            mode="scenario",
-                            scenario=scenario,
-                        )
-                    )
-    if campaign.fault_sites > 0:
-        for workload in workloads:
-            for design in designs:
-                for seed in seeds:
-                    add(
-                        JobSpec(
-                            workload=workload,
-                            design=design,
-                            transactions=campaign.transactions,
-                            seed=seed,
-                            experiment_id=campaign.name,
-                            overrides=overrides,
-                            mode="faults",
-                            fault_sites=campaign.fault_sites,
-                        )
-                    )
+    for mode in modes:
+        for workload, design, seed in cells:
+            try:
+                spec = JobSpec(
+                    workload=workload,
+                    design=design,
+                    transactions=campaign.transactions,
+                    seed=seed,
+                    experiment_id=campaign.name,
+                    overrides=overrides,
+                    **mode,
+                ).validate()
+            except ProtocolError as exc:
+                raise FleetError(f"invalid unit in campaign: {exc}") from None
+            key = memo.key_for(spec_to_run_unit(spec))
+            units.setdefault(key, FleetUnit(key=key, spec=spec))
     return list(units.values())
 
 
-def shard_manifests(
-    units: Sequence[FleetUnit], shards: int
-) -> List[List[FleetUnit]]:
-    """Partition ``units`` into ``shards`` manifests, exactly.
-
-    Round-robin assignment: unit *i* lands in shard ``i % shards``, so
-    manifests are balanced to within one unit, the partition is exact
-    (no unit lost, none duplicated), and the layout is a pure function
-    of expansion order.  Shards may be empty when there are more
-    workers than units.
-    """
-    if shards < 1:
-        raise FleetError(f"need at least one shard, got {shards}")
-    manifests: List[List[FleetUnit]] = [[] for _ in range(shards)]
-    for index, unit in enumerate(units):
-        manifests[index % shards].append(unit)
-    return manifests
-
-
 # ----------------------------------------------------------------------
-# The unit ledger: pending shards, in-flight claims, completions
+# The unit ledger: one pending queue, in-flight claims, completions
 # ----------------------------------------------------------------------
 class UnitLedger:
     """Thread-safe unit state shared by all worker threads.
 
-    Invariant: every unit is in exactly one of *pending* (some shard's
-    deque), *in-flight* (claimed by one worker), or *done*.
+    Invariant: every unit is in exactly one of *pending* (the queue),
+    *in-flight* (claimed by one worker), or *done*.
     ``claim``/``complete``/``requeue`` keep the sets consistent under
     any interleaving, which the Hypothesis suite exercises with random
-    stealing and death schedules.
+    claim and death schedules.
     """
 
-    def __init__(self, manifests: Sequence[Sequence[FleetUnit]]) -> None:
-        self._pending: List[Deque[FleetUnit]] = [
-            deque(manifest) for manifest in manifests
-        ]
+    def __init__(self, units: Sequence[FleetUnit]) -> None:
+        self._pending: Deque[FleetUnit] = deque(units)
         #: unit key -> the worker running it.
         self._inflight: Dict[str, str] = {}
-        self._units: Dict[str, FleetUnit] = {}
-        for manifest in manifests:
-            for unit in manifest:
-                self._units[unit.key] = unit
-        self._home: Dict[str, int] = {}
-        for shard, manifest in enumerate(manifests):
-            for unit in manifest:
-                self._home[unit.key] = shard
+        self._units: Dict[str, FleetUnit] = {unit.key: unit for unit in units}
         self._done: set = set()
-        self._lock = threading.Lock()
-        self.steals = 0
+        self._changed = threading.Condition()
         self.redispatches = 0
 
     # ------------------------------------------------------------------
-    def claim(self, shard: int, worker_id: str) -> Optional[FleetUnit]:
-        """Next unit for ``worker_id``: own shard, then steal.
+    def claim(self, worker_id: str) -> Optional[FleetUnit]:
+        """The next pending unit for ``worker_id``; ``None`` once all done.
 
-        Returns ``None`` when there is nothing this worker can usefully
-        run right now (its shard and every other shard are empty).
+        With the queue empty but units in flight, waits: a completion
+        may finish the campaign, and a dying worker's requeue hands its
+        units back.
         """
-        with self._lock:
-            own = self._pending[shard]
-            if own:
-                unit = own.popleft()
-                self._inflight[unit.key] = worker_id
-                return unit
-            victim = max(
-                (d for i, d in enumerate(self._pending) if i != shard),
-                key=len,
-                default=None,
-            )
-            if victim:
-                # Steal from the tail: the victim keeps draining its
-                # head, so the two never contend for the same unit.
-                unit = victim.pop()
-                self.steals += 1
-                self._inflight[unit.key] = worker_id
-                return unit
-            return None
+        with self._changed:
+            while not self._pending:
+                if len(self._done) == len(self._units):
+                    return None
+                self._changed.wait()
+            unit = self._pending.popleft()
+            self._inflight[unit.key] = worker_id
+            return unit
 
     def complete(self, key: str, worker_id: str) -> bool:
         """Mark ``key`` done; True only for the *first* completion."""
-        with self._lock:
+        with self._changed:
             self._inflight.pop(key, None)
             if key in self._done:
                 return False
             self._done.add(key)
+            self._changed.notify_all()
             return True
 
     def requeue(self, worker_id: str) -> int:
-        """Return a dead worker's claims to pending; count re-dispatches.
+        """Return a dead worker's claims to the head of the queue.
 
-        Its units go back to the head of their home shard for the
-        survivors to steal.
+        Returns how many units went back (counted as re-dispatches).
         """
-        with self._lock:
-            requeued = 0
-            for key, holder in list(self._inflight.items()):
-                if holder != worker_id:
-                    continue
+        with self._changed:
+            keys = [
+                key
+                for key, holder in self._inflight.items()
+                if holder == worker_id
+            ]
+            for key in reversed(keys):
                 del self._inflight[key]
-                if key in self._done:
-                    continue
-                self._pending[self._home[key]].appendleft(self._units[key])
-                requeued += 1
-            self.redispatches += requeued
-            return requeued
+                self._pending.appendleft(self._units[key])
+            self.redispatches += len(keys)
+            self._changed.notify_all()
+            return len(keys)
 
     # ------------------------------------------------------------------
-    @property
-    def done_keys(self) -> set:
-        with self._lock:
-            return set(self._done)
-
     def outstanding(self) -> int:
-        with self._lock:
+        with self._changed:
             return len(self._units) - len(self._done)
 
 
@@ -562,7 +482,6 @@ class FleetRunSummary:
     units_total: int
     units_recorded: int
     duplicates: int
-    steals: int
     redispatches: int
     worker_deaths: int
     elapsed_s: float
@@ -584,7 +503,6 @@ class FleetDispatcher:
         db: FleetDB,
         workers: int = 2,
         experiment_id: Optional[str] = None,
-        worker_jobs: int = 1,
         runtime_dir: Optional[Path] = None,
         worker_env: Optional[Dict[str, str]] = None,
         on_record: Optional[Callable[[str, str], None]] = None,
@@ -595,7 +513,6 @@ class FleetDispatcher:
         self.db = db
         self.workers = workers
         self.experiment_id = experiment_id or campaign.name
-        self.worker_jobs = worker_jobs
         self.runtime_dir = runtime_dir
         self.worker_env = worker_env
         #: ``on_record(worker_id, unit_key)`` fires after every db
@@ -631,7 +548,12 @@ class FleetDispatcher:
             git_hash=current_git_hash(),
         )
         # Resume support: anything a previous run of this experiment
-        # already recorded (digest-verified) is not re-dispatched.
+        # already recorded (digest-verified) is not re-dispatched.  A
+        # row whose key the expansion no longer yields was computed by
+        # other simulator sources: it is moved aside, and its unit runs.
+        self.db.quarantine_stale(
+            self.experiment_id, {unit.key for unit in units}
+        )
         already = set(self.db.unit_keys(self.experiment_id))
         todo = [unit for unit in units if unit.key not in already]
 
@@ -658,7 +580,6 @@ class FleetDispatcher:
             units_total=len(units),
             units_recorded=int(status["units"]),
             duplicates=int(status["duplicates"]),
-            steals=ledger.steals if ledger else 0,
             redispatches=ledger.redispatches if ledger else 0,
             worker_deaths=sum(1 for r in reports if r.died),
             elapsed_s=time.monotonic() - started,
@@ -670,63 +591,49 @@ class FleetDispatcher:
 
     # -- inline (workers == 0) -------------------------------------------
     def _run_inline(self, todo: Sequence[FleetUnit]) -> WorkerReport:
-        """No subprocesses: stream the units through run_units."""
+        """No subprocesses: run the units in order, recording each."""
         report = WorkerReport(worker_id="inline")
-        run_specs = [spec_to_run_unit(unit.spec) for unit in todo]
-        timings: Dict[int, float] = {}
-
-        def on_result(index: int, _run_unit: RunUnit, result) -> None:
-            unit = todo[index]
-            elapsed = time.monotonic() - timings.get(index, time.monotonic())
+        cache = TraceCache()
+        previous = time.monotonic()
+        for unit in todo:
+            result = execute_unit(spec_to_run_unit(unit.spec), cache)
+            landed = time.monotonic()
             status = self.db.record_unit(
                 self.experiment_id,
                 unit.key,
                 dict(unit.spec.to_wire()),
                 result_payload(result),
                 worker_id="inline",
-                elapsed_s=max(elapsed, 0.0),
+                elapsed_s=landed - previous,
             )
+            previous = landed
             report.completed += 1
             if status == "duplicate":
                 report.duplicates += 1
             if self.on_record is not None:
                 self.on_record("inline", unit.key)
-
-        for index in range(len(run_specs)):
-            timings[index] = time.monotonic()
-        run_units(run_specs, jobs=self.worker_jobs, on_result=on_result)
         return report
 
     # -- distributed -----------------------------------------------------
     def _run_distributed(
         self, todo: Sequence[FleetUnit]
     ) -> Tuple[UnitLedger, List[WorkerReport]]:
-        manifests = shard_manifests(todo, self.workers) if todo else [
-            [] for _ in range(self.workers)
-        ]
-        ledger = UnitLedger(manifests)
+        ledger = UnitLedger(todo)
         runtime = (
             Path(self.runtime_dir)
             if self.runtime_dir is not None
             else Path(tempfile.mkdtemp(prefix="repro-fleet-"))
         )
         handles = [
-            ServiceWorker(
-                f"worker-{index}",
-                runtime,
-                jobs=self.worker_jobs,
-                env=self.worker_env,
-            )
+            ServiceWorker(f"worker-{index}", runtime, env=self.worker_env)
             for index in range(self.workers)
         ]
         reports = [WorkerReport(worker_id=h.worker_id) for h in handles]
         logger.info(
             "fleet timeouts: start=%.1fs (REPRO_FLEET_START_TIMEOUT) "
-            "stop=%.1fs (REPRO_FLEET_STOP_TIMEOUT) idle-poll=%.3fs "
-            "(REPRO_FLEET_IDLE_POLL)",
+            "stop=%.1fs (REPRO_FLEET_STOP_TIMEOUT)",
             worker_start_timeout(),
             worker_stop_timeout(),
-            idle_poll(),
         )
         if self.supervision.heartbeat_enabled:
             logger.info(
@@ -759,11 +666,11 @@ class FleetDispatcher:
         threads = [
             threading.Thread(
                 target=self._worker_loop,
-                args=(handle, shard, ledger, report),
+                args=(handle, ledger, report),
                 name=f"fleet-{handle.worker_id}",
                 daemon=True,
             )
-            for shard, (handle, report) in enumerate(zip(handles, reports))
+            for handle, report in zip(handles, reports)
         ]
         try:
             for thread in threads:
@@ -798,7 +705,6 @@ class FleetDispatcher:
     def _worker_loop(
         self,
         worker: ServiceWorker,
-        shard: int,
         ledger: UnitLedger,
         report: WorkerReport,
     ) -> None:
@@ -811,7 +717,7 @@ class FleetDispatcher:
         """
         breaker = self._breakers.get(worker.worker_id)
         while True:
-            death = self._drive_worker(worker, shard, ledger, report)
+            death = self._drive_worker(worker, ledger, report)
             if death is None:
                 report.breaker = breaker.snapshot() if breaker else {}
                 return
@@ -895,12 +801,10 @@ class FleetDispatcher:
     def _drive_worker(
         self,
         worker: ServiceWorker,
-        shard: int,
         ledger: UnitLedger,
         report: WorkerReport,
     ) -> Optional[str]:
         """Drive one incarnation; None = clean drain, str = death reason."""
-        poll = idle_poll()
         breaker = self._breakers.get(worker.worker_id)
         try:
             client = worker.connect()
@@ -914,12 +818,9 @@ class FleetDispatcher:
         )
         try:
             while True:
-                unit = ledger.claim(shard, worker.worker_id)
+                unit = ledger.claim(worker.worker_id)
                 if unit is None:
-                    if ledger.outstanding() == 0:
-                        return None
-                    time.sleep(poll)
-                    continue
+                    return None
                 submit_started = time.monotonic()
                 try:
                     frame = client.submit(unit.spec)
@@ -1011,14 +912,13 @@ def _cmd_run(args) -> int:
         db,
         workers=args.workers,
         experiment_id=args.experiment or None,
-        worker_jobs=args.worker_jobs,
         supervision=_supervision_from_args(args),
     )
     summary = dispatcher.run()
     print(
         f"[fleet] {summary.experiment_id}: {summary.units_recorded}/"
         f"{summary.units_total} units recorded in {summary.elapsed_s:.1f}s "
-        f"({summary.steals} steals, {summary.redispatches} re-dispatches, "
+        f"({summary.redispatches} re-dispatches, "
         f"{summary.duplicates} duplicates, {summary.worker_deaths} worker "
         f"deaths)"
     )
@@ -1093,10 +993,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     run.add_argument(
         "--workers", type=int, default=2,
         help="worker service processes (0 = inline, no subprocesses)",
-    )
-    run.add_argument(
-        "--worker-jobs", type=int, default=1,
-        help="simulation processes per worker",
     )
     run.add_argument("--experiment", default="", help="experiment id")
     run.add_argument(

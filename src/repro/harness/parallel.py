@@ -13,9 +13,10 @@ per-experiment orchestration code:
    :class:`RecordingExecutor` installed.  Each ``_run`` call yields a
    cheap placeholder result while its :class:`RunUnit` is recorded (in
    first-request order, deduplicated).  No simulation happens.
-2. **Execute** — run the recorded units over a ``multiprocessing`` pool
-   (:func:`run_units`); workers share the persistent disk trace cache,
-   so each trace is generated at most once across the whole sweep.
+2. **Execute** — run the recorded units over a process pool
+   (:func:`run_units`, which is :func:`fan_out` over :func:`run_unit`);
+   workers share the persistent disk trace cache, so each trace is
+   generated at most once across the whole sweep.
 3. **Replay** — run the experiment function again with a
    :class:`ReplayExecutor` that returns the real result for each unit.
    The replay performs the exact arithmetic of a serial run, in the
@@ -31,13 +32,17 @@ speed for correctness.
 
 from __future__ import annotations
 
+import concurrent.futures
+import functools
 import multiprocessing
 import os
 import sys
 import time
+from concurrent.futures import BrokenExecutor, Executor, Future
+from concurrent.futures import TimeoutError as FuturesTimeout
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.retry import RetryPolicy
 from repro.config import SimConfig
@@ -76,6 +81,9 @@ class RunUnit:
     #: Arrival-process descriptor as sorted key/value pairs
     #: (``"scenario"`` mode only; tuple form keeps the unit hashable).
     scenario: Tuple = ()
+
+    def __str__(self) -> str:
+        return f"{self.workload} x{self.transactions} {self.mode}"
 
 
 #: Per-process unit memo (lazily constructed; see repro.harness.memo).
@@ -191,22 +199,25 @@ def executor_scope(executor):
 # ----------------------------------------------------------------------
 # Process-pool execution
 # ----------------------------------------------------------------------
-_WORKER_CACHE: Optional[TraceCache] = None
+def process_pool(jobs: int) -> Executor:
+    """A ``ProcessPoolExecutor`` of ``jobs`` workers (imported on use)."""
+    return concurrent.futures.ProcessPoolExecutor(
+        max_workers=jobs, mp_context=multiprocessing.get_context(_START_METHOD)
+    )
 
 
-def _init_worker(cache_dir) -> None:
-    global _WORKER_CACHE
-    _WORKER_CACHE = TraceCache(cache_dir)
+@functools.lru_cache(maxsize=1)
+def _trace_cache(cache_dir) -> TraceCache:
+    return TraceCache(cache_dir)
 
 
-def _execute_indexed(item):
-    index, unit = item
-    return index, execute_unit(unit, _WORKER_CACHE)
+def run_unit(unit: RunUnit, cache_dir=TraceCache.AUTO):
+    """Simulate ``unit`` on this process's trace cache for ``cache_dir``.
 
-
-def _execute_pooled(unit: RunUnit):
-    """Worker-side entry for :class:`WarmPool` submissions."""
-    return execute_unit(unit, _WORKER_CACHE)
+    A pool worker keeps that cache across every unit it runs, so each
+    trace is loaded at most once per worker.
+    """
+    return execute_unit(unit, _trace_cache(cache_dir))
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -273,123 +284,6 @@ def _worker_retry_policy() -> RetryPolicy:
     )
 
 
-def _resilient_map(
-    worker: Callable,
-    initializer: Optional[Callable],
-    initargs: tuple,
-    items: List,
-    jobs: int,
-    serial_fn: Callable,
-    label_fn: Callable[[object], str],
-    failures: Optional[List[WorkerFailure]] = None,
-    on_result: Optional[Callable[[int, object, object], None]] = None,
-) -> List:
-    """Pool-map ``worker`` over indexed ``items`` with retry + fallback.
-
-    ``worker`` receives ``(index, item)`` and returns ``(index,
-    payload)``.  A unit whose worker raises or exceeds
-    ``REPRO_WORKER_TIMEOUT`` is retried on a *fresh* pool (up to
-    ``REPRO_WORKER_RETRIES`` times, with exponential backoff); a unit
-    that keeps failing is completed in-process by ``serial_fn`` so one
-    bad worker cannot kill the sweep.  Hung workers die with their
-    pool (context exit terminates).  Raises
-    :class:`ParallelExecutionError` only when the serial fallback
-    fails too.
-
-    ``on_result(index, item, payload)`` streams each unit's completion
-    the moment it lands (at most once per unit).  The callback is
-    carried by this function, not by any one pool, so it keeps firing
-    for units completed on a retry-replacement pool and for units the
-    serial fallback finishes — a fleet recording results incrementally
-    must not lose the units that needed a second pool.
-    """
-    timeout = _worker_timeout()
-    policy = _worker_retry_policy()
-    results: List = [None] * len(items)
-    history: Dict[int, List[str]] = {}
-    pending: List[Tuple[int, object]] = list(enumerate(items))
-    ctx = multiprocessing.get_context(_START_METHOD)
-
-    for attempt in range(policy.attempts):
-        if not pending:
-            break
-        if attempt:
-            time.sleep(policy.delay(attempt - 1))
-        still_failing: List[Tuple[int, object]] = []
-        with ctx.Pool(
-            processes=min(jobs, len(pending)),
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
-            handles = [
-                (index, item, pool.apply_async(worker, ((index, item),)))
-                for index, item in pending
-            ]
-            for index, item, handle in handles:
-                try:
-                    got_index, payload = handle.get(timeout)
-                except multiprocessing.TimeoutError:
-                    history.setdefault(index, []).append(
-                        f"timed out after {timeout}s"
-                    )
-                    still_failing.append((index, item))
-                except Exception as exc:
-                    history.setdefault(index, []).append(
-                        f"{type(exc).__name__}: {exc}"
-                    )
-                    still_failing.append((index, item))
-                else:
-                    results[got_index] = payload
-                    if on_result is not None:
-                        on_result(got_index, item, payload)
-                    if got_index in history and failures is not None:
-                        failures.append(
-                            WorkerFailure(
-                                index=got_index,
-                                label=label_fn(item),
-                                attempts=len(history[got_index]) + 1,
-                                error=history[got_index][-1],
-                                resolution="retried",
-                            )
-                        )
-            # Context exit terminates the pool, reaping hung workers.
-        pending = still_failing
-
-    for index, item in pending:
-        errors = history.get(index, [])
-        try:
-            results[index] = serial_fn(item)
-            if on_result is not None:
-                on_result(index, item, results[index])
-        except Exception as exc:
-            if failures is not None:
-                failures.append(
-                    WorkerFailure(
-                        index=index,
-                        label=label_fn(item),
-                        attempts=len(errors) + 1,
-                        error=f"{type(exc).__name__}: {exc}",
-                        resolution="failed",
-                    )
-                )
-            raise ParallelExecutionError(
-                f"unit {index} ({label_fn(item)}) failed after "
-                f"{len(errors)} pool attempt(s) ({'; '.join(errors)}) "
-                f"and the serial fallback: {type(exc).__name__}: {exc}"
-            ) from exc
-        if failures is not None:
-            failures.append(
-                WorkerFailure(
-                    index=index,
-                    label=label_fn(item),
-                    attempts=len(errors) + 1,
-                    error=errors[-1] if errors else "",
-                    resolution="serial",
-                )
-            )
-    return results
-
-
 def report_failures(failures: List[WorkerFailure]) -> None:
     """Print a per-unit failure summary to stderr (empty list: silent)."""
     for failure in failures:
@@ -401,172 +295,14 @@ def report_failures(failures: List[WorkerFailure]) -> None:
         )
 
 
-def run_units(
-    units: Sequence[RunUnit],
-    jobs: int,
-    cache_dir=TraceCache.AUTO,
-    failures: Optional[List[WorkerFailure]] = None,
-    on_result: Optional[Callable[[int, RunUnit, object], None]] = None,
-) -> List:
-    """Execute ``units`` on ``jobs`` workers; results in input order.
-
-    ``jobs <= 1`` runs serially in-process (no pool, easier debugging);
-    either way the returned list lines up index-for-index with
-    ``units``.  Crashed or hung workers are retried and finally
-    degraded to in-process execution (see :func:`_resilient_map`); pass
-    ``failures`` to collect the per-unit summary (it is also printed to
-    stderr when the caller does not collect it).  ``on_result(index,
-    unit, result)`` streams each completion as it lands, surviving
-    retry-triggered pool replacement and the serial fallback.
-    """
-    units = list(units)
-    if cache_dir is TraceCache.AUTO:
-        cache_dir = default_cache_dir()
-    if jobs <= 1 or len(units) <= 1:
-        cache = TraceCache(cache_dir)
-        results = []
-        for index, unit in enumerate(units):
-            result = execute_unit(unit, cache)
-            results.append(result)
-            if on_result is not None:
-                on_result(index, unit, result)
-        return results
-    jobs = min(jobs, len(units))
-
-    serial_cache: List[Optional[TraceCache]] = [None]
-
-    def serial_fn(unit: RunUnit):
-        if serial_cache[0] is None:
-            serial_cache[0] = TraceCache(cache_dir)
-        return execute_unit(unit, serial_cache[0])
-
-    own_failures: List[WorkerFailure] = [] if failures is None else failures
-    results = _resilient_map(
-        _execute_indexed,
-        _init_worker,
-        (cache_dir,),
-        units,
-        jobs,
-        serial_fn,
-        lambda unit: f"{unit.workload} x{unit.transactions} {unit.mode}",
-        own_failures,
-        on_result=on_result,
-    )
-    if failures is None and own_failures:
-        report_failures(own_failures)
-    return results
-
-
-# ----------------------------------------------------------------------
-# Warm pool: long-lived workers with incremental completion callbacks
-# ----------------------------------------------------------------------
-class WarmPool:
-    """A persistent worker pool that reports each unit as it finishes.
-
-    :func:`run_units` is batch-shaped: it owns a pool for one call,
-    blocks until every unit is done and returns results together —
-    right for one-shot CLI sweeps, wrong for a long-lived service that
-    admits jobs continuously and wants to stream completions.
-    ``WarmPool`` keeps the workers (and their per-process trace caches)
-    warm across submissions and invokes a caller-supplied callback for
-    every unit the moment it completes.
-
-    Callbacks run on the pool's result-handler *thread*; callers
-    bridging into asyncio must trampoline through
-    ``loop.call_soon_threadsafe``.  A unit whose worker raises is
-    reported through the callback's ``error`` slot rather than raising
-    out of the pool — the caller decides whether to retry (the
-    :mod:`repro.service` scheduler falls back to in-process execution,
-    mirroring :func:`_resilient_map`'s serial degrade).
-    """
-
-    def __init__(self, jobs: Optional[int] = None, cache_dir=TraceCache.AUTO):
-        self.jobs = resolve_jobs(jobs)
-        if cache_dir is TraceCache.AUTO:
-            cache_dir = default_cache_dir()
-        self.cache_dir = cache_dir
-        self._ctx = multiprocessing.get_context(_START_METHOD)
-        self._pool = self._ctx.Pool(
-            processes=self.jobs,
-            initializer=_init_worker,
-            initargs=(cache_dir,),
-        )
-        self._closed = False
-        #: Units handed to workers since construction.
-        self.submitted = 0
-        #: Units whose callback has fired (success or error).
-        self.completed = 0
-
-    # -- submission ------------------------------------------------------
-    def submit(
-        self,
-        unit: RunUnit,
-        on_done: Callable[[RunUnit, object, Optional[BaseException]], None],
-    ) -> None:
-        """Queue ``unit``; call ``on_done(unit, result, error)`` when done.
-
-        Exactly one of ``result``/``error`` is meaningful: ``error`` is
-        ``None`` on success.  Never blocks — the pool's internal task
-        queue is unbounded, so admission control (backpressure) belongs
-        to the caller.
-        """
-        if self._closed:
-            raise RuntimeError("WarmPool is closed")
-        self.submitted += 1
-
-        def _ok(result, _unit=unit):
-            self.completed += 1
-            on_done(_unit, result, None)
-
-        def _err(exc, _unit=unit):
-            self.completed += 1
-            on_done(_unit, None, exc)
-
-        self._pool.apply_async(
-            _execute_pooled, (unit,), callback=_ok, error_callback=_err
-        )
-
-    # -- lifecycle -------------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        return self.submitted - self.completed
-
-    def close(self, wait: bool = True) -> None:
-        """Stop accepting work; optionally wait for in-flight units."""
-        if self._closed:
-            return
-        self._closed = True
-        self._pool.close()
-        if wait:
-            self._pool.join()
-
-    def terminate(self) -> None:
-        """Kill workers immediately (in-flight units are abandoned)."""
-        self._closed = True
-        self._pool.terminate()
-        self._pool.join()
-
-    def __enter__(self) -> "WarmPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close(wait=True)
-        else:
-            self.terminate()
-
-
-_FAN_OUT_FN = None
-
-
-def _init_fan_out(fn) -> None:
-    global _FAN_OUT_FN
-    _FAN_OUT_FN = fn
-
-
-def _fan_out_indexed(item):
-    index, value = item
-    return index, _FAN_OUT_FN(value)
+def _submit(pool: Executor, fn, item) -> Future:
+    try:
+        return pool.submit(fn, item)
+    except BrokenExecutor as exc:
+        # A worker died while the batch was still being submitted.
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
 
 
 def fan_out(
@@ -578,44 +314,126 @@ def fan_out(
 ) -> List:
     """Map ``fn`` over ``items`` on ``jobs`` worker processes.
 
-    The generic sibling of :func:`run_units` for work that is not a
-    :class:`RunUnit` (e.g. the crash-oracle's per-controller sweeps).
-    ``fn`` and each item must be picklable under the fork start method;
-    results line up index-for-index with ``items``.  ``jobs <= 1`` runs
-    serially in-process.  Failing or hung workers are retried then
-    degraded to in-process execution, exactly as in :func:`run_units`.
+    The one batch executor (sweeps via :func:`run_units`, the crash
+    oracle, the fault campaign).  ``fn`` and each item must pickle;
+    results line up with ``items``; ``jobs <= 1`` runs in-process.
 
-    ``on_result(index, item, result)`` is the streaming per-item
-    completion callback.  It is registered with the retry machinery
-    itself rather than with the first pool, so when a crashed worker
-    forces the pool to be replaced, the callback is re-registered on
-    the fresh pool and still fires exactly once per item.
+    A unit whose worker raises, dies (``BrokenProcessPool``) or exceeds
+    ``REPRO_WORKER_TIMEOUT`` is retried on a *fresh* pool up to
+    ``REPRO_WORKER_RETRIES`` times (``REPRO_WORKER_BACKOFF`` exponential
+    backoff), then completed in-process, so one bad worker cannot kill
+    the sweep; each such unit gets a :class:`WorkerFailure` in
+    ``failures`` (else printed to stderr).  Raises
+    :class:`ParallelExecutionError` only if the in-process run fails
+    too.  ``on_result(index, item, result)`` fires exactly once per
+    item, the moment its result lands.
     """
     items = list(items)
+    results: List = [None] * len(items)
+
+    def land(index: int, result) -> None:
+        results[index] = result
+        if on_result is not None:
+            on_result(index, items[index], result)
+
     if jobs <= 1 or len(items) <= 1:
-        results = []
         for index, item in enumerate(items):
-            result = fn(item)
-            results.append(result)
-            if on_result is not None:
-                on_result(index, item, result)
+            land(index, fn(item))
         return results
-    jobs = min(jobs, len(items))
+
     own_failures: List[WorkerFailure] = [] if failures is None else failures
-    results = _resilient_map(
-        _fan_out_indexed,
-        _init_fan_out,
-        (fn,),
-        items,
-        jobs,
-        fn,
-        lambda item: repr(item)[:80],
-        own_failures,
-        on_result=on_result,
-    )
+    history: Dict[int, List[str]] = {}
+
+    def note(index: int, resolution: str, error: str) -> None:
+        own_failures.append(
+            WorkerFailure(
+                index=index,
+                label=str(items[index])[:80],
+                attempts=len(history[index]) + 1,
+                error=error,
+                resolution=resolution,
+            )
+        )
+
+    timeout = _worker_timeout()
+    policy = _worker_retry_policy()
+    pending = list(range(len(items)))
+    for attempt in range(policy.attempts):
+        if not pending:
+            break
+        if attempt:
+            time.sleep(policy.delay(attempt - 1))
+        pool = process_pool(min(jobs, len(pending)))
+        hung = False
+        try:
+            futures = [
+                (index, _submit(pool, fn, items[index])) for index in pending
+            ]
+            pending = []
+            for index, future in futures:
+                try:
+                    result = future.result(timeout)
+                except FuturesTimeout:
+                    hung = True
+                    error = f"timed out after {timeout}s"
+                except Exception as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+                else:
+                    land(index, result)
+                    if index in history:
+                        note(index, "retried", history[index][-1])
+                    continue
+                history.setdefault(index, []).append(error)
+                pending.append(index)
+        finally:
+            if hung:
+                # No public way to kill a hung worker before Python 3.14.
+                for process in list(pool._processes.values()):
+                    process.kill()
+            pool.shutdown(wait=True)
+
+    for index in pending:
+        errors = history[index]
+        try:
+            result = fn(items[index])
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            note(index, "failed", error)
+            raise ParallelExecutionError(
+                f"unit {index} ({str(items[index])[:80]}) failed after "
+                f"{len(errors)} pool attempt(s) ({'; '.join(errors)}) "
+                f"and the serial fallback: {error}"
+            ) from exc
+        land(index, result)
+        note(index, "serial", errors[-1])
     if failures is None and own_failures:
         report_failures(own_failures)
     return results
+
+
+def run_units(
+    units: Sequence[RunUnit],
+    jobs: int,
+    cache_dir=TraceCache.AUTO,
+    failures: Optional[List[WorkerFailure]] = None,
+    on_result: Optional[Callable[[int, RunUnit, object], None]] = None,
+) -> List:
+    """Execute ``units`` on ``jobs`` workers; results in input order.
+
+    :func:`fan_out` over :func:`run_unit`, with the same retry, serial
+    degrade, ``failures`` and ``on_result`` contract.  Units run in this
+    process (``jobs <= 1``, or the fallback) share one trace cache, which
+    is dropped when the call returns.
+    """
+    if cache_dir is TraceCache.AUTO:
+        cache_dir = default_cache_dir()
+    try:
+        return fan_out(
+            functools.partial(run_unit, cache_dir=cache_dir),
+            units, jobs, failures, on_result,
+        )
+    finally:
+        _trace_cache.cache_clear()
 
 
 def run_experiment_parallel(

@@ -14,15 +14,16 @@ inference frontend:
   in-flight/completed jobs, replay at admission from the unit memo
   (:class:`repro.harness.memo.UnitMemo`, keyed by run unit and
   simulator source — the one result cache every run path shares),
-  dispatch at admission onto a warm
-  :class:`repro.harness.parallel.WarmPool`, and drain-on-shutdown;
+  dispatch at admission onto a worker thread or a long-lived process
+  pool (:func:`repro.harness.parallel.process_pool`), and
+  drain-on-shutdown;
 * :mod:`repro.service.server` — the asyncio server (loopback TCP +
   Unix socket), per-client token-bucket rate limiting, bounded event
   queues, graceful SIGTERM drain;
 * :mod:`repro.service.client` — a blocking JSON-lines client used by
   ``python -m repro.harness submit`` and the test suite;
 * :mod:`repro.service.smoke` — the end-to-end smoke: concurrent
-  clients, the six-config matrix, bit-identical-to-direct-run
+  clients, the controller matrix, bit-identical-to-direct-run
   comparison, and the drain check (CI's ``service-smoke`` job).
 
 Start a server with ``python -m repro.harness serve``; submit with

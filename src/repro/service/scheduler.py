@@ -1,9 +1,9 @@
-"""Job admission: dedup, dispatch, the warm pool, and drain.
+"""Job admission: dedup, dispatch, the worker pool, and drain.
 
 The scheduler is the single-writer owner of all job state; it runs on
-the server's asyncio loop, so no locks are needed — pool completion
-callbacks (which arrive on the pool's result-handler thread) are
-trampolined back onto the loop with ``call_soon_threadsafe``.
+the server's asyncio loop, so no locks are needed — each job is one
+coroutine that awaits its result, whether a worker thread or a pool
+process computes it.
 
 Admission pipeline for one ``submit``:
 
@@ -19,16 +19,17 @@ Admission pipeline for one ``submit``:
    restarted after a simulator change re-runs the job instead of
    replaying a payload the old code computed.
 3. **Dispatch** — a new job starts before ``submit`` returns.  Each
-   job is its own pool submission, and every caller waits for one
-   result before sending its next request, so holding jobs back to
-   group them would only add latency.
-4. **Execute** — jobs run on a shared
-   :class:`~repro.harness.parallel.WarmPool` (``jobs >= 2``) or an
-   in-process thread (``jobs <= 1``; identical results either way,
-   both run :func:`repro.harness.parallel.execute_unit`).  A unit
-   whose worker dies is retried once in-process — the service-side
-   analogue of :func:`repro.harness.parallel._resilient_map`'s serial
-   degrade — before the job is failed.
+   job is its own submission, and every caller waits for one result
+   before sending its next request, so holding jobs back to group them
+   would only add latency.
+4. **Execute** — ``jobs <= 1`` runs
+   :func:`repro.harness.parallel.execute_unit` on a thread;
+   ``jobs >= 2`` submits :func:`repro.harness.parallel.run_unit` to a
+   long-lived :func:`~repro.harness.parallel.process_pool` whose
+   workers keep their trace caches warm across jobs.  Results are
+   identical either way.  A job whose pool worker raises or dies gets
+   one in-process retry and is marked ``degraded``; a pool that a dead
+   worker broke is replaced by a fresh one for the next job.
 5. **Complete** — the result payload is digest-stamped (the unit memo
    stored the result when it ran), and every waiter's future resolves.
 
@@ -41,10 +42,17 @@ from __future__ import annotations
 
 import asyncio
 import enum
+from concurrent.futures import BrokenExecutor, Executor
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
-from repro.harness.parallel import WarmPool, execute_unit, RunUnit, unit_memo
+from repro.harness.parallel import (
+    RunUnit,
+    execute_unit,
+    process_pool,
+    run_unit,
+    unit_memo,
+)
 from repro.harness.trace_store import TraceCache
 from repro.service.protocol import (
     JobSpec,
@@ -80,7 +88,7 @@ class Job:
     error: Optional[str] = None
     #: Replayed from the unit memo at admission (no simulation ran).
     cached: bool = False
-    #: Completed by the in-process retry after a worker death.
+    #: Its pool worker raised or died, so it ran again in-process.
     degraded: bool = False
     #: Resolved (with this Job) when the job reaches a terminal state.
     done: asyncio.Future = field(default_factory=asyncio.Future)
@@ -101,8 +109,9 @@ class ExperimentScheduler:
         self.jobs = max(1, jobs)
         self.events = events if events is not None else JobEventLog()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._pool: Optional[WarmPool] = None
+        self._pool: Optional[Executor] = None
         self._thread_cache: Optional[TraceCache] = None
+        self._tasks: Set[asyncio.Task] = set()
         self._jobs: Dict[str, Job] = {}
         self._draining = False
         self._idle = asyncio.Event()
@@ -150,51 +159,38 @@ class ExperimentScheduler:
             return job
 
         self._idle.clear()
-        self._dispatch(job)
+        self._emit("job.started", job.key)
+        task = self._loop.create_task(self._run(job))
+        self._tasks.add(task)  # the loop holds tasks weakly
+        task.add_done_callback(self._tasks.discard)
         return job
 
-    def _dispatch(self, job: Job) -> None:
-        self._emit("job.started", job.key)
-        if self.jobs >= 2:
-            self._ensure_pool().submit(job.unit, self._pool_done(job))
-        else:
-            task = self._loop.create_task(self._run_inline(job))
-            task.add_done_callback(lambda _t: None)
-
-    def _ensure_pool(self) -> WarmPool:
-        if self._pool is None:
-            self._pool = WarmPool(self.jobs)
-        return self._pool
-
-    # -- completion paths ------------------------------------------------
-    def _pool_done(self, job: Job):
-        loop = self._loop
-
-        def on_done(_unit, result, error):
-            # Pool result-handler thread -> loop thread.
-            loop.call_soon_threadsafe(self._pool_landed, job, result, error)
-
-        return on_done
-
-    def _pool_landed(self, job: Job, result, error) -> None:
-        if error is None:
-            self._finish(job, result=result)
-            return
-        # Worker died: one in-process retry before failing the job.
-        task = self._loop.create_task(self._run_inline(job, degraded=True))
-        task.add_done_callback(lambda _t: None)
-
-    async def _run_inline(self, job: Job, degraded: bool = False) -> None:
-        if self._thread_cache is None:
-            self._thread_cache = TraceCache()
+    async def _run(self, job: Job) -> None:
+        """Compute ``job`` on the pool (``jobs >= 2``) or a thread."""
         try:
-            result = await asyncio.to_thread(
-                execute_unit, job.unit, self._thread_cache
-            )
+            if self.jobs >= 2:
+                if self._pool is None:
+                    self._pool = process_pool(self.jobs)
+                pool = self._pool
+                try:
+                    result = await asyncio.wrap_future(
+                        pool.submit(run_unit, job.unit)
+                    )
+                except Exception as exc:
+                    broken = isinstance(exc, BrokenExecutor)
+                    if broken and pool is self._pool:
+                        self._pool = None
+                        pool.shutdown(wait=False)
+                    job.degraded = True
+            if self.jobs == 1 or job.degraded:
+                if self._thread_cache is None:
+                    self._thread_cache = TraceCache()
+                result = await asyncio.to_thread(
+                    execute_unit, job.unit, self._thread_cache
+                )
         except Exception as exc:
             self._finish(job, error=f"{type(exc).__name__}: {exc}")
             return
-        job.degraded = degraded
         self._finish(job, result=result)
 
     def _finish(
@@ -250,5 +246,5 @@ class ExperimentScheduler:
         """Drain, then release the worker pool."""
         await self.drain()
         if self._pool is not None:
-            await asyncio.to_thread(self._pool.close, True)
+            await asyncio.to_thread(self._pool.shutdown, True)
             self._pool = None

@@ -5,10 +5,10 @@ against a real server subprocess:
 
 1. **Matrix under concurrency** — N concurrent clients (threads; one
    on the Unix socket, the rest on loopback TCP) each submit the full
-   six-config controller matrix for the same (workload, transactions,
-   seed).  Every result must be **bit-identical** to a direct
-   in-process :func:`repro.harness.parallel.execute_unit` run of the
-   same unit, and the server must report a dedup hit-rate > 0 on the
+   controller matrix for the same (workload, transactions, seed).
+   Every result must be **bit-identical** to a direct in-process
+   :func:`repro.harness.parallel.execute_unit` run of the same unit,
+   and the server must report a dedup hit-rate > 0 on the
    duplicate-heavy mix.
 2. **Graceful drain** — a fresh client submits jobs, waits until the
    server *accepted* them, then SIGTERMs the server.  Every accepted

@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite."""
 
 import hashlib
+import threading
 
 import pytest
 
@@ -14,6 +15,35 @@ from repro.mem.nvm import NVMDevice
 @pytest.fixture
 def sim():
     return Simulator()
+
+
+@pytest.fixture
+def bounded():
+    """Run ``fn()`` on a daemon thread; fail, not hang, if it blocks.
+
+    For tests of code that must not hang (a killed worker, a drain):
+    ``bounded(fn, timeout)`` returns ``fn()``'s value or re-raises its
+    exception, and fails once ``timeout`` seconds pass.
+    """
+
+    def run(fn, timeout: float = 60.0):
+        outcome = {}
+
+        def target():
+            try:
+                outcome["value"] = fn()
+            except BaseException as exc:  # re-raised on the test thread
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        thread.join(timeout)
+        assert not thread.is_alive(), f"still blocked after {timeout}s"
+        if "error" in outcome:
+            raise outcome["error"]
+        return outcome["value"]
+
+    return run
 
 
 @pytest.fixture(scope="session")

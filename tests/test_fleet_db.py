@@ -1,12 +1,14 @@
 """The fleet experiment database: round-trips, upserts, quarantine.
 
-The db is the fleet's ground truth — re-dispatch and work stealing
-both funnel through :meth:`FleetDB.record_unit`, so the
+The db is the fleet's ground truth — first completions and
+re-dispatched ones both funnel through :meth:`FleetDB.record_unit`, so
+the
 idempotent-upsert contract (first record wins, identical re-records
 count as duplicates, *divergent* re-records raise) is what makes
 "every unit exactly once" checkable at all.  Corruption handling
 mirrors the TraceStore: a row whose payload no longer matches its
-digest is quarantined and reported missing, never silently trusted.
+digest is quarantined and reported missing, never silently trusted;
+so is a stale row, whose key the campaign no longer expands to.
 """
 
 from __future__ import annotations
@@ -193,6 +195,24 @@ class TestQuarantine:
         # and the fresh record lands cleanly.
         assert db.record_unit("exp", "k1", _spec(), _payload()) == "inserted"
         assert db.load_unit("exp", "k1").payload == _payload()
+
+    def test_stale_rows_move_to_quarantine(self, db):
+        db.open_experiment("exp", {})
+        db.open_experiment("other", {})
+        for key in ("keep", "old-1", "old-2"):
+            db.record_unit("exp", key, _spec(), _payload())
+        db.record_unit("other", "old-1", _spec(), _payload())
+        assert db.quarantine_stale("exp", {"keep", "new"}) == 2
+        assert db.unit_keys("exp") == ["keep"]
+        assert db.unit_keys("other") == ["old-1"]  # other experiments stay
+        assert db.status("exp")["quarantined"] == 2
+        reasons = {
+            row[0]
+            for row in db._conn().execute(
+                "SELECT reason FROM quarantine WHERE experiment_id='exp'"
+            )
+        }
+        assert reasons == {"stale: recorded by other simulator sources"}
 
     def test_corrupt_row_dropped_from_bulk_reads(self, tmp_path):
         path = tmp_path / "fleet.sqlite"

@@ -26,6 +26,7 @@ from repro.fleet.dispatcher import (
     spec_to_run_unit,
 )
 from repro.fleet.report import build_report, render_html
+from repro.harness import memo, parallel
 from repro.harness.parallel import execute_unit
 from repro.harness.trace_store import TraceCache
 from repro.service.client import ServiceClient, ServiceError
@@ -119,6 +120,39 @@ class TestFleetMatchesSerial:
         assert summary.units_recorded == summary.units_total
         assert db.status("resume")["duplicates"] == 0
 
+    def test_resume_after_a_simulator_change_reruns_every_unit(
+        self, tmp_path, monkeypatch
+    ):
+        """Rows recorded by other simulator sources are stale: they move
+        to quarantine and every unit runs again."""
+        monkeypatch.setattr(parallel, "_UNIT_MEMO", memo.UnitMemo(None))
+        campaign = _tiny_campaign(fault_sites=0)
+        db = FleetDB(tmp_path / "fleet.sqlite")
+        FleetDispatcher(campaign, db, workers=0, experiment_id="stale").run()
+        # A new fingerprint stands for edited simulator sources.
+        monkeypatch.setattr(memo, "_MODEL_FINGERPRINT", "edited-simulator")
+        recorded = []
+        FleetDispatcher(
+            campaign, db, workers=0, experiment_id="stale",
+            on_record=lambda _worker, key: recorded.append(key),
+        ).run()
+        assert len(recorded) == 4
+        status = db.status("stale")
+        assert (status["units"], status["quarantined"]) == (4, 4)
+
+    def test_inline_rows_time_each_unit(self, tmp_path, monkeypatch):
+        """An inline row's elapsed time is its own unit's, so the rows
+        sum to no more than the campaign's wall time."""
+        monkeypatch.setattr(parallel, "_UNIT_MEMO", memo.UnitMemo(None))
+        campaign = _tiny_campaign(fault_sites=0)
+        db = FleetDB(tmp_path / "fleet.sqlite")
+        summary = FleetDispatcher(
+            campaign, db, workers=0, experiment_id="timed"
+        ).run()
+        rows = db.unit_rows("timed")
+        assert len(rows) == 4
+        assert sum(row.elapsed_s for row in rows) <= summary.elapsed_s
+
 
 class TestWorkerKill:
     def test_killed_worker_is_redispatched_bit_identically(
@@ -126,7 +160,7 @@ class TestWorkerKill:
     ):
         """SIGKILL one of two workers after its first recorded unit.
 
-        The survivor completes the campaign via requeue + stealing; the
+        The survivor completes the campaign from the requeued units; the
         database still matches serial execution with zero lost units.
         A client whose socket refuses to close on the teardown path must
         be *logged* (with the worker id), never silently swallowed.
@@ -171,8 +205,8 @@ class TestWorkerKill:
         assert summary.worker_deaths == 1
         assert summary.units_recorded == summary.units_total == len(serial)
         _assert_matches_serial(db, "killed", serial)
-        # Exactly once: each key appears in one row; clones (if any)
-        # only ever bump the duplicates counter.
+        # Exactly once: each key appears in one row; a re-dispatched
+        # unit that lands twice only bumps the duplicates counter.
         assert len(db.unit_keys("killed")) == len(serial)
 
     @pytest.mark.slow

@@ -1,4 +1,4 @@
-"""Property-based tests for fleet expansion, sharding and reporting.
+"""Property-based tests for fleet expansion, dispatch and reporting.
 
 Three invariants carry the fleet's correctness argument:
 
@@ -6,10 +6,9 @@ Three invariants carry the fleet's correctness argument:
   duplicate-free, and exactly the matrix product (plus one fault unit
   per cell when requested), whatever duplicates or orderings the
   campaign lists contain.
-* **Sharding is an exact partition** — across any shard count, and
-  across any interleaving of claims, steals, worker deaths and
-  re-dispatches, every unit is completed exactly once: no loss, no
-  overlap.
+* **Dispatch is exactly-once** — across any interleaving of claims,
+  completions, worker deaths and re-dispatches on the one-queue
+  ledger, every unit is completed exactly once: no loss, no overlap.
 * **Reports are arrival-order invariant** — the same units inserted in
   any permutation (by any workers) produce byte-identical report
   dicts, which is what makes the characterization fixture meaningful.
@@ -20,6 +19,7 @@ from __future__ import annotations
 import random
 import shutil
 import tempfile
+import threading
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -30,7 +30,6 @@ from repro.fleet.dispatcher import (
     FleetUnit,
     UnitLedger,
     expand_units,
-    shard_manifests,
 )
 from repro.fleet.report import build_report
 from repro.oracle.check import controller_matrix
@@ -96,55 +95,48 @@ def _fake_units(n: int):
 
 
 class TestSharding:
-    @given(n=st.integers(0, 200), shards=st.integers(1, 17))
-    @settings(max_examples=60, deadline=None)
-    def test_manifests_partition_exactly(self, n, shards):
-        units = _fake_units(n)
-        manifests = shard_manifests(units, shards)
-        assert len(manifests) == shards
-        flat = [u.key for m in manifests for u in m]
-        assert sorted(flat) == [u.key for u in units]  # no loss, no dup
-        sizes = [len(m) for m in manifests]
-        assert max(sizes) - min(sizes) <= 1  # balanced round-robin
+    """The one-queue :class:`UnitLedger` the worker threads share."""
 
     @given(
         n=st.integers(1, 60),
-        shards=st.integers(1, 6),
+        workers=st.integers(1, 6),
         schedule_seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
     def test_ledger_exact_under_stealing_and_deaths(
-        self, n, shards, schedule_seed
+        self, n, workers, schedule_seed
     ):
         """Random claim/complete/die interleavings: exactly-once.
 
         A seeded schedule interleaves claims, completions and worker
         deaths (whose units are requeued).  Whatever the order, every
-        unit must end up completed exactly once.
+        unit must end up completed exactly once.  A claim is drawn only
+        while a unit is pending: with none pending, ``claim`` waits for
+        another thread, which a one-thread schedule cannot supply.
         """
         rng = random.Random(schedule_seed)
         units = _fake_units(n)
-        ledger = UnitLedger(shard_manifests(units, shards))
-        workers = [f"w{i}" for i in range(shards)]
-        alive = set(workers)
-        holding = {w: [] for w in workers}
+        ledger = UnitLedger(units)
+        names = [f"w{i}" for i in range(workers)]
+        alive = set(names)
+        holding = {w: [] for w in names}
         completed = []
 
         while ledger.outstanding():
+            held = sum(len(claims) for claims in holding.values())
+            pending = ledger.outstanding() - held
             # A dead-end guard: at least one worker must stay alive.
             actions = []
             for w in sorted(alive):
-                actions.append(("claim", w))
+                if pending:
+                    actions.append(("claim", w))
                 if holding[w]:
                     actions.append(("complete", w))
                     if len(alive) > 1:
                         actions.append(("die", w))
             action, w = rng.choice(actions)
-            shard = workers.index(w)
             if action == "claim":
-                unit = ledger.claim(shard, w)
-                if unit is not None:
-                    holding[w].append(unit)
+                holding[w].append(ledger.claim(w))
             elif action == "complete":
                 unit = holding[w].pop()
                 if ledger.complete(unit.key, w):
@@ -156,6 +148,34 @@ class TestSharding:
 
         assert sorted(completed) == sorted(u.key for u in units)
         assert len(completed) == n  # exactly once each
+        assert ledger.claim(names[0]) is None  # all done: no wait
+
+    def test_waiting_claim_gets_a_requeued_unit_then_none(self):
+        """An idle worker waits, takes what a dying worker requeues, and
+        gets ``None`` once the last in-flight unit completes."""
+        ledger = UnitLedger(_fake_units(2))
+        dropped = ledger.claim("dying")
+        slow = ledger.claim("slow")
+        got = []
+
+        def survivor():
+            unit = ledger.claim("survivor")
+            got.append(unit)
+            ledger.complete(unit.key, "survivor")
+            got.append(ledger.claim("survivor"))
+
+        thread = threading.Thread(target=survivor, daemon=True)
+        thread.start()
+        thread.join(0.2)
+        assert thread.is_alive() and got == []  # nothing pending: waits
+        assert ledger.requeue("dying") == 1
+        thread.join(0.2)
+        assert thread.is_alive() and got == [dropped]  # waits on "slow"
+        ledger.complete(slow.key, "slow")
+        thread.join(10)
+        assert not thread.is_alive()
+        assert got == [dropped, None]
+        assert ledger.redispatches == 1
 
 
 def _synthetic_rows(count: int):

@@ -19,7 +19,6 @@ import repro.fleet.dispatcher as dispatcher_mod
 from repro.fleet.dispatcher import (
     FleetError,
     ServiceWorker,
-    idle_poll,
     worker_start_timeout,
     worker_stop_timeout,
 )
@@ -79,23 +78,16 @@ class TestSupervisionConfig:
 
 class TestFleetEnvKnobs:
     def test_timeouts_default_without_env(self, monkeypatch):
-        for name in (
-            "REPRO_FLEET_START_TIMEOUT",
-            "REPRO_FLEET_STOP_TIMEOUT",
-            "REPRO_FLEET_IDLE_POLL",
-        ):
+        for name in ("REPRO_FLEET_START_TIMEOUT", "REPRO_FLEET_STOP_TIMEOUT"):
             monkeypatch.delenv(name, raising=False)
         assert worker_start_timeout() == dispatcher_mod.WORKER_START_TIMEOUT
         assert worker_stop_timeout() == dispatcher_mod.WORKER_STOP_TIMEOUT
-        assert idle_poll() > 0
 
     def test_env_overrides_are_read(self, monkeypatch):
         monkeypatch.setenv("REPRO_FLEET_START_TIMEOUT", "12.5")
         monkeypatch.setenv("REPRO_FLEET_STOP_TIMEOUT", "3.5")
-        monkeypatch.setenv("REPRO_FLEET_IDLE_POLL", "0.07")
         assert worker_start_timeout() == 12.5
         assert worker_stop_timeout() == 3.5
-        assert idle_poll() == 0.07
 
     def test_start_timeout_error_names_the_env_var(
         self, tmp_path, monkeypatch

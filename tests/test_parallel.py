@@ -8,7 +8,7 @@ trace cache must round-trip traces exactly.
 
 import multiprocessing
 import os
-import threading
+import signal
 import time
 from pathlib import Path
 
@@ -400,69 +400,51 @@ class TestDiskTraceCache:
         assert len(digests) == 1
 
 
-class TestWarmPool:
-    """The service's persistent pool: streaming completions, not batches."""
+def _kill_in_pool(item):
+    """SIGKILL the pool worker that runs ``item``; succeed in-process."""
+    if multiprocessing.parent_process() is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return item * 5
 
-    def _units(self, count=3):
-        config = eager_config()
-        return [
-            RunUnit("hashmap", config, TXNS, SEED + i) for i in range(count)
-        ]
 
-    def test_streams_results_identical_to_direct_execution(self, tmp_path):
-        from repro.harness.parallel import WarmPool, execute_unit
+def _kill_once_in_pool(item):
+    """SIGKILL each item's first pool worker, succeed afterwards."""
+    marker = Path(os.environ[_MARKER_ENV]) / f"killed-{item}"
+    if multiprocessing.parent_process() is not None and not marker.exists():
+        marker.write_text("killed once")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return item * 5
 
-        units = self._units()
-        done = threading.Event()
-        landed = {}
 
-        def on_done(unit, result, error):
-            landed[unit.seed] = (result, error)
-            if len(landed) == len(units):
-                done.set()
+class TestWorkerDeath:
+    """A pool worker that dies takes the path of one that raises."""
 
-        with WarmPool(2, cache_dir=tmp_path / "traces") as pool:
-            assert pool.jobs == 2
-            for unit in units:
-                pool.submit(unit, on_done)
-            assert done.wait(timeout=120)
-            assert pool.in_flight == 0
+    def test_killed_worker_degrades_to_serial(self, monkeypatch, bounded):
+        monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
+        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0")
+        failures, seen = [], []
+        results = bounded(
+            lambda: fan_out(
+                _kill_in_pool, [1, 2, 3], jobs=2, failures=failures,
+                on_result=lambda index, _item, _result: seen.append(index),
+            )
+        )
+        assert results == fan_out(_kill_in_pool, [1, 2, 3], jobs=1)
+        assert sorted(seen) == [0, 1, 2]  # once each, on the serial path
+        assert {f.resolution for f in failures} == {"serial"}
+        assert all("BrokenProcessPool" in f.error for f in failures)
 
-        serial_cache = TraceCache(tmp_path / "serial")
-        for unit in units:
-            result, error = landed[unit.seed]
-            assert error is None
-            assert result == execute_unit(unit, serial_cache)
-
-    def test_submissions_survive_across_batches(self, tmp_path):
-        # The pool (and its workers' trace caches) stays warm between
-        # submissions — that is its whole reason to exist.
-        from repro.harness.parallel import WarmPool
-
-        done = threading.Event()
-        results = []
-
-        def on_done(_unit, result, error):
-            results.append((result, error))
-            if len(results) == 2:
-                done.set()
-
-        pool = WarmPool(2, cache_dir=tmp_path / "traces")
-        try:
-            first, second = self._units(2)
-            pool.submit(first, on_done)
-            pool.submit(second, on_done)
-            assert done.wait(timeout=120)
-            assert pool.submitted == 2
-            assert pool.completed == 2
-            assert all(error is None for _r, error in results)
-        finally:
-            pool.close(wait=True)
-
-    def test_closed_pool_refuses_submissions(self, tmp_path):
-        from repro.harness.parallel import WarmPool
-
-        pool = WarmPool(2, cache_dir=tmp_path / "traces")
-        pool.close(wait=True)
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.submit(self._units(1)[0], lambda *a: None)
+    def test_killed_worker_is_retried_on_a_fresh_pool(
+        self, tmp_path, monkeypatch, bounded
+    ):
+        monkeypatch.setenv(_MARKER_ENV, str(tmp_path))
+        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0")
+        failures = []
+        results = bounded(
+            lambda: fan_out(
+                _kill_once_in_pool, [1, 2, 3], jobs=2, failures=failures
+            )
+        )
+        assert results == [5, 10, 15]
+        assert failures
+        assert {f.resolution for f in failures} <= {"retried", "serial"}

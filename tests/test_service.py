@@ -10,6 +10,9 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import multiprocessing
+import os
+import signal
 import time
 
 import pytest
@@ -401,6 +404,82 @@ class TestScheduler:
         assert kinds[0] == "job.submitted"
         assert kinds[-1] == "job.completed"
         assert set(counts) <= set(JOB_EVENT_KINDS)
+
+
+def _die_in_pool(unit, cache):
+    """``execute_unit`` that SIGKILLs a pool worker; runs in-process."""
+    if multiprocessing.parent_process() is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return execute_unit(unit, cache)
+
+
+class TestPooledScheduler:
+    """``jobs >= 2``: jobs run on a long-lived process pool."""
+
+    def test_pool_results_equal_direct_runs(self, tmp_path, bounded):
+        async def scenario():
+            scheduler = _scheduler(jobs=2)
+            jobs = [await scheduler.submit(_spec(seed=s)) for s in (1, 2, 3)]
+            await asyncio.gather(*(job.done for job in jobs))
+            stats = scheduler.stats()
+            await scheduler.close()
+            return jobs, stats
+
+        jobs, stats = bounded(lambda: _run_async(scenario()))
+        assert stats["jobs"] == 2
+        assert stats["in_flight"] == 0 and stats["completed"] == 3
+        for job in jobs:
+            assert job.status is JobStatus.DONE and not job.degraded
+            assert job.payload == _direct_payload(job.spec, tmp_path)
+
+    def test_pool_stays_warm_across_submissions(self, bounded):
+        # One pool (and its workers' trace caches) serves every job the
+        # scheduler admits, not just the jobs in flight together.
+        async def scenario():
+            scheduler = _scheduler(jobs=2)
+            first = [await scheduler.submit(_spec(seed=s)) for s in (1, 2)]
+            await asyncio.gather(*(job.done for job in first))
+            pool = scheduler._pool
+            later = await scheduler.submit(_spec(seed=3))
+            await later.done
+            warm = pool is not None and scheduler._pool is pool
+            stats = scheduler.stats()
+            await scheduler.close()
+            return first + [later], warm, stats
+
+        jobs, warm, stats = bounded(lambda: _run_async(scenario()))
+        assert warm
+        assert stats["submitted"] == 3 and stats["completed"] == 3
+        assert all(job.status is JobStatus.DONE for job in jobs)
+
+    def test_killed_pool_worker_degrades_the_job_and_drain_returns(
+        self, tmp_path, monkeypatch, bounded
+    ):
+        real = parallel.execute_unit
+        monkeypatch.setattr(parallel, "execute_unit", _die_in_pool)
+
+        async def scenario():
+            scheduler = _scheduler(jobs=2)
+            killed = await scheduler.submit(SPEC)
+            await killed.done
+            broken_pool_dropped = scheduler._pool is None
+            # Workers forked from here on run the real unit.
+            monkeypatch.setattr(parallel, "execute_unit", real)
+            fresh = await scheduler.submit(_spec(seed=2))
+            await scheduler.drain()
+            stats = scheduler.stats()
+            await scheduler.close()
+            return killed, fresh, broken_pool_dropped, stats
+
+        killed, fresh, dropped, stats = bounded(
+            lambda: _run_async(scenario())
+        )
+        assert killed.status is JobStatus.DONE
+        assert killed.degraded
+        assert killed.payload == _direct_payload(SPEC, tmp_path)
+        assert dropped
+        assert fresh.status is JobStatus.DONE and not fresh.degraded
+        assert stats["in_flight"] == 0 and stats["failed"] == 0
 
 
 # ======================================================================

@@ -166,7 +166,7 @@ def test_service_soak_under_duplicate_heavy_concurrency():
     assert report["passed"], report["failures"]
     assert report["bit_identical"]
     assert report["server_exit"] == 0
-    # 8 clients x 6 configs with only 6 unique jobs: the dedup layer,
-    # not the pool, must absorb the duplicate-heavy mix.
-    assert report["stats"]["unique_jobs"] == 6
+    # 8 clients x the matrix with one unique job per config: the dedup
+    # layer, not the pool, must absorb the duplicate-heavy mix.
+    assert report["stats"]["unique_jobs"] == len(controller_matrix())
     assert report["stats"]["dedup_hit_rate"] > 0.8
