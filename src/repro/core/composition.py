@@ -20,17 +20,17 @@ the design as a composition of three strategy seams:
 
 :class:`~repro.core.controller.MemoryController` assembles the declared
 strategies; the per-design classes are thin ``kind`` tags.  Every
-strategy is a verbatim relocation of the former per-class code, so the
-six legacy configurations stay bit-identical (enforced by
-``tests/test_composition.py`` and the golden suite).
+strategy schedules exactly the events, in the same seq order, of the
+former per-class code, so the six legacy configurations stay
+bit-identical (enforced by ``tests/test_composition.py`` and the golden
+suite).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from heapq import heappush
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.config import ControllerKind
 from repro.core.requests import WriteKind, WriteRequest
@@ -144,6 +144,12 @@ def controller_spec(kind: ControllerKind) -> ControllerSpec:
 # ======================================================================
 # WPQ-protection strategies (the write path)
 # ======================================================================
+# Every strategy is a callback state machine: ``start(request, done)``
+# runs at the write's arrival cycle, each later stage is a
+# ``call_after``/Signal subscription, and all three share the
+# controller's ``allocate`` retry loop.  The controller therefore holds
+# no generator and can be deep-copied mid-run (the crash oracle crashes
+# copies, :meth:`repro.oracle.driver.OracleExecution.crash_copy`).
 class DirectInsertWrite:
     """Commit on WPQ arrival; no security on the insertion path.
 
@@ -152,83 +158,69 @@ class DirectInsertWrite:
     battery-backed domain the moment they commit).
     """
 
-    #: Generator strategies leave the controller's generic
-    #: ``submit_write`` in place.
-    callback = False
-
     def __init__(self, controller) -> None:
         self.c = controller
         self.marks_protected = controller.spec.marks_protected
 
-    def path(self, request: WriteRequest, done: Optional[Signal]) -> Generator:
-        c = self.c
-        entry = yield from c._acquire_wpq_slot(request)
-        yield 1  # queue insertion
+    def start(self, request: WriteRequest, done: Optional[Signal]) -> None:
+        self.c.allocate(request, partial(self._allocated, done))
+
+    def _allocated(self, done: Optional[Signal], entry) -> None:
+        # Queue insertion takes one cycle.
+        self.c.sim.call_after(1, partial(self._inserted, entry, done))
+
+    def _inserted(self, entry, done: Optional[Signal]) -> None:
         if self.marks_protected:
             entry.protected = True  # inside the (battery-backed) domain
-        if done is not None:
-            done.fire(c.sim.now)
-            c.stats.add("persist.completed")
-        c.entry_added.fire(entry)
+        self.c.persisted(entry, done)
 
 
-class MaSUFrontWrite:
+class MaSUFrontWrite(DirectInsertWrite):
     """The full security pipeline *before* WPQ insertion (Fig 5-b).
 
     The Ma-SU is a single serialized pipeline; persists queue behind
     each other's counter fetches, AES, and tree-update MAC chains
     before they are considered persisted.  Triad-NVM and SuperMem
     write-through use the same front with relaxed critical-path models
-    (``SecurityConfig.masu_critical_hash_latency``).
+    (``SecurityConfig.masu_critical_hash_latency``).  Once secured, a
+    write enters the WPQ exactly as a direct insertion does.
     """
 
-    callback = False
-
     def __init__(self, controller) -> None:
-        self.c = controller
+        super().__init__(controller)
         self.lane = PipelineLane(
             controller.config.security.masu_issue_interval, "security-unit"
         )
 
-    def path(self, request: WriteRequest, done: Optional[Signal]) -> Generator:
+    def start(self, request: WriteRequest, done: Optional[Signal]) -> None:
         c = self.c
+        sim = c.sim
         # Security first (the persist critical path of the baseline).
         # The unit is pipelined: it accepts a new write every issue
         # interval, but each write's full metadata/MAC latency must
         # elapse before the write may enter the persistence domain.
         latency = c.masu.write_pipeline_latency(
-            c.sim.now, request.address, critical_path=True
+            sim.now, request.address, critical_path=True
         )
-        _start, finish = self.lane.book(c.sim.now, latency)
+        _start, finish = self.lane.book(sim.now, latency)
         if request.data is not None:
             c.masu.secure_write(request.address, request.data)
-        yield finish - c.sim.now
-        c.stats.add("security.pre_wpq_ops")
+        sim.call_after(finish - sim.now, partial(self._secured, request, done))
+
+    def _secured(self, request: WriteRequest, done: Optional[Signal]) -> None:
+        self.c.stats.add("security.pre_wpq_ops")
         # Then persist: WPQ insertion.
-        entry = yield from c._acquire_wpq_slot(request)
-        yield 1
-        if done is not None:
-            done.fire(c.sim.now)
-            c.stats.add("persist.completed")
-        c.entry_added.fire(entry)
+        super().start(request, done)
 
 
 class MiSUWriteEngine:
-    """Dolos Mi-SU protection (Section 4.3) as a callback state machine.
+    """Dolos Mi-SU protection (Section 4.3).
 
-    Dolos spawns one write path per persist/eviction, so the per-write
-    Process + generator-resume machinery was the single largest
-    simulation cost.  Each ``_write_*`` stage mirrors one segment of the
-    former generator between yields; every wait is a ``call_after``/
-    Signal subscription with identical scheduling, so the event
-    interleaving (and hence every metric) is unchanged.  The zero-delay
-    start honours the same pending-same-cycle guard as
-    ``Process.__init__``.
+    Each stage is one step of the write between waits: the Mi-SU port,
+    the Post-WPQ busy check, the shared slot allocation, then either the
+    pipelined XOR + MAC(s) before commit (Full/Partial) or an immediate
+    commit with the MAC deferred (Post).
     """
-
-    #: Callback strategies replace the controller's ``submit_write``
-    #: wholesale (bound at construction).
-    callback = True
 
     def __init__(self, controller) -> None:
         self.c = controller
@@ -243,27 +235,7 @@ class MiSUWriteEngine:
         self.deferred = controller.misu.deferred
 
     # -- write ----------------------------------------------------------
-    def submit_write(self, request: WriteRequest) -> Optional[Signal]:
-        c = self.c
-        sim = c.sim
-        request.seq = c._seq
-        c._seq += 1
-        request.arrival = sim.now
-        c.writes_received += 1
-        c.stats.add("controller.writes")
-        done = (
-            Signal(sim, "persist")
-            if request.kind is WriteKind.PERSIST
-            else None
-        )
-        heap = sim._queue._heap
-        if sim._batch_pending or (heap and heap[0][0] == sim.now):
-            sim.call_after(0, partial(self._write_start, request, done))
-        else:
-            self._write_start(request, done)
-        return done
-
-    def _write_start(self, request: WriteRequest, done: Optional[Signal]) -> None:
+    def start(self, request: WriteRequest, done: Optional[Signal]) -> None:
         """Acquire the Mi-SU port (Resource.acquire's uncontended path
         inlined), then move to the busy-check/alloc stage."""
         port = self.port
@@ -285,44 +257,20 @@ class MiSUWriteEngine:
         gate._waiters.append(granted)
 
     def _write_port_held(self, request: WriteRequest, done: Optional[Signal]) -> None:
+        c = self.c
+        then = partial(self._write_committed, request, done)
         # Post-WPQ-MiSU: a previous deferred secure op may still be
         # running; only one may be outstanding (Section 4.3).
-        c = self.c
         if self.deferred and c.misu.is_busy(c.sim.now):
             wait = c.misu.busy_until - c.sim.now
             c.stats.add("misu.busy_stalls")
             c.stats.add("misu.busy_wait_cycles", wait)
-            c.sim.call_after(
-                wait, partial(self._write_alloc, request, done, False)
-            )
+            c.sim.call_after(wait, partial(c.allocate, request, then))
             return
-        self._write_alloc(request, done, False)
-
-    def _write_alloc(
-        self, request: WriteRequest, done: Optional[Signal], blocked: bool
-    ) -> None:
-        """_acquire_wpq_slot's retry loop (Table 2 retry semantics)."""
-        c = self.c
-        wpq = c.wpq
-        if c.config.wpq_coalescing:
-            entry = wpq.try_coalesce(request)
-            if entry is not None:
-                c.stats.add("wpq.coalesced")
-                self._write_committed(entry, request, done)
-                return
-        entry = wpq.try_allocate(request)
-        if entry is not None:
-            self._write_committed(entry, request, done)
-            return
-        if not blocked:
-            wpq.record_retry()
-            c.stats.add("wpq.retries")
-        c.slot_freed._waiters.append(
-            lambda _value: self._write_alloc(request, done, True)
-        )
+        c.allocate(request, then)
 
     def _write_committed(
-        self, entry, request: WriteRequest, done: Optional[Signal]
+        self, request: WriteRequest, done: Optional[Signal], entry
     ) -> None:
         c = self.c
         sim = c.sim
@@ -334,7 +282,7 @@ class MiSUWriteEngine:
             # op" invariant (Section 4.3) cannot be raced.
             sim.call_after(
                 misu.insertion_latency(),
-                partial(self._write_deferred_commit, entry, request, done),
+                partial(self._write_deferred_commit, entry, done),
             )
             return
         # Full/Partial: XOR + MAC(s) before commit, on the pipelined
@@ -347,19 +295,16 @@ class MiSUWriteEngine:
             finish - sim.now, partial(self._write_protect, entry, request, done)
         )
 
-    def _write_deferred_commit(
-        self, entry, request: WriteRequest, done: Optional[Signal]
-    ) -> None:
+    def _write_deferred_commit(self, entry, done: Optional[Signal]) -> None:
         c = self.c
         entry.mac_pending = True
         entry.protected = True  # committed; ADR covers the MAC
         deferred_done = c.misu.start_deferred(c.sim.now)
         c.sim.call_after(
-            deferred_done - c.sim.now,
-            lambda e=entry: self._finish_deferred(e),
+            deferred_done - c.sim.now, partial(self._finish_deferred, entry)
         )
         self.port.release()
-        self._write_done(entry, done)
+        c.persisted(entry, done)
 
     def _write_protect(
         self, entry, request: WriteRequest, done: Optional[Signal]
@@ -373,14 +318,7 @@ class MiSUWriteEngine:
             c.timeline.event(
                 c.sim.now, "misu.protect", f"{entry.index}:{request.seq}"
             )
-        self._write_done(entry, done)
-
-    def _write_done(self, entry, done: Optional[Signal]) -> None:
-        c = self.c
-        if done is not None:
-            done.fire(c.sim.now)
-            c.stats.add("persist.completed")
-        c.entry_added.fire(entry)
+        c.persisted(entry, done)
 
     def _finish_deferred(self, entry) -> None:
         """Complete a Post-WPQ deferred protection."""
@@ -401,11 +339,14 @@ class MiSUWriteEngine:
 # ======================================================================
 # Ma-SU update strategies (the drain side)
 # ======================================================================
+# A drain is a ``wake`` callback: it issues the oldest pending entry,
+# books that entry's completion and then its own next wake, and parks
+# on ``entry_added`` when the queue is empty.
 class PlainDrain:
     """Drain already-secured entries: pipelined NVM writes.
 
     Used by controllers whose entries need no post-WPQ security (direct
-    non-secure persistence and the pre-WPQ security fronts).  The loop
+    non-secure persistence and the pre-WPQ security fronts).  The drain
     issues one write per interval; completions free slots when the bank
     write finishes, so independent banks overlap.
     """
@@ -414,33 +355,30 @@ class PlainDrain:
         self.c = controller
         self.writes_data = controller.spec.drain_writes_data
 
-    def loop(self) -> Generator:
+    def wake(self, _value=None) -> None:
         c = self.c
         sim = c.sim
         wpq = c.wpq
-        interval = DRAIN_ISSUE_INTERVAL
-        writes_data = self.writes_data
-        while True:
-            entry = wpq.oldest_pending()
-            if entry is None:
-                yield c.entry_added
-                continue
-            wpq.begin_fetch(entry)
-            assert entry.request is not None
-            request = entry.request
-            accepted, _done = c.nvm.timed_write_accept(sim.now, request.address)
+        entry = wpq.oldest_pending()
+        if entry is None:
+            c.entry_added._waiters.append(self.wake)
+            return
+        wpq.begin_fetch(entry)
+        assert entry.request is not None
+        request = entry.request
+        accepted, _done = c.nvm.timed_write_accept(sim.now, request.address)
+        sim.call_after(accepted - sim.now, partial(self._complete, entry, request))
+        # The next command can issue once this one is accepted (the
+        # command bus is serial) or after the issue interval.
+        sim.call_after(max(DRAIN_ISSUE_INTERVAL, accepted - sim.now), self.wake)
 
-            def complete(entry=entry, request=request) -> None:
-                if request.data is not None and writes_data:
-                    c.nvm.write_line(request.address, request.data)
-                c.wpq.mark_cleared(entry)
-                c.stats.add("wpq.drained")
-                c.slot_freed.fire(entry)
-
-            sim.call_after(accepted - sim.now, complete)
-            # The next command can issue once this one is accepted (the
-            # command bus is serial) or after the issue interval.
-            yield max(interval, accepted - sim.now)
+    def _complete(self, entry, request: WriteRequest) -> None:
+        c = self.c
+        if request.data is not None and self.writes_data:
+            c.nvm.write_line(request.address, request.data)
+        c.wpq.mark_cleared(entry)
+        c.stats.add("wpq.drained")
+        c.slot_freed.fire(entry)
 
 
 class MaSUBackendDrain:
@@ -459,66 +397,58 @@ class MaSUBackendDrain:
         self.lane = PipelineLane(
             controller.config.security.masu_issue_interval, "masu"
         )
+        self.mac_latency = controller.config.security.mac_latency
 
-    def loop(self) -> Generator:
+    def wake(self, _value=None) -> None:
         c = self.c
         sim = c.sim
         wpq = c.wpq
-        masu = c.masu
+        entry = wpq.oldest_pending()
+        if entry is None:
+            c.entry_added._waiters.append(self.wake)
+            return
+        if entry.mac_pending:
+            # Let the deferred Mi-SU op finish before consuming.
+            sim.call_after(self.mac_latency, self.wake)
+            return
+        wpq.begin_fetch(entry)
+        assert entry.request is not None
+        request = entry.request
+        # Step 1 (XOR decrypt, 1 cycle) + step 2 (full security
+        # processing into the redo log) on the pipelined back-end.
+        latency = 1 + c.masu.write_pipeline_latency(sim.now, request.address)
         lane = self.lane
-        mac_latency = c.config.security.mac_latency
-        while True:
-            entry = wpq.oldest_pending()
-            if entry is None:
-                yield c.entry_added
-                continue
-            if entry.mac_pending:
-                # Let the deferred Mi-SU op finish before consuming.
-                yield mac_latency
-                continue
-            wpq.begin_fetch(entry)
-            assert entry.request is not None
-            request = entry.request
-            address = request.address
-            # Step 1 (XOR decrypt, 1 cycle) + step 2 (full security
-            # processing into the redo log) on the pipelined back-end.
-            latency = 1 + masu.write_pipeline_latency(sim.now, address)
-            start, finish = lane.book(sim.now, latency)
+        _start, finish = lane.book(sim.now, latency)
+        sim.call_at(finish, partial(self._complete, entry, request))
+        # Next issue no earlier than the lane's next free slot.
+        wait = lane._next_start - sim.now
+        sim.call_after(wait if wait > 1 else 1, self.wake)
 
-            def complete(entry=entry, request=request, address=address) -> None:
-                if request.data is not None:
-                    c.masu.secure_write(address, request.data)
-                elif c.timeline is not None:
-                    # Timing-only runs never reach the wrapped
-                    # masu.stage/apply (no data bytes), so emit the
-                    # Fig 11 step-2/3 instants here for span assembly.
-                    # Functional (oracle) runs keep their event stream
-                    # unchanged — the wrappers already cover them.
-                    c.timeline.event(
-                        c.sim.now, "masu.stage", str(entry.index)
-                    )
-                    c.timeline.event(
-                        c.sim.now, "masu.commit", str(entry.index)
-                    )
-                # Step 3 (background): the ciphertext write to NVM; bank
-                # time is booked but nothing waits on it.  Metadata and
-                # shadow updates land in the metadata caches / the small
-                # sequential shadow region (row-buffer hits) and do not
-                # occupy data banks.
-                c.nvm.timed_access(c.sim.now, address, True)
-                # Step 4: clear the entry, freeing the slot, and reseal
-                # its MAC (the cleared flag is in the MAC domain).
-                c.wpq.mark_cleared(entry)
-                c.misu.reseal_cleared(entry)
-                c.stats.add("masu.writes")
-                c.slot_freed.fire(entry)
-
-            queue = sim._queue
-            heappush(queue._heap, (finish, queue._seq, complete))
-            queue._seq += 1
-            # Next issue no earlier than the lane's next free slot.
-            wait = lane._next_start - sim.now
-            yield wait if wait > 1 else 1
+    def _complete(self, entry, request: WriteRequest) -> None:
+        c = self.c
+        address = request.address
+        if request.data is not None:
+            c.masu.secure_write(address, request.data)
+        elif c.timeline is not None:
+            # Timing-only runs never reach the wrapped
+            # masu.stage/apply (no data bytes), so emit the
+            # Fig 11 step-2/3 instants here for span assembly.
+            # Functional (oracle) runs keep their event stream
+            # unchanged — the wrappers already cover them.
+            c.timeline.event(c.sim.now, "masu.stage", str(entry.index))
+            c.timeline.event(c.sim.now, "masu.commit", str(entry.index))
+        # Step 3 (background): the ciphertext write to NVM; bank
+        # time is booked but nothing waits on it.  Metadata and
+        # shadow updates land in the metadata caches / the small
+        # sequential shadow region (row-buffer hits) and do not
+        # occupy data banks.
+        c.nvm.timed_access(c.sim.now, address, True)
+        # Step 4: clear the entry, freeing the slot, and reseal
+        # its MAC (the cleared flag is in the MAC domain).
+        c.wpq.mark_cleared(entry)
+        c.misu.reseal_cleared(entry)
+        c.stats.add("masu.writes")
+        c.slot_freed.fire(entry)
 
 
 # ======================================================================

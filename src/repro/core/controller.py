@@ -41,7 +41,7 @@ The core-facing protocol:
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Generator, Optional
+from typing import Callable, Dict, Optional
 
 from repro.config import ControllerKind, SimConfig
 from repro.core.composition import (
@@ -56,7 +56,7 @@ from repro.core.misu import MinorSecurityUnit, make_misu
 from repro.core.registers import PersistentRegisters
 from repro.core.requests import ReadRequest, WriteKind, WriteRequest
 from repro.crypto.keys import KeyStore
-from repro.engine import Process, Signal, Simulator
+from repro.engine import Signal, Simulator
 from repro.stats import StatsRegistry
 from repro.wpq.adr import ADRDrain
 from repro.wpq.queue import WritePendingQueue
@@ -91,11 +91,11 @@ class MemoryController:
             self._wpq_capacity(), line_bytes=config.llc.line_bytes
         )
         self._seq = 0
-        #: Fired every time a WPQ slot frees (drain loop wake-up).
+        #: Fired every time a WPQ slot frees (wakes blocked writes).
         self.slot_freed = Signal(sim, "wpq.slot_freed")
-        #: Fired every time an entry lands in the WPQ.
+        #: Fired every time an entry lands in the WPQ (wakes an idle drain).
         self.entry_added = Signal(sim, "wpq.entry_added")
-        self._drain_process: Optional[Process] = None
+        self._drain_started = False
         self.writes_received = 0
         self.reads_received = 0
         #: Optional instrumentation (see :meth:`attach_timeline`).
@@ -118,12 +118,6 @@ class MemoryController:
         self._write = WRITE_STRATEGIES[spec.protection](self)
         self._drain = DRAIN_STRATEGIES[spec.update](self)
         self._domain = DOMAINS[spec.domain](self)
-        if self._write.callback:
-            # Callback strategies (the Dolos Mi-SU engine) replace the
-            # per-write Process + generator machinery wholesale; binding
-            # the engine's method keeps the hot path free of per-call
-            # dispatch.
-            self.submit_write = self._write.submit_write  # type: ignore[method-assign]
         battery = getattr(self._domain, "battery_drain", None)
         if battery is not None:
             # Only battery-backed domains expose ``battery_drain`` (the
@@ -140,12 +134,21 @@ class MemoryController:
         return self.config.adr.budget_entries
 
     # -- core-facing API -----------------------------------------------
+    # A zero-delay step (the drain's first wake, a write's or a read's
+    # first stage) runs synchronously when nothing else is pending at
+    # this cycle — equivalent to scheduling it, since anything queued
+    # later lands behind it in seq order anyway, and one event cheaper.
+    # With same-cycle events pending it is deferred behind them.
     def start(self) -> None:
-        """Launch the background drain process."""
-        if self._drain_process is None:
-            self._drain_process = Process(
-                self.sim, self._drain_loop(), name=f"{self.kind.value}.drain"
-            )
+        """Start the background drain (idempotent)."""
+        if not self._drain_started:
+            self._drain_started = True
+            sim = self.sim
+            heap = sim._queue._heap
+            if sim._batch_pending or (heap and heap[0][0] == sim.now):
+                sim.call_after(0, self._drain.wake)
+            else:
+                self._drain.wake()
 
     def submit_write(self, request: WriteRequest) -> Optional[Signal]:
         """Hand a write to the controller.
@@ -153,20 +156,24 @@ class MemoryController:
         PERSIST writes return a Signal fired at persist completion;
         EVICTION writes are fire-and-forget (``None``).
         """
+        sim = self.sim
         request.seq = self._seq
         self._seq += 1
-        request.arrival = self.sim.now
+        request.arrival = sim.now
         self.writes_received += 1
         self.stats.add("controller.writes")
         # Names are static: per-request formatted names cost a string
         # build per write and nothing reads them (request identity for
         # the span tracer rides on the timeline event details instead).
-        if request.kind is WriteKind.PERSIST:
-            done = Signal(self.sim, "persist")
-            Process(self.sim, self._write.path(request, done), name="write")
-            return done
-        Process(self.sim, self._write.path(request, None), name="wb")
-        return None
+        done = (
+            Signal(sim, "persist") if request.kind is WriteKind.PERSIST else None
+        )
+        heap = sim._queue._heap
+        if sim._batch_pending or (heap and heap[0][0] == sim.now):
+            sim.call_after(0, partial(self._write.start, request, done))
+        else:
+            self._write.start(request, done)
+        return done
 
     def read(self, address: int) -> Signal:
         """Demand read (LLC miss).  Signal fires with total latency."""
@@ -185,11 +192,7 @@ class MemoryController:
         self._read(ReadRequest(address, self.sim.now), None)
 
     def _read(self, request: ReadRequest, done: Optional[Signal]) -> None:
-        """Start a read; deferred behind events pending this cycle.
-
-        The zero-delay start honours the same pending-same-cycle guard
-        as ``Process.__init__``.
-        """
+        """Start a read; deferred behind events pending this cycle."""
         self.reads_received += 1
         self.stats.add("controller.reads")
         sim = self.sim
@@ -232,37 +235,48 @@ class MemoryController:
     def _read_fire(self, request: ReadRequest, done: Signal) -> None:
         done.fire(self.sim.now - request.arrival)
 
-    def _drain_loop(self) -> Generator:
-        return self._drain.loop()
-
     def crash(self):
         """Power failure: delegate to the persistence-domain policy."""
         return self._domain.crash()
 
     # -- shared helpers --------------------------------------------------
-    def _acquire_wpq_slot(self, request: WriteRequest) -> Generator:
-        """Retry until a WPQ slot is allocated; returns the entry.
+    def allocate(
+        self,
+        request: WriteRequest,
+        then: Callable[[object], None],
+        blocked: bool = False,
+    ) -> None:
+        """Claim a WPQ slot for ``request``, then call ``then(entry)``.
 
         A request that arrives to a full queue is NACK'd and re-tried
         when a slot frees; the NACK is one Table 2 "re-try event"
         (counted once per request — later wake-ups that lose the race
         for a freed slot are queueing, not new re-tries).
         """
-        blocked = False
-        while True:
-            if self.config.wpq_coalescing:
-                entry = self.wpq.try_coalesce(request)
-                if entry is not None:
-                    self.stats.add("wpq.coalesced")
-                    return entry
-            entry = self.wpq.try_allocate(request)
+        wpq = self.wpq
+        if self.config.wpq_coalescing:
+            entry = wpq.try_coalesce(request)
             if entry is not None:
-                return entry
-            if not blocked:
-                blocked = True
-                self.wpq.record_retry()
-                self.stats.add("wpq.retries")
-            yield self.slot_freed
+                self.stats.add("wpq.coalesced")
+                then(entry)
+                return
+        entry = wpq.try_allocate(request)
+        if entry is not None:
+            then(entry)
+            return
+        if not blocked:
+            wpq.record_retry()
+            self.stats.add("wpq.retries")
+        self.slot_freed._waiters.append(
+            lambda _value: self.allocate(request, then, True)
+        )
+
+    def persisted(self, entry, done: Optional[Signal]) -> None:
+        """An entry committed to the WPQ: fire its persist, wake the drain."""
+        if done is not None:
+            done.fire(self.sim.now)
+            self.stats.add("persist.completed")
+        self.entry_added.fire(entry)
 
     def _wpq_read_hit_latency(self) -> int:
         """Serving a read from the WPQ: tag lookup + XOR decrypt."""

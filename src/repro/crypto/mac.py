@@ -16,6 +16,11 @@ from repro.config import MAC_BYTES
 
 Field = Union[bytes, int, str]
 
+_pack_q = struct.Struct("<q").pack
+_pack_len = struct.Struct("<I").pack
+#: Tag + length prefix of every int that fits a signed 64-bit word.
+_INT64_HEADER = b"i" + _pack_len(8)
+
 
 def compute_mac(key: bytes, message: bytes, length: int = MAC_BYTES) -> bytes:
     """Keyed MAC of ``message``, truncated to ``length`` bytes."""
@@ -27,16 +32,16 @@ def compute_mac(key: bytes, message: bytes, length: int = MAC_BYTES) -> bytes:
 def _encode_field(field: Field) -> bytes:
     """Length-prefixed, type-tagged encoding so fields cannot collide."""
     if isinstance(field, bytes):
-        body, tag = field, b"b"
-    elif isinstance(field, int):
-        body, tag = struct.pack("<q", field) if -(2**63) <= field < 2**63 else str(
-            field
-        ).encode(), b"i"
-    elif isinstance(field, str):
-        body, tag = field.encode(), b"s"
-    else:
-        raise TypeError(f"unsupported MAC field type {type(field)!r}")
-    return tag + struct.pack("<I", len(body)) + body
+        return b"b" + _pack_len(len(field)) + field
+    if isinstance(field, int):
+        if -(2**63) <= field < 2**63:
+            return _INT64_HEADER + _pack_q(field)
+        body = str(field).encode()
+        return b"i" + _pack_len(len(body)) + body
+    if isinstance(field, str):
+        body = field.encode()
+        return b"s" + _pack_len(len(body)) + body
+    raise TypeError(f"unsupported MAC field type {type(field)!r}")
 
 
 def mac_over_fields(key: bytes, *fields: Field, length: int = MAC_BYTES) -> bytes:
@@ -45,8 +50,7 @@ def mac_over_fields(key: bytes, *fields: Field, length: int = MAC_BYTES) -> byte
     Fields are unambiguously encoded, so ``(b"ab", b"c")`` and
     ``(b"a", b"bc")`` produce different MACs.
     """
-    message = b"".join(_encode_field(f) for f in fields)
-    return compute_mac(key, message, length)
+    return compute_mac(key, b"".join(map(_encode_field, fields)), length)
 
 
 def macs_equal(a: bytes, b: bytes) -> bool:

@@ -142,7 +142,15 @@ class Simulator:
             until: stop once the clock would pass this cycle (events at
                 exactly ``until`` still fire).
             max_events: safety valve against runaway simulations.
+
+        Raises:
+            SimulationError: if ``until`` is earlier than ``now`` (the
+                clock never moves back).
         """
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run until {until}, already at {self.now}"
+            )
         self._running = True
         self._stop_requested = False
         try:

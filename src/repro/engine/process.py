@@ -1,8 +1,11 @@
 """Generator-based processes on top of the event kernel.
 
-Hardware pipelines (the Ma-SU steps, WPQ drain loop, NVM banks) read far
-more naturally as sequential coroutines than as callback chains.  A
-*process* is a Python generator that yields timing directives:
+Sequential agents (the trace-replaying core, the crash oracle's op
+driver) read far more naturally as coroutines than as callback chains.
+The memory controller's write paths and drains are callback state
+machines instead, so a live controller holds no generator and can be
+deep-copied.  A *process* is a Python generator that yields timing
+directives:
 
 * ``Delay(n)`` — suspend for ``n`` cycles (a bare non-negative ``int``
   is equivalent and avoids the wrapper allocation).
@@ -110,8 +113,7 @@ class Process:
     cycle the zero-delay first step runs *synchronously inside the
     constructor* — provably equivalent to scheduling it (any event
     queued later lands behind it in seq order anyway) and one event
-    cheaper, which matters because the controller spawns one process
-    per write and per read.  With same-cycle events pending the step is
+    cheaper.  With same-cycle events pending the step is
     deferred behind them, preserving exact FIFO interleaving.  When the
     generator returns, the ``StopIteration`` value is captured in
     :attr:`result` and the completion :attr:`done_signal` fires.
@@ -129,9 +131,9 @@ class Process:
         self.name = name
         self.finished = False
         self.result: Any = None
-        #: Lazily materialised — most processes (one per write/read in
-        #: the controller) are never awaited, so the Signal and its
-        #: formatted name would be pure allocation overhead.
+        #: Lazily materialised — most processes are never awaited, so
+        #: the Signal and its formatted name would be pure allocation
+        #: overhead.
         self._done_signal: Optional[Signal] = None
         #: One resume closure per *process* (not per step): every Delay
         #: wake-up reuses it instead of allocating a fresh lambda, and

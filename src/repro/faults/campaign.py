@@ -1,19 +1,20 @@
 """The fault-injection campaign: plant faults, classify what recovery does.
 
-For every (workload, controller) unit the campaign re-uses the PR-2
-oracle machinery — deterministic op streams, golden prefix states,
-crash-site enumeration — then, at a handful of interior crash sites:
+For every (workload, controller) unit the campaign re-uses the crash
+oracle's machinery — deterministic op streams, golden prefix states,
+crash-site enumeration, and one execution walking the chosen sites in
+cycle order — then, at a handful of interior crash sites:
 
-1. crashes the machine and checks the *clean* image recovers to the
-   golden state (a failing baseline disqualifies the unit, not the
-   faults);
+1. crashes a copy of the machine and checks the *clean* image recovers
+   to the golden state (a failing baseline disqualifies the unit, not
+   the faults);
 2. generates a seeded :class:`~repro.faults.plan.FaultPlan` from the
    image's populated fault targets and, for each fault, recovers an
    independently-cloned corrupted image;
-3. separately re-executes to the same site with a *degraded ADR
-   budget* planted pre-crash, forcing a partial drain, and checks the
-   salvage invariant: every fully-drained live slot is recovered and
-   every lost slot is enumerated in ``report.slots_lost``.
+3. crashes a second copy at the same site with a *degraded ADR budget*
+   planted pre-crash, forcing a partial drain, and checks the salvage
+   invariant: every fully-drained live slot is recovered and every lost
+   slot is enumerated in ``report.slots_lost``.
 
 Each fault gets a :class:`FaultOutcome`:
 
@@ -47,7 +48,7 @@ from repro.oracle.golden import prefix_states
 from repro.oracle.ops import generate_ops
 from repro.oracle.reconstruct import OracleDivergence, reconstruct_state
 from repro.oracle.sites import enumerate_sites
-from repro.recovery.crash import CrashImage, crash_system
+from repro.recovery.crash import CrashImage
 from repro.recovery.errors import RecoveryError
 from repro.recovery.recover import recover_system
 from repro.wpq.adr import ADRDrain
@@ -268,23 +269,15 @@ def inject_and_classify(
 # ----------------------------------------------------------------------
 # Per-unit campaign
 # ----------------------------------------------------------------------
-def _run_to_site(config: SimConfig, ops, cycle: int) -> OracleExecution:
-    execution = OracleExecution(config, ops)
-    execution.run(until=cycle)
-    return execution
-
-
 def _degraded_drain_check(
     unit: FaultUnitReport,
-    config: SimConfig,
-    ops,
+    execution: OracleExecution,
     states,
     site,
     battery: bool,
     seed: int,
 ) -> None:
-    """Re-execute to ``site`` with a degraded ADR budget; check salvage."""
-    execution = _run_to_site(config, ops, site.cycle)
+    """Crash a copy at ``site`` with a degraded ADR budget; check salvage."""
     controller = execution.controller
     drain = getattr(controller, "adr_drain", None)
     if drain is None:
@@ -294,12 +287,12 @@ def _degraded_drain_check(
         return  # nothing buffered; a degraded budget has no bite
     spec = FaultSpec("adr-degrade", aux=max(1, needed // 2))
     injector = FaultInjector(FaultPlan(seed=seed, faults=(spec,)))
-    image = crash_system(controller, battery=battery, injector=injector)
+    image = execution.crash_copy(battery, injector)
 
     # Pre-recovery census of the (partial) drained image: recovery must
     # salvage exactly the live records that landed and enumerate the
     # occupied slots that did not.
-    census = ADRDrain(image.nvm, config.adr, config.misu_design)
+    census = ADRDrain(image.nvm, image.config.adr, image.config.misu_design)
     meta = census.read_meta()
     records = census.read_image()
     present = {record.slot for record in records}
@@ -314,7 +307,7 @@ def _degraded_drain_check(
         image,
         injector,
         execution.commits_fired,
-        ops,
+        execution.ops,
         states,
         loss_expected=(expected_lost, salvaged_live),
     )
@@ -359,9 +352,10 @@ def run_fault_unit(
         selected = selected[1:-1]
     unit.sites_used = len(selected)
 
+    execution = OracleExecution(config, ops)
     for site in selected:
-        execution = _run_to_site(config, ops, site.cycle)
-        image = crash_system(execution.controller, battery=battery)
+        execution.run(until=site.cycle)
+        image = execution.crash_copy(battery)
 
         # Baseline: the clean image must recover to the golden state,
         # otherwise fault classifications at this site mean nothing.
@@ -397,7 +391,7 @@ def run_fault_unit(
                 )
             )
 
-        _degraded_drain_check(unit, config, ops, states, site, battery, seed)
+        _degraded_drain_check(unit, execution, states, site, battery, seed)
     return unit
 
 

@@ -4,8 +4,8 @@ For every (workload, controller) unit:
 
 1. run the op stream once, enumerating distinct crash sites
    (:mod:`repro.oracle.sites`);
-2. for each site, deterministically re-execute, power-fail at the
-   site's cycle, recover with
+2. run it a second time, walking the sites in cycle order: at each,
+   power-fail a deep copy of the machine, recover the copy with
    :func:`repro.recovery.recover.recover_system`, reconstruct the
    logical KV state from the commit log
    (:mod:`repro.oracle.reconstruct`), and diff it against the golden
@@ -40,7 +40,6 @@ from repro.oracle.golden import prefix_states, state_digest
 from repro.oracle.ops import generate_ops
 from repro.oracle.reconstruct import OracleDivergence, reconstruct_state
 from repro.oracle.sites import CrashSite, enumerate_sites, machine_state_hash
-from repro.recovery.crash import crash_system
 from repro.recovery.recover import RecoveryError, recover_system
 from repro.workloads import ORACLE_SEMANTICS
 
@@ -135,16 +134,19 @@ def _check_attack(image, total_ops: int) -> Optional[bool]:
 
 
 def check_site(
-    config: SimConfig,
-    ops,
+    execution: OracleExecution,
     states,
     site: CrashSite,
     battery: bool,
     attack: bool = False,
     inject_divergence: bool = False,
 ) -> SiteOutcome:
-    """Re-execute, crash at ``site``, recover, and diff one crash site."""
-    execution = OracleExecution(config, ops)
+    """Advance ``execution`` to ``site``, crash a copy, recover, and diff.
+
+    ``execution`` is the unit's walk: it must not be past ``site``, and
+    it is left running at ``site.cycle`` for the next site.
+    """
+    ops = execution.ops
     execution.run(until=site.cycle)
     if site.state_hash:
         replay_hash = machine_state_hash(execution.controller)
@@ -153,7 +155,7 @@ def check_site(
                 f"site {site.site_id}: replay diverged from reference run "
                 f"(cycle {site.cycle}: {replay_hash} != {site.state_hash})"
             )
-    image = crash_system(execution.controller, battery=battery)
+    image = execution.crash_copy(battery)
 
     attack_name: Optional[str] = None
     attack_detected: Optional[bool] = None
@@ -240,10 +242,11 @@ def check_unit(
     unit.final_cycle = enumeration.final_cycle
 
     selected = select_sites(enumeration.sites, site_budget)
+    execution = OracleExecution(config, ops)
     for position, site in enumerate(selected):
         attack = attack_every > 0 and position % attack_every == 0
         try:
-            outcome = check_site(config, ops, states, site, battery, attack)
+            outcome = check_site(execution, states, site, battery, attack)
         except (OracleDivergence, RecoveryError, IntegrityError) as exc:
             unit.failures.append(
                 f"site {site.site_id} (cycle {site.cycle}, {site.kind}): {exc}"
@@ -266,7 +269,7 @@ def check_unit(
             if inject_divergence:
                 try:
                     check_site(
-                        config, ops, states, site, battery,
+                        execution, states, site, battery,
                         inject_divergence=True,
                     )
                 except OracleDivergence:

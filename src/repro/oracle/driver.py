@@ -21,13 +21,17 @@ before the crash — recovery may never lose one of those
 (``commits_fired <= n``), and may never invent commits (``n <= len(ops)``).
 
 The whole execution is deterministic: replaying the same (config, ops)
-pair and crashing at cycle ``c`` reproduces the reference run's machine
-state at ``c`` exactly.  That is what lets the site enumerator hash
-boundary states once and re-execute per site.
+pair to cycle ``c`` reproduces the reference run's machine state at
+``c`` exactly.  That is what lets the site enumerator hash boundary
+states in one run and a second run *walk* the chosen sites in cycle
+order: at each site the walk crashes a deep copy of its controller
+(:meth:`OracleExecution.crash_copy`) and then continues, untouched, to
+the next site.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import List, Optional
 
 from repro.config import CACHELINE_BYTES, SimConfig
@@ -44,6 +48,7 @@ from repro.persistence.commitlog import (
     value_checksum,
     value_lines,
 )
+from repro.recovery.crash import CrashImage, crash_system
 
 
 class OracleExecution:
@@ -77,6 +82,19 @@ class OracleExecution:
     def run(self, until: Optional[int] = None) -> None:
         """Advance the simulation (to quiescence if ``until`` is None)."""
         self.sim.run(until=until)
+
+    def crash_copy(self, battery: bool = False, injector=None) -> CrashImage:
+        """Power-fail a deep copy of the machine at the current cycle.
+
+        The copy shares only the simulator, whose queue it never runs,
+        and a crash schedules nothing — so this execution continues
+        exactly as if no crash had been taken.  Only unprobed
+        executions qualify: a probe's wrappers close over the live
+        controller.  ``battery`` and ``injector`` are
+        :func:`~repro.recovery.crash.crash_system`'s.
+        """
+        controller = copy.deepcopy(self.controller, {id(self.sim): self.sim})
+        return crash_system(controller, battery=battery, injector=injector)
 
     # -- op stream -----------------------------------------------------
     def _submit_line(self, address: int, payload: bytes) -> Signal:

@@ -15,17 +15,20 @@ stage, Ma-SU commit).  Sites are then deduplicated:
 * one *quiescent* site past the final cycle is appended, so the sweep
   always includes the crash-after-everything-drained case.
 
-Because the driver is deterministic, re-executing the same (config,
-ops) pair and stopping at ``site.cycle`` reproduces the hashed state
-exactly — each site is checked against a fresh execution, never against
-mutated leftovers of the reference run.
+Because the driver is deterministic, a second execution of the same
+(config, ops) pair stopped at ``site.cycle`` reproduces the hashed
+state exactly.  The checkers walk one such execution through the sites
+in cycle order and crash a deep copy at each
+(:meth:`~repro.oracle.driver.OracleExecution.crash_copy`), so every
+site sees the state a crash at that cycle would, never leftovers of an
+earlier site's crash or recovery.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from repro.config import SimConfig
 from repro.core.controller import MemoryController
@@ -109,43 +112,41 @@ class SiteEnumeration:
 def enumerate_sites(config: SimConfig, ops: List[Op]) -> SiteEnumeration:
     """Run the reference execution and enumerate distinct crash sites.
 
-    Two passes.  Pass 1 runs with the probe attached and collects the
-    cycles at which boundary events fired.  Pass 2 re-executes and
-    *steps* through those cycles with ``run(until=cycle)``, hashing the
-    machine state after each stop — the exact observation a crash
-    replay makes (a boundary event's own instant can precede further
-    same-cycle mutations by other in-flight writes, so hashing inside
-    the event callback would disagree with what a crash at that cycle
-    actually sees).
+    One pass with the probe attached, stepped one event cycle at a time
+    with ``run(until=cycle)``.  After every cycle in which a boundary
+    event fired, the machine state is hashed — the exact observation a
+    crash at that cycle makes (a boundary event's own instant can
+    precede further same-cycle mutations by other in-flight writes, so
+    hashing inside the event callback would disagree with what a crash
+    at that cycle actually sees).  The first step runs to the current
+    cycle: the pre-WPQ fronts fire boundaries inside the execution's
+    constructor, and those belong to cycle 0's site, not the next one.
     """
     probe = CrashSiteProbe()
     execution = OracleExecution(config, ops, probe=probe)
-    execution.run()
+    queue = execution.sim._queue
+    boundaries = probe.boundaries
+    sites: List[CrashSite] = []
+    previous_digest = None
+    hashed = 0
+    cycle: Optional[int] = execution.sim.now
+    while cycle is not None:
+        execution.run(until=cycle)
+        if len(boundaries) > hashed:
+            hashed = len(boundaries)
+            digest = machine_state_hash(execution.controller)
+            if digest != previous_digest:
+                sites.append(
+                    CrashSite(len(sites), cycle, boundaries[-1][1], digest)
+                )
+                previous_digest = digest
+        cycle = queue.peek_time()
     if not execution.finished:
         raise RuntimeError(
             "oracle reference run hung: driver did not finish "
             f"({execution.commits_fired}/{len(ops)} commits)"
         )
     final_cycle = execution.sim.now
-
-    # Last boundary kind per cycle, preserving cycle order.
-    last_kind_per_cycle = {}
-    for cycle, kind, _digest in probe.boundaries:
-        last_kind_per_cycle[cycle] = kind
-
-    # Pass 2: end-of-cycle state hashes, deduplicated on change.
-    stepper = OracleExecution(config, ops)
-    sites: List[CrashSite] = []
-    previous_digest = None
-    for cycle in sorted(last_kind_per_cycle):
-        stepper.run(until=cycle)
-        digest = machine_state_hash(stepper.controller)
-        if digest == previous_digest:
-            continue
-        sites.append(
-            CrashSite(len(sites), cycle, last_kind_per_cycle[cycle], digest)
-        )
-        previous_digest = digest
     sites.append(
         CrashSite(len(sites), final_cycle + 1, "quiescent", "")
     )

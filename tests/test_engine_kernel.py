@@ -82,6 +82,21 @@ class TestSimulator:
         sim.run()
         assert seen == ["early", "late"]
 
+    def test_run_until_past_rejected(self, sim):
+        """A past ``until`` must not move the clock back: a 1-cycle
+        event scheduled afterwards would fire before one already fired."""
+        fired = []
+        sim.schedule(10, lambda: fired.append(sim.now))
+        sim.schedule(30, lambda: fired.append(sim.now))
+        sim.run(until=20)
+        with pytest.raises(SimulationError):
+            sim.run(until=5)
+        sim.run(until=20)  # running to ``now`` is fine
+        assert sim.now == 20
+        sim.schedule(1, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [10, 21, 30]
+
     def test_events_at_exactly_until_still_fire(self, sim):
         seen = []
         sim.schedule(50, lambda: seen.append(True))

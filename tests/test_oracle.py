@@ -181,11 +181,15 @@ class TestCheckFast:
         states = prefix_states("dict", ops)
         states[-1] = {999: b"not what was written"}
         from repro.oracle.check import check_site
+        from repro.oracle.driver import OracleExecution
         from repro.oracle.sites import enumerate_sites as enum_fn
 
         enum = enum_fn(cfg, ops)
         with pytest.raises(OracleDivergence):
-            check_site(cfg, ops, states, enum.sites[-1], battery=False)
+            check_site(
+                OracleExecution(cfg, ops), states, enum.sites[-1],
+                battery=False,
+            )
 
 
 @pytest.mark.oracle
