@@ -16,8 +16,9 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # The slow tier outside the oracle sweeps (docs/testing.md): the
-# `--jobs 2` service soak and the 3-worker fleet kill.  The oracle
-# sweeps stay behind `make check-oracle`.
+# `--jobs 2` service soak, the 3-worker fleet kill and the run-ahead
+# sweep over every workload.  The oracle sweeps stay behind
+# `make check-oracle`.
 test-slow:
 	$(PYTHON) -m pytest tests/ -m "slow and not oracle"
 

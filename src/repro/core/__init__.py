@@ -31,7 +31,7 @@ from repro.core.misu import (
     make_misu,
 )
 from repro.core.registers import PersistentRegisters, RedoLogBuffer
-from repro.core.requests import ReadRequest, WriteKind, WriteRequest
+from repro.core.requests import WriteKind, WriteRequest
 
 __all__ = [
     "CONTROLLER_SPECS",
@@ -49,7 +49,6 @@ __all__ = [
     "PostWPQHypotheticalController",
     "PostWPQMiSU",
     "PreWPQSecureController",
-    "ReadRequest",
     "RedoLogBuffer",
     "TriadNVMController",
     "WriteKind",

@@ -33,7 +33,14 @@ The core-facing protocol:
 * ``submit_write(request)`` returns a :class:`Signal` that fires when a
   PERSIST write is architecturally persisted (EVICTION writes return
   ``None`` and are handled in the background).
-* ``read(address)`` returns a Signal fired with the read latency.
+* ``read(address, at_tail)`` returns what the caller waits on: the read
+  latency in cycles when it is known at issue, else a Signal fired with
+  it.  It is known for a WPQ hit, for a design without a Ma-SU, and —
+  when the caller states it is at the tail of a kernel-dispatched event
+  (``at_tail``) and no other event fires before the data returns — for
+  device time plus the Ma-SU verification, computed at issue instead of
+  when the data returns.  A read issued while events are pending at its
+  cycle is booked behind them and always returns a Signal.
 * ``fill(address)`` books the same read but returns nothing (store-miss
   fills, which nothing waits on).
 """
@@ -41,7 +48,7 @@ The core-facing protocol:
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Union
 
 from repro.config import ControllerKind, SimConfig
 from repro.core.composition import (
@@ -54,7 +61,7 @@ from repro.core.composition import (
 from repro.core.masu import MajorSecurityUnit
 from repro.core.misu import MinorSecurityUnit, make_misu
 from repro.core.registers import PersistentRegisters
-from repro.core.requests import ReadRequest, WriteKind, WriteRequest
+from repro.core.requests import WriteKind, WriteRequest
 from repro.crypto.keys import KeyStore
 from repro.engine import Signal, Simulator
 from repro.stats import StatsRegistry
@@ -175,65 +182,91 @@ class MemoryController:
             self._write.start(request, done)
         return done
 
-    def read(self, address: int) -> Signal:
-        """Demand read (LLC miss).  Signal fires with total latency."""
-        sim = self.sim
-        done = Signal(sim, "read")
-        self._read(ReadRequest(address, sim.now), done)
-        return done
+    def read(self, address: int, at_tail: bool = False) -> Union[int, Signal]:
+        """Demand read (LLC miss): the latency, or a Signal fired with it.
+
+        ``at_tail`` states that the caller returns straight to the
+        kernel's drain after this call (nothing else runs in its
+        event), so when no event fires before the data returns, the
+        verification it would compute then is computed at issue.  The
+        trace core sets it; it cannot be inferred here (see the module
+        docstring for when the latency is known at issue).
+        """
+        return self._book(address, True, at_tail)
 
     def fill(self, address: int) -> None:
         """Write-allocate fill (store miss): a read nothing waits on.
 
         Books exactly the timing :meth:`read` books — WPQ tag check,
-        device read, Ma-SU verification at completion — but allocates
+        device read, Ma-SU verification at data return — but allocates
         no Signal and schedules no completion event.
         """
-        self._read(ReadRequest(address, self.sim.now), None)
+        self._book(address, False)
 
-    def _read(self, request: ReadRequest, done: Optional[Signal]) -> None:
-        """Start a read; deferred behind events pending this cycle."""
-        self.reads_received += 1
-        self.stats.add("controller.reads")
-        sim = self.sim
-        heap = sim._queue._heap
-        if sim._batch_pending or (heap and heap[0][0] == sim.now):
-            sim.call_after(0, partial(self._read_start, request, done))
-        else:
-            self._read_start(request, done)
+    def _book(
+        self,
+        address: int,
+        wait: bool,
+        at_tail: bool = False,
+        deferred: bool = False,
+        done: Optional[Signal] = None,
+    ) -> Union[int, Signal, None]:
+        """Book one read: WPQ tag check, device read, verification.
 
-    def _read_start(self, request: ReadRequest, done: Optional[Signal]) -> None:
-        """Serve a read from the WPQ or the device (+ verification).
-
-        The verification step exists only when the composition has a
-        Ma-SU — the non-secure ideal pays device timing alone.
+        An issued read is counted, then booked now — or, with events
+        still pending at this cycle, behind them: the deferred booking
+        comes back here with the Signal the waiter already holds, and
+        schedules its completion.  A read booked at issue returns its
+        latency when all of it is known here, else the Signal its
+        completion fires.  A fill (``wait`` false) schedules only the
+        verification a Ma-SU owes its data.
         """
         sim = self.sim
-        if self.wpq.lookup(request.address) is not None:
-            self.wpq.read_hits += 1
-            if done is not None:
+        now = sim.now
+        address &= ~0x3F  # line-align
+        if not deferred:
+            self.reads_received += 1
+            self.stats.add("controller.reads")
+            heap = sim._queue._heap
+            if sim._batch_pending or (heap and heap[0][0] == now):
+                if wait:
+                    done = Signal(sim, "read")
                 sim.call_after(
-                    self._wpq_read_hit_latency(),
-                    partial(self._read_fire, request, done),
+                    0, partial(self._book, address, wait, False, True, done)
                 )
-            return
-        finish = self.nvm.timed_access(sim.now, request.address, False)
-        if self.masu is not None:
-            sim.call_after(
-                finish - sim.now, partial(self._read_verify, request, done)
-            )
-        elif done is not None:
-            sim.call_after(
-                finish - sim.now, partial(self._read_fire, request, done)
-            )
-
-    def _read_verify(self, request: ReadRequest, done: Optional[Signal]) -> None:
-        verify = self.masu.read_verify_latency(self.sim.now, request.address)
+                return done
+        if self.wpq.lookup(address) is not None:
+            self.wpq.read_hits += 1
+            finish = now + self._wpq_read_hit_latency()
+        else:
+            finish = self.nvm.timed_access(now, address, False)
+            masu = self.masu
+            if masu is not None:
+                if at_tail and sim.idle_through(finish):
+                    # Nothing fires before the data returns, so the
+                    # verification it would compute then is computed now.
+                    finish += masu.read_verify_latency(finish, address)
+                else:
+                    if wait and done is None:
+                        done = Signal(sim, "read")
+                    sim.call_at(
+                        finish, partial(self._read_verify, address, now, done)
+                    )
+                    return done
+        if not deferred:
+            return finish - now
         if done is not None:
-            self.sim.call_after(verify, partial(self._read_fire, request, done))
+            sim.call_at(finish, partial(self._read_fire, now, done))
 
-    def _read_fire(self, request: ReadRequest, done: Signal) -> None:
-        done.fire(self.sim.now - request.arrival)
+    def _read_verify(
+        self, address: int, arrival: int, done: Optional[Signal]
+    ) -> None:
+        verify = self.masu.read_verify_latency(self.sim.now, address)
+        if done is not None:
+            self.sim.call_after(verify, partial(self._read_fire, arrival, done))
+
+    def _read_fire(self, arrival: int, done: Signal) -> None:
+        done.fire(self.sim.now - arrival)
 
     def crash(self):
         """Power failure: delegate to the persistence-domain policy."""

@@ -36,14 +36,3 @@ class WriteRequest:
 
     def __post_init__(self) -> None:
         self.address &= ~0x3F  # line-align
-
-
-@dataclass(slots=True)
-class ReadRequest:
-    """One 64-byte read (LLC miss) arriving at the memory controller."""
-
-    address: int
-    arrival: int = 0
-
-    def __post_init__(self) -> None:
-        self.address &= ~0x3F

@@ -9,6 +9,13 @@ simulation process, batching the resolved latency into one delay per
 yield and interacting with the event queue only where concurrency
 matters: demand-miss reads, persist submissions, and fences.
 
+Inside the unbounded drain the core *runs ahead*: when no other event
+can fire before a delay ends (:meth:`repro.engine.Simulator.idle_through`)
+it sets ``now`` forward itself instead of scheduling its wake-up, and a
+demand read whose whole latency is known at issue is waited out the
+same way.  Results are bit-identical to a bounded run, which never runs
+ahead (``tests/test_run_ahead.py``).
+
 Persist semantics (the crux of the paper):
 
 * ``clwb`` of a dirty line launches a writeback that reaches the memory
@@ -45,7 +52,12 @@ from repro.stats import StatsRegistry
 
 
 class TraceCore:
-    """Replays one trace against a memory controller."""
+    """Replays one trace against a memory controller.
+
+    Besides its stats, the core counts :attr:`read_stall_cycles`, the
+    cycles it waited on demand reads, whether their latency was booked
+    at issue or came on a Signal.
+    """
 
     def __init__(
         self,
@@ -65,6 +77,9 @@ class TraceCore:
         self.instructions = 0
         self.cycles = 0
         self.finished = False
+        #: The breakdown's read stall.  Not a stat: a new stat key would
+        #: change every result digest.
+        self.read_stall_cycles = 0
         self._outstanding_persists = 0
         self._fence_signal = Signal(sim, "core.fence")
         self._process: Optional[Process] = None
@@ -95,6 +110,7 @@ class TraceCore:
         # allocation-free directive forms); invariant collaborators are
         # hoisted into locals once.
         sim = self.sim
+        idle_through = sim.idle_through
         strict = self.config.core.persist_model == "strict"
         controller_read = self.controller.read
         controller_fill = self.controller.fill
@@ -109,6 +125,16 @@ class TraceCore:
         # recorded at the transaction's end, overall and per tenant.
         pending_arrival = -1
         pending_tenant = 0
+        # Run-ahead: the core sets ``now`` forward itself, instead of
+        # yielding a delay, when no other event can fire first — its
+        # wake-up would be the next event popped.  That is exact only
+        # while the core runs at the tail of a kernel-dispatched event
+        # (its own wake-up or a read completion), so nothing else is
+        # left to run at the old ``now``.  A fence that stalled resumes
+        # inside the controller's persist completion, which still wakes
+        # the drain after it: the next delay or read goes through the
+        # kernel.
+        at_tail = False
         for kind, operand, wait in stream.events():
             if kind == EV_FILL:
                 # Write-allocate fill: nothing waits on it.
@@ -119,20 +145,35 @@ class TraceCore:
                 submit_eviction(operand)
                 continue
             if wait:
-                yield wait
+                if at_tail and idle_through(sim.now + wait):
+                    sim.now += wait
+                else:
+                    yield wait
+                    at_tail = True
             if kind == EV_LOAD:
                 # Demand load: the core (its dependent work) waits for
-                # the memory + verification round trip.
-                yield controller_read(operand)
+                # the memory + verification round trip — a latency
+                # booked at issue, or a Signal fired with it.
+                latency = controller_read(operand, at_tail)
+                if latency.__class__ is not int:
+                    latency = yield latency
+                    at_tail = True
+                elif at_tail and idle_through(sim.now + latency):
+                    sim.now += latency
+                else:
+                    yield latency
+                    at_tail = True
+                self.read_stall_cycles += latency
                 stats_add("core.memory_reads")
             elif kind == EV_PERSIST:
                 launch_persist(operand)
-                if strict:
-                    # Strict persistency: the flush itself blocks until
-                    # the write is in the persistence domain.
-                    yield from self._await_persists()
+                # Strict persistency: the flush itself blocks until the
+                # write is in the persistence domain.
+                if strict and (yield from self._await_persists()):
+                    at_tail = False
             elif kind == EV_FENCE:
-                yield from self._await_persists()
+                if (yield from self._await_persists()):
+                    at_tail = False
                 stats_add("core.fences")
             elif kind == EV_TXBEGIN:
                 tx_start_cycle = sim.now
@@ -163,7 +204,11 @@ class TraceCore:
                 pending_arrival = operand & ARRIVAL_CYCLE_MASK
                 stats_add("core.arrivals")
                 if pending_arrival > sim.now:
-                    yield pending_arrival - sim.now
+                    if at_tail and idle_through(pending_arrival):
+                        sim.now = pending_arrival
+                    else:
+                        yield pending_arrival - sim.now
+                        at_tail = True
                 else:
                     stats_add("core.arrivals_queued")
         if stream.tail:
@@ -178,15 +223,22 @@ class TraceCore:
         self.stats.set("core.instructions", self.instructions)
 
     def _await_persists(self):
-        """Stall until every outstanding persist completes (a fence)."""
+        """Stall until every outstanding persist completes (a fence).
+
+        Returns whether the core stalled, that is, whether it now runs
+        inside the persist completion that woke it.
+        """
         sim = self.sim
+        stalled = False
         while self._outstanding_persists > 0:
             started = sim.now
             yield self._fence_signal
+            stalled = True
             stall = sim.now - started
             self.stats.add("core.fence_stall_cycles", stall)
             if self.timeline is not None:
                 self.timeline.event(sim.now, "core.fence_stall", str(stall))
+        return stalled
 
     # ------------------------------------------------------------------
     def _launch_persist(self, address: int) -> None:

@@ -16,6 +16,12 @@ Two unbounded-drain strategies exist, selected at construction:
   loop, kept as the reference implementation; the property suite
   asserts event-for-event equivalence between the two on random
   schedules, cancellations, and same-cycle ties.
+
+Inside the epoch drain a callback may also *run ahead*: when
+:meth:`Simulator.idle_through` says no other event can fire up to a
+cycle, the caller may advance ``now`` itself instead of scheduling a
+wake-up that would be the next event popped anyway (the trace core
+does, see :mod:`repro.cpu.core`).  Bounded runs never allow it.
 """
 
 from __future__ import annotations
@@ -62,6 +68,9 @@ class Simulator:
         #: :class:`repro.engine.process.Process` to decide whether a
         #: zero-delay first step may run synchronously.
         self._batch_pending = False
+        #: True while :meth:`_run_epoch` drains without bounds: the only
+        #: drain in which :meth:`idle_through` may hold.
+        self._draining = False
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -156,6 +165,7 @@ class Simulator:
         try:
             if until is None and max_events is None:
                 if self._epoch:
+                    self._draining = True
                     self._run_epoch()
                 else:
                     self._run_fast()
@@ -163,6 +173,24 @@ class Simulator:
                 self._run_general(until, max_events)
         finally:
             self._running = False
+            self._draining = False
+
+    def idle_through(self, cycle: int) -> bool:
+        """True when no other event can fire at or before ``cycle``.
+
+        Holds only inside the unbounded epoch drain, with no same-cycle
+        batch remainder pending, no stop requested, and every queued
+        event strictly later than ``cycle`` (a tie at ``cycle`` belongs
+        to the older event).  A callback that is about to return to the
+        drain may then set ``now`` forward to ``cycle`` itself: the
+        wake-up it would have scheduled is exactly the next event the
+        drain would pop.  Bounded runs (``until``, ``max_events``,
+        :meth:`step`) never run ahead.
+        """
+        if not self._draining or self._batch_pending or self._stop_requested:
+            return False
+        heap = self._queue._heap
+        return not heap or heap[0][0] > cycle
 
     def _run_epoch(self) -> None:
         """Unbounded drain, one heap sweep per *cycle* (batch epoch).

@@ -9,8 +9,12 @@ stacked bars:
 * **compute + cache** — everything else (instruction work, hits,
   hierarchy latency).
 
-The split comes from the stats the core already records, so a
-breakdown costs one ordinary simulation run.
+The split comes from what the core already counts — the
+``core.fence_stall_cycles`` stat and ``TraceCore.read_stall_cycles`` —
+so a breakdown costs one ordinary simulation run.  Fence and read
+stalls are disjoint intervals of the core, so the parts sum exactly to
+the total; a breakdown whose parts exceed it is an accounting error and
+raises.
 """
 
 from __future__ import annotations
@@ -33,8 +37,20 @@ class CycleBreakdown:
 
     @property
     def other(self) -> int:
-        """Compute, cache hits, hierarchy latency, overlap slack."""
-        return max(0, self.total - self.fence_stall - self.read_stall)
+        """Compute, cache hits and hierarchy latency: the remainder.
+
+        Raises:
+            ValueError: if the stalls exceed the total (they are
+                disjoint intervals of one core, so that is an
+                accounting error, not overlap).
+        """
+        other = self.total - self.fence_stall - self.read_stall
+        if other < 0:
+            raise ValueError(
+                f"stalls exceed the total: fence {self.fence_stall} + "
+                f"read {self.read_stall} > {self.total} cycles"
+            )
+        return other
 
     def fraction(self, component: str) -> float:
         value = getattr(self, component)
@@ -69,38 +85,24 @@ def run_with_breakdown(
 
     The run is :func:`repro.harness.runner.run_trace` itself, so the
     result is the plain run's, stat for stat.  Read-stall cycles are
-    measured through its ``probe`` hook by wrapping the controller's
-    ``read``, which the core calls only for the demand loads it blocks
-    on (store-miss fills go through ``fill``).  An optional
-    ``timeline`` (e.g. :class:`repro.tracing.SpanTracer`) is attached
-    to both the controller and the core, so span tracing and the
-    breakdown come from the same run.
+    the core's own count (``TraceCore.read_stall_cycles``), read
+    through ``run_trace``'s ``probe`` hook; the core counts every read
+    it waits on, whether its latency was booked at issue or came back
+    on a Signal.  An optional ``timeline`` (e.g.
+    :class:`repro.tracing.SpanTracer`) is attached to both the
+    controller and the core, so span tracing and the breakdown come
+    from the same run.
     """
-    read_stall = [0]
+    cores = []
 
     def probe(sim, controller, core) -> None:
         if timeline is not None:
             controller.attach_timeline(timeline)
             core.timeline = timeline
-        original_read = controller.read
-
-        # Measure blocking-read stall time by timestamping round trips.
-        def timed_read(address: int):
-            issued = sim.now
-            signal = original_read(address)
-            original_fire = signal.fire
-
-            def fire(value=None):
-                read_stall[0] += sim.now - issued
-                original_fire(value)
-
-            signal.fire = fire
-            return signal
-
-        controller.read = timed_read
+        cores.append(core)
 
     result = run_trace(config, trace, workload, transactions, probe=probe)
-    return result, breakdown_of(result, read_stall[0])
+    return result, breakdown_of(result, cores[0].read_stall_cycles)
 
 
 def render_breakdowns(rows: List[Tuple[str, CycleBreakdown]], title: str) -> str:

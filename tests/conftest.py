@@ -46,6 +46,26 @@ def bounded():
     return run
 
 
+@pytest.fixture
+def record_read():
+    """Issue a demand read and collect its latency.
+
+    ``controller.read`` returns the latency when it is known at issue
+    and a Signal fired with it otherwise; ``record_read(controller,
+    address, latencies)`` appends the latency to ``latencies`` either
+    way (at once, or when the Signal fires).
+    """
+
+    def issue(controller, address, latencies):
+        waited = controller.read(address)
+        if isinstance(waited, int):
+            latencies.append(waited)
+        else:
+            waited.subscribe(latencies.append)
+
+    return issue
+
+
 @pytest.fixture(scope="session")
 def tier1_metrics():
     """Every golden-snapshot headline metric, recomputed once per session.

@@ -1,5 +1,7 @@
 """Tests for breakdown analysis, wear tracking and trace serialisation."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import ControllerKind, SimConfig, eager_config
@@ -16,6 +18,7 @@ from repro.harness.breakdown import (
     run_with_breakdown,
 )
 from repro.harness.runner import run_trace
+from repro.matrix import controller_matrix
 from repro.mem.nvm import NVMDevice
 from repro.workloads import generate_trace
 
@@ -36,11 +39,31 @@ class TestCycleBreakdown:
         assert breakdown.fraction("fence_stall") == 0.4
 
     def test_other_never_negative(self):
+        # Fence and read stalls are disjoint intervals of the core, so
+        # parts exceeding the total are an accounting error: raised,
+        # not clamped to zero.
         breakdown = CycleBreakdown(total=10, fence_stall=8, read_stall=8)
-        assert breakdown.other == 0
+        with pytest.raises(ValueError, match="exceed the total"):
+            breakdown.other
 
     def test_zero_total(self):
         assert CycleBreakdown(0, 0, 0).fraction("fence_stall") == 0.0
+
+    @pytest.mark.parametrize("label", sorted(controller_matrix()))
+    def test_parts_sum_to_total_across_the_matrix(self, label):
+        # The law behind the raise: on real runs the stalls never exceed
+        # the total, so the three parts sum to it with no clamp.
+        base = controller_matrix()[label]
+        for workload in ("hashmap", "read-heavy"):
+            for model in ("relaxed", "strict"):
+                config = base.with_(
+                    core=dataclasses.replace(base.core, persist_model=model)
+                )
+                trace = generate_trace(workload, 40, config.transaction_size, 1)
+                _, breakdown = run_with_breakdown(config, trace, workload, 40)
+                # ``other`` is the exact remainder; it raises instead of
+                # going negative.
+                assert breakdown.other > 0
 
     def test_run_with_breakdown_end_to_end(self):
         trace = generate_trace("ctree", 20, 512, seed=1)

@@ -22,12 +22,12 @@ def build(kind=ControllerKind.DOLOS, **changes):
 
 
 class TestReadsVsWrites:
-    def test_read_hits_wpq_before_drain(self):
+    def test_read_hits_wpq_before_drain(self, record_read):
         sim, controller = build()
         controller.submit_write(WriteRequest(HEAP, WriteKind.PERSIST))
         sim.run(until=200)  # entry inserted, not yet drained
         latencies = []
-        controller.read(HEAP).subscribe(latencies.append)
+        record_read(controller, HEAP, latencies)
         sim.run(until=300)
         assert latencies and latencies[0] <= 2
         assert controller.wpq.read_hits == 1

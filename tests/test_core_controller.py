@@ -163,12 +163,11 @@ class TestEvictionWrites:
 
 
 class TestReads:
-    def test_wpq_read_hit_is_fast(self):
+    def test_wpq_read_hit_is_fast(self, record_read):
         sim, controller = build(ControllerKind.DOLOS)
         submit_persist(controller, 0x1000)
         latencies = []
-        done = controller.read(0x1000)
-        done.subscribe(latencies.append)
+        record_read(controller, 0x1000, latencies)
         sim.run()
         assert latencies[0] <= 2
 
@@ -180,11 +179,11 @@ class TestReads:
         sim.run()
         assert latencies[0] >= controller.config.nvm.read_latency
 
-    def test_ideal_read_has_no_verify_cost(self):
+    def test_ideal_read_has_no_verify_cost(self, record_read):
         def read_latency(kind):
             sim, controller = build(kind)
             latencies = []
-            controller.read(0x2000).subscribe(latencies.append)
+            record_read(controller, 0x2000, latencies)
             sim.run()
             return latencies[0]
 

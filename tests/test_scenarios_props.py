@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cpu.trace import OP_ARRIVAL, unpack_arrival
 from repro.scenarios import (
@@ -81,19 +81,22 @@ class TestDeterminism:
 class TestPoissonRate:
     @settings(max_examples=20, deadline=None)
     @given(rate=st.floats(min_value=0.01, max_value=1.0), seed=seeds)
+    @example(rate=1.0, seed=94467)
     def test_mean_inter_arrival_tracks_rate(self, rate, seed):
-        """Empirical mean gap within ±4 standard errors of 1000/rate.
+        """Empirical mean gap within ±6 standard errors of 1000/rate.
 
         Exponential gaps have sigma = mean, so the standard error over
-        n samples is ``mean / sqrt(n)``; a 4-sigma band keeps the
-        false-failure odds negligible across the Hypothesis sweep
-        while still pinning the generator to its nominal rate.
+        n samples is ``mean / sqrt(n)``; the last arrival is the sum
+        of all n gaps.  A 6-sigma band over 2025 gaps is as tight as
+        4 sigma over 900 (13.3% of the mean) with negligible
+        false-failure odds.  The pinned example fell just outside that
+        4-sigma band at n = 900.
         """
-        n = 900
+        n = 2025
         arrivals = PoissonArrivals(rate).sample(n, seed)
-        mean_gap = arrivals[-1] / (n - 1)
+        mean_gap = arrivals[-1] / n
         expected = 1000.0 / rate
-        tolerance = 4.0 * expected / (n - 1) ** 0.5
+        tolerance = 6.0 * expected / n ** 0.5
         assert abs(mean_gap - expected) < tolerance
 
     @settings(max_examples=15, deadline=None)
