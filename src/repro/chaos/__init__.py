@@ -7,6 +7,6 @@ baseline, and every injected fault is accounted for.  See
 docs/robustness.md.
 """
 
-from repro.chaos.plan import ChaosFault, ChaosPlan, InjectionLog, WireSchedule
+from repro.chaos.plan import ChaosFault, ChaosPlan, WireSchedule
 
-__all__ = ["ChaosFault", "ChaosPlan", "InjectionLog", "WireSchedule"]
+__all__ = ["ChaosFault", "ChaosPlan", "WireSchedule"]

@@ -12,19 +12,21 @@ no faults:
   torn-WAL and killed-writer storage drills);
 * every fault that fired is classified — *tolerated* (absorbed with no
   recovery machinery), *recovered* (supervision or client retries had
-  to act), or *degraded* (a worker was quarantined or the respawn
-  budget ran out, but the campaign still completed).  A fault that
-  fired while any invariant broke is *silent* — and any silent fault
-  fails the campaign.
+  to act), or *degraded* (the respawn budget ran out, but the campaign
+  still completed).  A fault that fired while any invariant broke is
+  *silent* — and any silent fault fails the campaign.
 
-Classification is mechanical, not judged: a fault is *silent* only
-when an invariant violation proves data was actually lost or
-corrupted; *recovered* requires matching supervision-log evidence
+The orchestrator, the proxies, the storage drills and the dispatcher's
+supervision plane all record into one
+:class:`~repro.instrumentation.EventLog`, and classification reads that
+one time-ordered list.  It is mechanical, not judged: a fault is
+*silent* only when an invariant violation proves data was actually
+lost or corrupted; *recovered* requires matching supervision evidence
 (worker-death / respawn / hang-detected / client-retry for the fault's
-worker at or after the injection); *degraded* requires quarantine or
-respawn-exhaustion evidence.  Faults whose trigger never arrived
-(e.g. frame 4 of a wire that only carried 3) are reported *unreached*
-and excluded from the tally.
+worker at or after the injection); *degraded* requires
+respawn-exhaustion evidence.  Faults whose trigger never arrived (e.g.
+frame 4 of a wire that only carried 3) are reported *unreached* and
+excluded from the tally.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.chaos.orchestrator import ChaosOrchestrator
-from repro.chaos.plan import ChaosFault, ChaosPlan, InjectionLog
+from repro.chaos.plan import ChaosFault, ChaosPlan, injections, record_injection
 from repro.fleet.db import FleetDB
 from repro.fleet.dispatcher import (
     CampaignSpec,
@@ -53,6 +55,7 @@ from repro.fleet.dispatcher import (
     expand_units,
 )
 from repro.fleet.supervisor import SupervisionConfig
+from repro.instrumentation import EventLog
 
 __all__ = [
     "ChaosCampaignConfig",
@@ -67,7 +70,7 @@ RECOVERY_KINDS = frozenset(
     {"worker-death", "worker-respawn", "hang-detected", "client-retry"}
 )
 #: Evidence that capacity was permanently lost (campaign still done).
-DEGRADED_KINDS = frozenset({"breaker-quarantine", "respawn-exhausted"})
+DEGRADED_KINDS = frozenset({"respawn-exhausted"})
 
 
 @dataclass(frozen=True)
@@ -104,10 +107,6 @@ class ChaosCampaignConfig:
             heartbeat_interval=self.heartbeat,
             stale_after=self.stale_after,
             respawn_budget=self.respawns,
-            probe_timeout=max(0.2, self.stale_after / 2),
-            breaker_threshold=3,
-            breaker_cooldown=0.2,
-            breaker_max_trips=4,
         )
 
 
@@ -158,15 +157,17 @@ def check_invariants(
 # ----------------------------------------------------------------------
 def classify_faults(
     plan: ChaosPlan,
-    injections: Sequence,
-    supervision_events: Sequence[Dict[str, object]],
+    events: Sequence[Dict],
     invariants_ok: bool,
 ) -> Dict[str, Dict[str, object]]:
-    """Account for every planned fault; see the module docstring."""
+    """Account for every planned fault from the run's event-log payload;
+    see the module docstring."""
     result: Dict[str, Dict[str, object]] = {}
     for fault in plan.faults:
         fired = [
-            inj for inj in injections if inj.fault_id == fault.fault_id
+            event
+            for event in injections(events)
+            if event["fields"]["fault_id"] == fault.fault_id
         ]
         entry: Dict[str, object] = {
             "kind": fault.kind,
@@ -177,23 +178,21 @@ def classify_faults(
             entry["status"] = "unreached"
             result[fault.fault_id] = entry
             continue
-        entry["detail"] = fired[0].detail
+        entry["detail"] = fired[0]["fields"]["detail"]
         if not invariants_ok:
             entry["status"] = "silent"
             result[fault.fault_id] = entry
             continue
-        horizon = min(inj.mono for inj in fired) - 0.05
-        events = [
-            event
-            for event in supervision_events
-            if float(event["mono"]) >= horizon
-            and (not fault.worker or event["worker"] == fault.worker)
-        ]
-        if any(event["kind"] in DEGRADED_KINDS for event in events):
+        horizon = min(event["time"] for event in fired) - 0.05
+        evidence = {
+            event["kind"]
+            for event in events
+            if event["time"] >= horizon
+            and (not fault.worker or event["source"] == fault.worker)
+        }
+        if evidence & DEGRADED_KINDS:
             entry["status"] = "degraded"
-        elif fault.layer != "storage" and any(
-            event["kind"] in RECOVERY_KINDS for event in events
-        ):
+        elif fault.layer != "storage" and evidence & RECOVERY_KINDS:
             entry["status"] = "recovered"
         else:
             entry["status"] = "tolerated"
@@ -201,14 +200,12 @@ def classify_faults(
     return result
 
 
+#: Every classification outcome, in report order.
+STATUSES = ("tolerated", "recovered", "degraded", "silent", "unreached")
+
+
 def _tally(classification: Dict[str, Dict[str, object]]) -> Dict[str, int]:
-    counts = {
-        "tolerated": 0,
-        "recovered": 0,
-        "degraded": 0,
-        "silent": 0,
-        "unreached": 0,
-    }
+    counts = dict.fromkeys(STATUSES, 0)
     for entry in classification.values():
         counts[str(entry["status"])] += 1
     return counts
@@ -236,7 +233,7 @@ time.sleep(30)
 
 
 def _crash_writer_drill(
-    db_path: Path, fault: ChaosFault, log: InjectionLog
+    db_path: Path, fault: ChaosFault, events: EventLog
 ) -> List[str]:
     """SIGKILL a writer inside ``BEGIN IMMEDIATE``; nothing may commit."""
     process = subprocess.Popen(
@@ -257,7 +254,9 @@ def _crash_writer_drill(
         if process.poll() is None:
             process.kill()
             process.wait()
-    log.record(fault, detail="writer SIGKILLed inside BEGIN IMMEDIATE")
+    record_injection(
+        events, fault, "writer SIGKILLed inside BEGIN IMMEDIATE"
+    )
     conn = sqlite3.connect(str(db_path))
     try:
         count = conn.execute("SELECT COUNT(*) FROM chaos_drill").fetchone()[0]
@@ -272,7 +271,7 @@ def _crash_writer_drill(
 
 
 def _torn_wal_drill(
-    db_path: Path, fault: ChaosFault, log: InjectionLog, seed: int
+    db_path: Path, fault: ChaosFault, events: EventLog, seed: int
 ) -> List[str]:
     """Append a garbage tail to the WAL; sqlite must shrug it off."""
     rng = random.Random(f"torn-wal-{seed}")
@@ -283,8 +282,8 @@ def _torn_wal_drill(
             handle.write(garbage)
     except OSError as exc:
         return [f"{fault.fault_id}: could not tear WAL: {exc}"]
-    log.record(
-        fault, detail=f"appended {len(garbage)} garbage bytes to WAL"
+    record_injection(
+        events, fault, f"appended {len(garbage)} garbage bytes to WAL"
     )
     conn = sqlite3.connect(str(db_path))
     try:
@@ -349,8 +348,10 @@ def run_chaos_once(
             storage_faults=config.storage_faults,
         )
     result_cache = runtime / "result-cache"
+    # One log for the whole run: injections, supervision, client retries.
+    events = EventLog()
     orchestrator = ChaosOrchestrator(
-        plan, runtime, result_cache_dir=result_cache
+        plan, runtime, events, result_cache_dir=result_cache
     )
     env = dict(os.environ)
     env["REPRO_TRACE_CACHE"] = str(out_dir / "trace-cache")
@@ -367,6 +368,7 @@ def run_chaos_once(
         on_record=orchestrator.on_record,
         on_worker_start=orchestrator.on_worker_start,
         supervision=config.supervision(),
+        events=events,
     )
     started = time.monotonic()
     failure: Optional[str] = None
@@ -384,13 +386,9 @@ def run_chaos_once(
         violations.append(f"campaign failed: {failure}")
     for fault in plan.by_layer("storage"):
         if fault.kind == "db-crash-writer":
-            violations += _crash_writer_drill(
-                db_path, fault, orchestrator.log
-            )
+            violations += _crash_writer_drill(db_path, fault, events)
         elif fault.kind == "db-torn-wal":
-            violations += _torn_wal_drill(
-                db_path, fault, orchestrator.log, chaos_seed
-            )
+            violations += _torn_wal_drill(db_path, fault, events, chaos_seed)
 
     # A *fresh* reopen proves recovery: the drills must have left a
     # database a cold process still reads completely and verifies.
@@ -402,11 +400,9 @@ def run_chaos_once(
     finally:
         fresh.close()
 
+    timeline = events.to_payload()
     classification = classify_faults(
-        plan,
-        orchestrator.log.entries(),
-        dispatcher.supervision_log.to_payload(),
-        invariants_ok=not violations,
+        plan, timeline, invariants_ok=not violations
     )
     counts = _tally(classification)
     ok = not violations and counts["silent"] == 0
@@ -414,8 +410,7 @@ def run_chaos_once(
         "chaos_seed": chaos_seed,
         "experiment_id": experiment_id,
         "plan": plan.to_payload(),
-        "injections": orchestrator.log.to_payload(),
-        "supervision": dispatcher.supervision_log.to_payload(),
+        "events": timeline,
         "summary": summary.to_payload() if summary else None,
         "violations": violations,
         "classification": classification,
@@ -438,12 +433,11 @@ def run_chaos_campaign(
     ]
     totals = {
         "faults_planned": sum(len(run["plan"]["faults"]) for run in runs),
-        "faults_fired": sum(len(run["injections"]) for run in runs),
-        "tolerated": sum(run["counts"]["tolerated"] for run in runs),
-        "recovered": sum(run["counts"]["recovered"] for run in runs),
-        "degraded": sum(run["counts"]["degraded"] for run in runs),
-        "silent": sum(run["counts"]["silent"] for run in runs),
-        "unreached": sum(run["counts"]["unreached"] for run in runs),
+        "faults_fired": sum(len(injections(run["events"])) for run in runs),
+        **{
+            status: sum(run["counts"][status] for run in runs)
+            for status in STATUSES
+        },
         "violations": sum(len(run["violations"]) for run in runs),
         "lost_units": 0 if all(run["ok"] for run in runs) else None,
     }
@@ -542,7 +536,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"[chaos] seed {run['chaos_seed']}: "
             f"{len(run['plan']['faults'])} faults planned, "
-            f"{len(run['injections'])} fired "
+            f"{len(injections(run['events']))} fired "
             f"({counts['tolerated']} tolerated, "
             f"{counts['recovered']} recovered, "
             f"{counts['degraded']} degraded, "

@@ -17,7 +17,8 @@ result frame crosses the wire, the worker is SIGKILLed and the frame
 is swallowed — the dispatcher never records that result, and only the
 redispatch path can save the unit.
 
-Every fault fired lands in the :class:`InjectionLog` exactly once.
+Every fault fired lands in the run's
+:class:`~repro.instrumentation.EventLog` exactly once.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ import threading
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.chaos.plan import ChaosPlan, InjectionLog, WireSchedule
+from repro.chaos.plan import ChaosPlan, WireSchedule, record_injection
 from repro.chaos.proxy import ChaosProxy
+from repro.instrumentation import EventLog
 
 logger = logging.getLogger(__name__)
 
@@ -45,6 +47,7 @@ class ChaosOrchestrator:
         self,
         plan: ChaosPlan,
         runtime_dir: Path,
+        events: EventLog,
         result_cache_dir: Optional[Path] = None,
     ) -> None:
         self.plan = plan
@@ -52,7 +55,7 @@ class ChaosOrchestrator:
         self.result_cache_dir = (
             Path(result_cache_dir) if result_cache_dir else None
         )
-        self.log = InjectionLog()
+        self.events = events
         self._schedules: Dict[str, WireSchedule] = {}
         self._proxies: List[ChaosProxy] = []
         self._handles: Dict[str, object] = {}
@@ -80,7 +83,7 @@ class ChaosOrchestrator:
             str(listen_path),
             worker.socket_path,
             schedule,
-            self.log,
+            self.events,
             frame_filter=self._frame_filter(worker.worker_id),
         )
         proxy.start()
@@ -96,8 +99,9 @@ class ChaosOrchestrator:
                 if fault.fault_id in self._fired:
                     continue
                 self._fired.add(fault.fault_id)
-            self.log.record(
-                fault, detail=f"killed incarnation {worker.instance} at ready"
+            record_injection(
+                self.events, fault,
+                f"killed incarnation {worker.instance} at ready",
             )
             worker.kill()
 
@@ -165,9 +169,9 @@ class ChaosOrchestrator:
                 if fault is None:
                     return True
                 self._fired.add(fault.fault_id)
-            self.log.record(
-                fault,
-                detail=f"result frame {count} swallowed; worker killed",
+            record_injection(
+                self.events, fault,
+                f"result frame {count} swallowed; worker killed",
             )
             handle = self._handles.get(worker_id)
             if handle is not None:
@@ -182,16 +186,15 @@ class ChaosOrchestrator:
             return
         pid = handle.process.pid
         if fault.kind == "sigkill":
-            self.log.record(fault, detail=f"SIGKILL after record {fault.frame}")
+            record_injection(
+                self.events, fault, f"SIGKILL after record {fault.frame}"
+            )
             handle.kill()
             return
         if fault.kind == "sigstop":
-            self.log.record(
-                fault,
-                detail=(
-                    f"SIGSTOP after record {fault.frame} "
-                    f"for {fault.param}s"
-                ),
+            record_injection(
+                self.events, fault,
+                f"SIGSTOP after record {fault.frame} for {fault.param}s",
             )
             try:
                 os.kill(pid, signal.SIGSTOP)
@@ -215,15 +218,15 @@ class ChaosOrchestrator:
             return
         victims = sorted(self.result_cache_dir.glob("*.json"))
         if not victims:
-            self.log.record(fault, detail="no cache entry to corrupt yet")
+            record_injection(self.events, fault, "no cache entry to corrupt yet")
             return
         victim = victims[0]
         try:
             victim.write_bytes(b'{"payload": "corrupted by chaos"')
         except OSError as exc:
-            self.log.record(fault, detail=f"corruption failed: {exc}")
+            record_injection(self.events, fault, f"corruption failed: {exc}")
             return
-        self.log.record(fault, detail=f"corrupted {victim.name}")
+        record_injection(self.events, fault, f"corrupted {victim.name}")
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -10,7 +10,7 @@ produces the same plan, and a :class:`WireSchedule` derived from it
 makes the same decision for the same frame ordinal every run.  That
 determinism is what the replay tests assert: two runs from one seed
 must log identical injections (modulo wall-clock stamps, which are
-recorded but excluded from :meth:`Injection.deterministic`).
+recorded but excluded from :func:`injection_tuple`).
 
 Three layers:
 
@@ -31,19 +31,22 @@ from __future__ import annotations
 import json
 import random
 import threading
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.instrumentation import EventLog
 
 __all__ = [
     "WIRE_KINDS",
     "PROCESS_KINDS",
     "STORAGE_KINDS",
+    "INJECTED",
     "ChaosFault",
     "ChaosPlan",
     "WireSchedule",
-    "Injection",
-    "InjectionLog",
+    "record_injection",
+    "injections",
+    "injection_tuple",
 ]
 
 #: Wire-layer faults the proxy can inject, by kind.
@@ -276,88 +279,39 @@ class WireSchedule:
 
 
 # ----------------------------------------------------------------------
-# The injection log
+# Injection records in the run's event log
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Injection:
-    """One fault actually fired, stamped for the run report.
-
-    ``at``/``mono`` are observability only; replay equality compares
-    :meth:`deterministic` tuples, which a same-seed run must reproduce
-    exactly.
-    """
-
-    fault_id: str
-    kind: str
-    layer: str
-    worker: str
-    direction: str
-    frame: int
-    detail: str
-    at: float
-    mono: float
-
-    def deterministic(self) -> Tuple[str, str, str, str, str, int]:
-        return (
-            self.fault_id,
-            self.kind,
-            self.layer,
-            self.worker,
-            self.direction,
-            self.frame,
-        )
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "fault_id": self.fault_id,
-            "kind": self.kind,
-            "layer": self.layer,
-            "worker": self.worker,
-            "direction": self.direction,
-            "frame": self.frame,
-            "detail": self.detail,
-            "at": self.at,
-            "mono": self.mono,
-        }
+#: The :class:`~repro.instrumentation.EventLog` kind of one fired fault.
+INJECTED = "fault-injected"
 
 
-class InjectionLog:
-    """Thread-safe record of every fault the chaos run actually fired."""
+def record_injection(events: EventLog, fault: ChaosFault, detail: str = "") -> None:
+    """Log that ``fault`` fired; the source is its worker (or its layer)."""
+    events.record(
+        fault.worker or fault.layer,
+        INJECTED,
+        fault_id=fault.fault_id,
+        fault=fault.kind,
+        layer=fault.layer,
+        direction=fault.direction,
+        frame=fault.frame,
+        detail=detail,
+    )
 
-    def __init__(self) -> None:
-        self._entries: List[Injection] = []
-        self._lock = threading.Lock()
 
-    def record(
-        self,
-        fault: ChaosFault,
-        detail: str = "",
-        frame: Optional[int] = None,
-    ) -> None:
-        entry = Injection(
-            fault_id=fault.fault_id,
-            kind=fault.kind,
-            layer=fault.layer,
-            worker=fault.worker,
-            direction=fault.direction,
-            frame=fault.frame if frame is None else frame,
-            detail=detail,
-            at=time.time(),
-            mono=time.monotonic(),
-        )
-        with self._lock:
-            self._entries.append(entry)
+def injections(events: Sequence[Dict]) -> List[Dict]:
+    """The fired-fault records of an event-log payload, in order."""
+    return [event for event in events if event["kind"] == INJECTED]
 
-    def entries(self) -> List[Injection]:
-        with self._lock:
-            return list(self._entries)
 
-    def deterministic(self) -> List[Tuple[str, str, str, str, str, int]]:
-        """The replay-comparable view (no wall-clock stamps)."""
-        return [entry.deterministic() for entry in self.entries()]
-
-    def fired_ids(self) -> set:
-        return {entry.fault_id for entry in self.entries()}
-
-    def to_payload(self) -> List[Dict[str, object]]:
-        return [entry.to_payload() for entry in self.entries()]
+def injection_tuple(event: Dict) -> Tuple[str, str, str, str, str, int]:
+    """The replay-comparable view of one injection (no time, no detail)."""
+    fields = event["fields"]
+    return (
+        fields["fault_id"],
+        fields["fault"],
+        fields["layer"],
+        event["source"],
+        fields["direction"],
+        fields["frame"],
+    )

@@ -42,7 +42,8 @@ import time
 from pathlib import Path
 from typing import Callable, List, Optional
 
-from repro.chaos.plan import ChaosFault, InjectionLog, WireSchedule
+from repro.chaos.plan import ChaosFault, WireSchedule, record_injection
+from repro.instrumentation import EventLog
 
 logger = logging.getLogger(__name__)
 
@@ -93,13 +94,13 @@ class ChaosProxy:
         listen_path: str,
         upstream_path: str,
         schedule: WireSchedule,
-        log: InjectionLog,
+        events: EventLog,
         frame_filter: Optional[Callable[[str, bytes], bool]] = None,
     ) -> None:
         self.listen_path = str(listen_path)
         self.upstream_path = str(upstream_path)
         self.schedule = schedule
-        self.log = log
+        self.events = events
         self.frame_filter = frame_filter
         self._listener: Optional[socket.socket] = None
         self._relays: List[_Relay] = []
@@ -211,30 +212,31 @@ class ChaosProxy:
     ) -> bool:
         """Inject ``fault`` on ``line``; True = connection is dead."""
         if fault.kind == "conn-reset":
-            self.log.record(
-                fault, detail=f"frame of {len(line)} bytes dropped"
+            record_injection(
+                self.events, fault, f"frame of {len(line)} bytes dropped"
             )
             return True
         if fault.kind == "frame-truncate":
             cut = max(1, len(line) // 2)
-            self.log.record(
-                fault, detail=f"forwarded {cut}/{len(line)} bytes"
+            record_injection(
+                self.events, fault, f"forwarded {cut}/{len(line)} bytes"
             )
             dst.sendall(line[:cut])
             return True
         if fault.kind == "frame-garble":
-            self.log.record(
-                fault, detail=f"bit flipped at offset {ordinal % len(line)}"
+            record_injection(
+                self.events, fault,
+                f"bit flipped at offset {ordinal % len(line)}",
             )
             dst.sendall(garble(line, ordinal))
             return True
         if fault.kind == "frame-dup":
-            self.log.record(fault, detail="frame delivered twice")
+            record_injection(self.events, fault, "frame delivered twice")
             dst.sendall(line)
             dst.sendall(line)
             return False
         if fault.kind in ("stall", "ack-delay"):
-            self.log.record(fault, detail=f"held {fault.param}s")
+            record_injection(self.events, fault, f"held {fault.param}s")
             time.sleep(fault.param)
             dst.sendall(line)
             return False

@@ -15,6 +15,9 @@ and drives each from its own thread through one shared queue, the
   its in-flight units put back at the head of the queue for the
   survivors; this is :func:`repro.harness.parallel.fan_out`'s retry
   across *worker processes* instead of pool children.
+* **Abort** — any other error in a worker thread (a database write
+  that fails, a hook that raises) stops the ledger, so no thread waits
+  on it forever, and :meth:`FleetDispatcher.run` raises it.
 
 Every completed unit is recorded into the :class:`~repro.fleet.db
 .FleetDB` the moment its result frame lands, so a dispatcher crash
@@ -43,21 +46,18 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.retry import CircuitBreaker
 from repro.fleet.db import FleetDB, current_git_hash, default_db_path
-from repro.fleet.supervisor import (
-    HeartbeatMonitor,
-    SupervisionConfig,
-    SupervisionLog,
-)
+from repro.fleet.supervisor import HeartbeatMonitor, SupervisionConfig
 from repro.harness.memo import UnitMemo
 from repro.harness.parallel import execute_unit
 from repro.harness.trace_store import TraceCache
+from repro.instrumentation import EventLog
 from repro.oracle.check import controller_matrix
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import (
     JobSpec,
     ProtocolError,
+    parse_overrides,
     result_payload,
     spec_to_run_unit,
 )
@@ -271,7 +271,7 @@ class UnitLedger:
     *in-flight* (claimed by one worker), or *done*.
     ``claim``/``complete``/``requeue`` keep the sets consistent under
     any interleaving, which the Hypothesis suite exercises with random
-    claim and death schedules.
+    claim and death schedules.  :meth:`abort` ends the campaign early.
     """
 
     def __init__(self, units: Sequence[FleetUnit]) -> None:
@@ -282,20 +282,25 @@ class UnitLedger:
         self._done: set = set()
         self._changed = threading.Condition()
         self.redispatches = 0
+        #: The error passed to :meth:`abort` (the first, if several).
+        self.failure: Optional[BaseException] = None
 
     # ------------------------------------------------------------------
     def claim(self, worker_id: str) -> Optional[FleetUnit]:
-        """The next pending unit for ``worker_id``; ``None`` once all done.
+        """The next pending unit for ``worker_id``; ``None`` once all done
+        or aborted.
 
         With the queue empty but units in flight, waits: a completion
         may finish the campaign, and a dying worker's requeue hands its
         units back.
         """
         with self._changed:
-            while not self._pending:
+            while not self._pending and self.failure is None:
                 if len(self._done) == len(self._units):
                     return None
                 self._changed.wait()
+            if self.failure is not None:
+                return None
             unit = self._pending.popleft()
             self._inflight[unit.key] = worker_id
             return unit
@@ -327,6 +332,13 @@ class UnitLedger:
             self.redispatches += len(keys)
             self._changed.notify_all()
             return len(keys)
+
+    def abort(self, error: BaseException) -> None:
+        """Stop the campaign on ``error``: every claim returns ``None``."""
+        with self._changed:
+            if self.failure is None:
+                self.failure = error
+            self._changed.notify_all()
 
     # ------------------------------------------------------------------
     def outstanding(self) -> int:
@@ -470,8 +482,6 @@ class WorkerReport:
     died: bool = False
     deaths: int = 0
     respawns: int = 0
-    quarantined: bool = False
-    breaker: Dict[str, object] = field(default_factory=dict)
 
 
 @dataclass
@@ -487,7 +497,6 @@ class FleetRunSummary:
     elapsed_s: float
     hangs: int = 0
     respawns: int = 0
-    quarantined: List[str] = field(default_factory=list)
     workers: List[WorkerReport] = field(default_factory=list)
 
     def to_payload(self) -> Dict[str, object]:
@@ -508,6 +517,7 @@ class FleetDispatcher:
         on_record: Optional[Callable[[str, str], None]] = None,
         supervision: Optional[SupervisionConfig] = None,
         on_worker_start: Optional[Callable[[ServiceWorker], None]] = None,
+        events: Optional[EventLog] = None,
     ) -> None:
         self.campaign = campaign.validate()
         self.db = db
@@ -518,22 +528,17 @@ class FleetDispatcher:
         #: ``on_record(worker_id, unit_key)`` fires after every db
         #: record — the integration tests' kill-injection hook.
         self.on_record = on_record
-        #: Heartbeats / breakers / respawn; defaults to the inert
-        #: env-derived config (everything off unless REPRO_FLEET_* set).
-        self.supervision = (
-            supervision
-            if supervision is not None
-            else SupervisionConfig.from_env()
-        )
+        #: Heartbeats and respawn; off unless the caller opts in.
+        self.supervision = supervision or SupervisionConfig()
         #: ``on_worker_start(worker)`` fires after every incarnation
         #: becomes ready (initial start *and* respawns) — the chaos
         #: harness uses it to stand up a wire proxy per incarnation.
         self.on_worker_start = on_worker_start
         #: Live handles, keyed by worker id (kill-injection surface).
         self.worker_handles: Dict[str, ServiceWorker] = {}
-        #: Everything the supervision plane observed this run.
-        self.supervision_log = SupervisionLog()
-        self._breakers: Dict[str, CircuitBreaker] = {}
+        #: Everything the supervision plane observed this run (source:
+        #: the worker id); the chaos harness passes its own log.
+        self.events = events if events is not None else EventLog()
         self._respawns_left = self.supervision.respawn_budget
         self._respawn_lock = threading.Lock()
         self._monitor: Optional[HeartbeatMonitor] = None
@@ -585,7 +590,6 @@ class FleetDispatcher:
             elapsed_s=time.monotonic() - started,
             hangs=self._monitor.hangs if self._monitor else 0,
             respawns=sum(r.respawns for r in reports),
-            quarantined=[r.worker_id for r in reports if r.quarantined],
             workers=reports,
         )
 
@@ -638,8 +642,8 @@ class FleetDispatcher:
         if self.supervision.heartbeat_enabled:
             logger.info(
                 "fleet supervision: heartbeat=%.2fs stale-after=%.2fs "
-                "respawn-budget=%d (REPRO_FLEET_HEARTBEAT / "
-                "REPRO_FLEET_STALE_AFTER / REPRO_FLEET_RESPAWNS)",
+                "respawn-budget=%d (--heartbeat / --stale-after / "
+                "--respawns)",
                 self.supervision.heartbeat_interval,
                 self.supervision.effective_stale_after,
                 self.supervision.respawn_budget,
@@ -647,9 +651,8 @@ class FleetDispatcher:
         for handle in handles:
             handle.start()
             self.worker_handles[handle.worker_id] = handle
-            self._breakers[handle.worker_id] = self.supervision.breaker()
-            self.supervision_log.record(
-                "worker-start", handle.worker_id, "incarnation 0"
+            self.events.record(
+                handle.worker_id, "worker-start", detail="incarnation 0"
             )
             if self.on_worker_start is not None:
                 self.on_worker_start(handle)
@@ -658,7 +661,7 @@ class FleetDispatcher:
             self._monitor = HeartbeatMonitor(
                 workers=lambda: list(self.worker_handles.values()),
                 config=self.supervision,
-                log=self.supervision_log,
+                events=self.events,
                 on_stale=self._kill_stale_worker,
             )
             self._monitor.start()
@@ -677,6 +680,8 @@ class FleetDispatcher:
                 thread.start()
             for thread in threads:
                 thread.join()
+            if ledger.failure is not None:
+                raise ledger.failure
             if ledger.outstanding() and all(r.died for r in reports):
                 raise FleetError(
                     "every fleet worker died; "
@@ -694,7 +699,7 @@ class FleetDispatcher:
 
         The blocked submit in its driver thread then fails fast, which
         routes the hang through the ordinary death path (requeue,
-        breaker, respawn) with no special casing.
+        respawn) with no special casing.
         """
         logger.warning(
             "fleet worker %s hung (stale heartbeat); killing",
@@ -711,88 +716,54 @@ class FleetDispatcher:
         """Drive ``worker`` incarnations until the campaign drains.
 
         Each incarnation runs in :meth:`_drive_worker`; a death hands
-        its claims back to the ledger, feeds the worker's breaker, and
-        — budget and breaker permitting — respawns a replacement
-        incarnation for this same thread to keep driving.
+        its claims back to the ledger and — budget permitting —
+        respawns a replacement incarnation for this same thread to keep
+        driving.  Any other error aborts the ledger.
         """
-        breaker = self._breakers.get(worker.worker_id)
-        while True:
-            death = self._drive_worker(worker, ledger, report)
-            if death is None:
-                report.breaker = breaker.snapshot() if breaker else {}
-                return
-            report.died = True
-            report.deaths += 1
-            ledger.requeue(worker.worker_id)
-            self.supervision_log.record(
-                "worker-death", worker.worker_id,
-                f"incarnation {worker.instance}: {death}",
-            )
-            if breaker is not None:
-                before = breaker.state
-                breaker.record_failure(death)
-                if breaker.state != before:
-                    kind = (
-                        "breaker-quarantine"
-                        if breaker.quarantined
-                        else "breaker-open"
-                    )
-                    self.supervision_log.record(
-                        kind, worker.worker_id, breaker.reason
-                    )
-                report.breaker = breaker.snapshot()
-                if breaker.quarantined:
-                    report.quarantined = True
-                    logger.warning(
-                        "fleet worker %s quarantined: %s",
-                        worker.worker_id, breaker.reason,
-                    )
+        try:
+            while True:
+                death = self._drive_worker(worker, ledger, report)
+                if death is None:
                     return
-            if not self._try_respawn(worker, report, breaker):
-                return
+                report.died = True
+                report.deaths += 1
+                ledger.requeue(worker.worker_id)
+                self.events.record(
+                    worker.worker_id, "worker-death",
+                    detail=f"incarnation {worker.instance}: {death}",
+                )
+                if ledger.failure is not None:
+                    return
+                if not self._try_respawn(worker, report):
+                    return
+        except Exception as exc:
+            ledger.abort(exc)
 
-    def _try_respawn(
-        self,
-        worker: ServiceWorker,
-        report: WorkerReport,
-        breaker: Optional[CircuitBreaker],
-    ) -> bool:
-        """Respawn ``worker`` if the fleet budget and breaker allow."""
+    def _try_respawn(self, worker: ServiceWorker, report: WorkerReport) -> bool:
+        """Respawn ``worker`` if the fleet-wide budget allows."""
         with self._respawn_lock:
             if self._respawns_left <= 0:
                 if self.supervision.respawn_budget:
-                    self.supervision_log.record(
-                        "respawn-exhausted", worker.worker_id,
-                        f"budget {self.supervision.respawn_budget} spent",
+                    self.events.record(
+                        worker.worker_id, "respawn-exhausted",
+                        detail=f"budget {self.supervision.respawn_budget} "
+                        "spent",
                     )
                 return False
             self._respawns_left -= 1
-        if breaker is not None:
-            # An open breaker wants its cooldown before the half-open
-            # probe; the probe itself is the respawned incarnation.
-            while not breaker.allow():
-                if breaker.quarantined:
-                    report.quarantined = True
-                    return False
-                time.sleep(min(0.05, self.supervision.breaker_cooldown))
         try:
             worker.respawn()
         except FleetError as exc:
-            self.supervision_log.record(
-                "worker-death", worker.worker_id,
-                f"respawn failed: {exc}",
+            self.events.record(
+                worker.worker_id, "worker-death",
+                detail=f"respawn failed: {exc}",
             )
-            if breaker is not None:
-                breaker.record_failure(str(exc))
-                report.breaker = breaker.snapshot()
-                if breaker.quarantined:
-                    report.quarantined = True
             return False
         report.respawns += 1
         self.worker_handles[worker.worker_id] = worker
-        self.supervision_log.record(
-            "worker-respawn", worker.worker_id,
-            f"incarnation {worker.instance}",
+        self.events.record(
+            worker.worker_id, "worker-respawn",
+            detail=f"incarnation {worker.instance}",
         )
         if self.on_worker_start is not None:
             self.on_worker_start(worker)
@@ -804,17 +775,20 @@ class FleetDispatcher:
         ledger: UnitLedger,
         report: WorkerReport,
     ) -> Optional[str]:
-        """Drive one incarnation; None = clean drain, str = death reason."""
-        breaker = self._breakers.get(worker.worker_id)
+        """Drive one incarnation; None = clean drain, str = death reason.
+
+        An error that is not the worker's death raises
+        :class:`FleetError` naming the unit it hit.
+        """
         try:
             client = worker.connect()
         except (OSError, ProtocolError) as exc:
             # OSError: dial refused / reset.  ProtocolError: the hello
             # frame arrived garbled (chaos wire) — same verdict.
             return f"connect failed: {type(exc).__name__}: {exc}"
-        client.on_retry = lambda attempt, exc: self.supervision_log.record(
-            "client-retry", worker.worker_id,
-            f"attempt {attempt}: {type(exc).__name__}",
+        client.on_retry = lambda attempt, exc: self.events.record(
+            worker.worker_id, "client-retry",
+            detail=f"attempt {attempt}: {type(exc).__name__}",
         )
         try:
             while True:
@@ -829,22 +803,26 @@ class FleetDispatcher:
                     # The worker died (or refused) mid-unit: hand the
                     # claim back for the survivors and bow out.
                     return f"{type(exc).__name__}: {exc}"
-                status = self.db.record_unit(
-                    self.experiment_id,
-                    unit.key,
-                    dict(unit.spec.to_wire()),
-                    dict(frame["payload"]),
-                    worker_id=worker.worker_id,
-                    elapsed_s=time.monotonic() - submit_started,
-                )
-                ledger.complete(unit.key, worker.worker_id)
-                report.completed += 1
-                if status == "duplicate":
-                    report.duplicates += 1
-                if breaker is not None:
-                    breaker.record_success()
-                if self.on_record is not None:
-                    self.on_record(worker.worker_id, unit.key)
+                try:
+                    status = self.db.record_unit(
+                        self.experiment_id,
+                        unit.key,
+                        dict(unit.spec.to_wire()),
+                        dict(frame["payload"]),
+                        worker_id=worker.worker_id,
+                        elapsed_s=time.monotonic() - submit_started,
+                    )
+                    ledger.complete(unit.key, worker.worker_id)
+                    report.completed += 1
+                    if status == "duplicate":
+                        report.duplicates += 1
+                    if self.on_record is not None:
+                        self.on_record(worker.worker_id, unit.key)
+                except Exception as exc:
+                    raise FleetError(
+                        f"{worker.worker_id} failed on unit {unit.key}: "
+                        f"{type(exc).__name__}: {exc}"
+                    ) from exc
         finally:
             try:
                 client.close()
@@ -866,18 +844,7 @@ class FleetDispatcher:
 def _campaign_from_args(args) -> CampaignSpec:
     if args.campaign:
         return CampaignSpec.from_file(Path(args.campaign))
-    overrides = {}
-    for pair in args.override or []:
-        key, sep, value = pair.partition("=")
-        if not sep:
-            raise FleetError(f"--override expects key=value, got {pair!r}")
-        if value.lower() in ("true", "false"):
-            overrides[key] = value.lower() == "true"
-        else:
-            try:
-                overrides[key] = int(value)
-            except ValueError:
-                overrides[key] = value
+    overrides = parse_overrides(args.override)
     return CampaignSpec(
         name=args.name,
         workloads=tuple(w for w in args.workloads.split(",") if w),
@@ -889,21 +856,6 @@ def _campaign_from_args(args) -> CampaignSpec:
     ).validate()
 
 
-def _supervision_from_args(args) -> SupervisionConfig:
-    """Env-derived config with explicit CLI flags layered on top."""
-    from dataclasses import replace as _replace
-
-    config = SupervisionConfig.from_env()
-    overrides = {}
-    if args.heartbeat is not None:
-        overrides["heartbeat_interval"] = args.heartbeat
-    if args.stale_after is not None:
-        overrides["stale_after"] = args.stale_after
-    if args.respawns is not None:
-        overrides["respawn_budget"] = args.respawns
-    return _replace(config, **overrides) if overrides else config
-
-
 def _cmd_run(args) -> int:
     campaign = _campaign_from_args(args)
     db = FleetDB(Path(args.db) if args.db else None)
@@ -912,7 +864,11 @@ def _cmd_run(args) -> int:
         db,
         workers=args.workers,
         experiment_id=args.experiment or None,
-        supervision=_supervision_from_args(args),
+        supervision=SupervisionConfig(
+            heartbeat_interval=args.heartbeat,
+            stale_after=args.stale_after,
+            respawn_budget=args.respawns,
+        ),
     )
     summary = dispatcher.run()
     print(
@@ -922,11 +878,10 @@ def _cmd_run(args) -> int:
         f"{summary.duplicates} duplicates, {summary.worker_deaths} worker "
         f"deaths)"
     )
-    if summary.hangs or summary.respawns or summary.quarantined:
+    if summary.hangs or summary.respawns:
         print(
             f"[fleet] supervision: {summary.hangs} hangs detected, "
-            f"{summary.respawns} respawns, quarantined: "
-            f"{summary.quarantined or 'none'}"
+            f"{summary.respawns} respawns"
         )
     if args.json:
         print(json.dumps(summary.to_payload(), sort_keys=True))
@@ -1000,19 +955,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=f"sqlite database path (default: ${ENV_DB_HELP})",
     )
     run.add_argument(
-        "--heartbeat", type=float, default=None,
-        help="seconds between worker health probes (0 = off; "
-        "default $REPRO_FLEET_HEARTBEAT or off)",
+        "--heartbeat", type=float, default=0.0,
+        help="seconds between worker health probes (default 0 = off)",
     )
     run.add_argument(
-        "--stale-after", type=float, default=None,
+        "--stale-after", type=float, default=0.0,
         help="kill a worker silent for this many seconds "
         "(default 3x heartbeat)",
     )
     run.add_argument(
-        "--respawns", type=int, default=None,
-        help="fleet-wide worker respawn budget (default "
-        "$REPRO_FLEET_RESPAWNS or 0)",
+        "--respawns", type=int, default=0,
+        help="fleet-wide worker respawn budget (default 0)",
     )
     run.add_argument("--json", action="store_true")
     run.add_argument(

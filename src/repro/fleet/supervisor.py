@@ -1,11 +1,9 @@
-"""Fleet supervision: heartbeats, hang detection, breakers, respawn.
+"""Fleet supervision: heartbeats, hang detection, budgeted respawn.
 
 The dispatcher's original failure model was *fail-stop*: a worker that
 died took a connection error with it, and the unit ledger requeued its
-claims.  That model misses the nastier half of real fleet failures —
-workers that *hang* (SIGSTOP, livelock, a wedged trace generation)
-hold their claims forever, and workers that crash-loop burn the
-campaign's time dying over and over.
+claims.  That model misses workers that *hang* (SIGSTOP, livelock, a
+wedged trace generation): they hold their claims forever.
 
 This module adds the missing supervision plane, deliberately separate
 from the data plane:
@@ -17,56 +15,40 @@ from the data plane:
   worker whose last successful probe is older than ``stale_after``
   seconds is declared hung and killed; the existing death/requeue path
   absorbs the rest.
-* :class:`CircuitBreaker` (from :mod:`repro.common.retry`) per worker —
-  K consecutive incarnation deaths open the breaker; repeated trips
-  quarantine the worker permanently with the last death reason kept
-  for the campaign report.
-* Budgeted respawn — a dead worker may be restarted (same worker id,
-  new *incarnation* with fresh socket/ready paths) while the fleet-wide
-  respawn budget lasts and its breaker allows.
+* Budgeted respawn (in the dispatcher) — a dead worker may be
+  restarted (same worker id, new *incarnation* with fresh socket/ready
+  paths) while the fleet-wide respawn budget lasts.  A worker that
+  keeps crashing spends the budget and ends in ``respawn-exhausted``.
 
-Everything the supervisor does lands in a :class:`SupervisionLog`; the
-chaos harness (:mod:`repro.chaos`) correlates those events against its
-injection log to classify every fault as tolerated / recovered /
-degraded — an injected fault with no matching evidence anywhere is a
-*silent* failure and fails the campaign.
+Everything the supervisor observes lands in the dispatcher's
+:class:`~repro.instrumentation.EventLog` (source: the worker id; kinds
+``worker-start``, ``worker-death``, ``worker-respawn``,
+``respawn-exhausted``, ``hang-detected``, ``client-retry``); the
+chaos harness (:mod:`repro.chaos`) records its injections into the same
+log and classifies every fault as tolerated / recovered / degraded — an
+injected fault with no matching evidence anywhere is a *silent*
+failure and fails the campaign.
 
-All knobs default **off** (``SupervisionConfig()`` is inert) so the
-library-level dispatcher behaves exactly as before unless a caller —
-or the ``REPRO_FLEET_*`` environment — opts in.
+``SupervisionConfig()`` is inert, so the library-level dispatcher
+behaves exactly as before unless a caller (the ``fleet run`` and
+``chaos`` flags) opts in.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Tuple
 
-from repro.common.retry import CircuitBreaker, RetryPolicy
+from repro.instrumentation import EventLog
 
-__all__ = [
-    "SupervisionConfig",
-    "SupervisionEvent",
-    "SupervisionLog",
-    "HeartbeatMonitor",
-]
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    return float(raw) if raw else default
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    return int(raw) if raw else default
+__all__ = ["SupervisionConfig", "HeartbeatMonitor"]
 
 
 @dataclass(frozen=True)
 class SupervisionConfig:
-    """Fleet supervision knobs.  The zero value disables everything.
+    """Fleet supervision settings.  The zero value disables everything.
 
     ``heartbeat_interval > 0`` turns the heartbeat monitor on;
     ``respawn_budget > 0`` turns respawn on.  Both can be enabled
@@ -82,14 +64,6 @@ class SupervisionConfig:
     stale_after: float = 0.0
     #: Fleet-wide respawn budget (total restarts across all workers).
     respawn_budget: int = 0
-    #: Socket timeout for one health probe.
-    probe_timeout: float = 1.0
-    #: Consecutive incarnation deaths that open a worker's breaker.
-    breaker_threshold: int = 3
-    #: Seconds an open breaker waits before allowing a half-open probe.
-    breaker_cooldown: float = 0.5
-    #: Breaker trips tolerated before permanent quarantine.
-    breaker_max_trips: int = 3
 
     @property
     def heartbeat_enabled(self) -> bool:
@@ -99,83 +73,10 @@ class SupervisionConfig:
     def effective_stale_after(self) -> float:
         return self.stale_after or 3.0 * self.heartbeat_interval
 
-    def breaker(self) -> CircuitBreaker:
-        return CircuitBreaker(
-            failure_threshold=self.breaker_threshold,
-            cooldown=self.breaker_cooldown,
-            max_trips=self.breaker_max_trips,
-        )
-
-    @classmethod
-    def from_env(cls) -> "SupervisionConfig":
-        """Read ``REPRO_FLEET_*`` overrides; defaults stay off.
-
-        The probe timeout, breaker cooldown and trip budget keep their
-        field defaults; callers that need others set them in code.
-        """
-        return cls(
-            heartbeat_interval=_env_float("REPRO_FLEET_HEARTBEAT", 0.0),
-            stale_after=_env_float("REPRO_FLEET_STALE_AFTER", 0.0),
-            respawn_budget=_env_int("REPRO_FLEET_RESPAWNS", 0),
-            breaker_threshold=_env_int("REPRO_FLEET_BREAKER_THRESHOLD", 3),
-        )
-
-
-# ----------------------------------------------------------------------
-# The supervision event log
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SupervisionEvent:
-    """One supervision observation, wall- and monotonic-stamped.
-
-    Kinds: ``worker-start``, ``worker-death``, ``worker-respawn``,
-    ``respawn-exhausted``, ``hang-detected``, ``breaker-open``,
-    ``breaker-quarantine``, ``client-retry``.
-    """
-
-    kind: str
-    worker_id: str
-    detail: str
-    at: float
-    mono: float
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "worker": self.worker_id,
-            "detail": self.detail,
-            "at": self.at,
-            "mono": self.mono,
-        }
-
-
-class SupervisionLog:
-    """Thread-safe append-only event log (many threads, one campaign)."""
-
-    def __init__(self) -> None:
-        self._events: List[SupervisionEvent] = []
-        self._lock = threading.Lock()
-
-    def record(self, kind: str, worker_id: str, detail: str = "") -> None:
-        event = SupervisionEvent(
-            kind=kind,
-            worker_id=worker_id,
-            detail=detail,
-            at=time.time(),
-            mono=time.monotonic(),
-        )
-        with self._lock:
-            self._events.append(event)
-
-    def events(self, kind: Optional[str] = None) -> List[SupervisionEvent]:
-        with self._lock:
-            snapshot = list(self._events)
-        if kind is None:
-            return snapshot
-        return [event for event in snapshot if event.kind == kind]
-
-    def to_payload(self) -> List[Dict[str, object]]:
-        return [event.to_payload() for event in self.events()]
+    @property
+    def probe_timeout(self) -> float:
+        """Socket timeout of one health probe: half the staleness window."""
+        return self.effective_stale_after / 2
 
 
 # ----------------------------------------------------------------------
@@ -198,13 +99,13 @@ class HeartbeatMonitor(threading.Thread):
         self,
         workers: Callable[[], List[object]],
         config: SupervisionConfig,
-        log: SupervisionLog,
+        events: EventLog,
         on_stale: Callable[[object], None],
     ) -> None:
         super().__init__(name="fleet-heartbeat", daemon=True)
         self._workers = workers
         self._config = config
-        self._log = log
+        self._events = events
         self._on_stale = on_stale
         self._stop_event = threading.Event()
         self._last_ok: Dict[Tuple[str, int], float] = {}
@@ -247,10 +148,10 @@ class HeartbeatMonitor(threading.Thread):
             return
         self._flagged.add(key)
         self.hangs += 1
-        self._log.record(
-            "hang-detected",
+        self._events.record(
             worker.worker_id,
-            f"incarnation {worker.instance}: no heartbeat for "
+            "hang-detected",
+            detail=f"incarnation {worker.instance}: no heartbeat for "
             f"{stale_for:.2f}s (stale_after="
             f"{self._config.effective_stale_after:.2f}s)",
         )
@@ -265,9 +166,7 @@ class HeartbeatMonitor(threading.Thread):
 
         try:
             client = ServiceClient(
-                worker.socket_path,
-                timeout=self._config.probe_timeout,
-                retry=RetryPolicy(attempts=1, jitter=0.0),
+                worker.socket_path, timeout=self._config.probe_timeout
             )
             try:
                 frame = client.health()

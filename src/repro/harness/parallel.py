@@ -44,7 +44,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.retry import RetryPolicy
 from repro.config import SimConfig
 from repro.harness.breakdown import CycleBreakdown, run_with_breakdown
 from repro.harness.memo import UnitMemo
@@ -260,28 +259,24 @@ def _worker_timeout() -> Optional[float]:
     return float(env) if env else None
 
 
+#: Cap on one pool-replacement backoff sleep (seconds).
+MAX_WORKER_BACKOFF = 30.0
+
+
 def _worker_retries() -> int:
     env = os.environ.get("REPRO_WORKER_RETRIES", "").strip()
-    return int(env) if env else 2
+    retries = int(env) if env else 2
+    if retries < 0:
+        raise ValueError(f"REPRO_WORKER_RETRIES must be >= 0, got {retries}")
+    return retries
 
 
 def _worker_backoff() -> float:
     env = os.environ.get("REPRO_WORKER_BACKOFF", "").strip()
-    return float(env) if env else 0.05
-
-
-def _worker_retry_policy() -> RetryPolicy:
-    """Pool-replacement backoff as a shared :class:`RetryPolicy`.
-
-    No jitter, so the parallel path's retry schedule is deterministic.
-    """
-    return RetryPolicy(
-        attempts=_worker_retries() + 1,
-        base_delay=_worker_backoff(),
-        multiplier=2.0,
-        max_delay=30.0,
-        jitter=0.0,
-    )
+    backoff = float(env) if env else 0.05
+    if backoff < 0:
+        raise ValueError(f"REPRO_WORKER_BACKOFF must be >= 0, got {backoff}")
+    return backoff
 
 
 def report_failures(failures: List[WorkerFailure]) -> None:
@@ -320,9 +315,11 @@ def fan_out(
 
     A unit whose worker raises, dies (``BrokenProcessPool``) or exceeds
     ``REPRO_WORKER_TIMEOUT`` is retried on a *fresh* pool up to
-    ``REPRO_WORKER_RETRIES`` times (``REPRO_WORKER_BACKOFF`` exponential
-    backoff), then completed in-process, so one bad worker cannot kill
-    the sweep; each such unit gets a :class:`WorkerFailure` in
+    ``REPRO_WORKER_RETRIES`` times, then completed in-process, so one
+    bad worker cannot kill the sweep.  Pool ``n + 1`` starts after
+    ``REPRO_WORKER_BACKOFF * 2**n`` seconds, capped at
+    :data:`MAX_WORKER_BACKOFF`.  Each such unit gets a
+    :class:`WorkerFailure` in
     ``failures`` (else printed to stderr).  Raises
     :class:`ParallelExecutionError` only if the in-process run fails
     too.  ``on_result(index, item, result)`` fires exactly once per
@@ -356,13 +353,15 @@ def fan_out(
         )
 
     timeout = _worker_timeout()
-    policy = _worker_retry_policy()
+    retries = _worker_retries()
+    backoff = _worker_backoff()
     pending = list(range(len(items)))
-    for attempt in range(policy.attempts):
+    for attempt in range(retries + 1):
         if not pending:
             break
         if attempt:
-            time.sleep(policy.delay(attempt - 1))
+            # Unjittered, so the retry schedule is deterministic.
+            time.sleep(min(MAX_WORKER_BACKOFF, backoff * 2 ** (attempt - 1)))
         pool = process_pool(min(jobs, len(pending)))
         hung = False
         try:

@@ -6,15 +6,22 @@ simulation runs.  Components expose an optional ``timeline`` attribute;
 attaching one turns recording on — the hot path pays a single ``None``
 check otherwise.
 
+An :class:`EventLog` is the wall-clock counterpart for the processes
+around the simulator: the service scheduler's job lifecycle, the fleet
+supervision plane and the chaos harness's injections all record into
+one, as ``(time, source, kind, fields)`` records.
+
 The ASCII sparkline renderer keeps everything inspectable without
 plotting dependencies.
 """
 
 from __future__ import annotations
 
+import threading
+import time as _time
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 _SPARK_GLYPHS = " .:-=+*#%@"
 
@@ -174,3 +181,60 @@ class CrashSiteProbe(Timeline):
         if kind in PERSIST_BOUNDARY_KINDS:
             digest = self.state_fn() if self.state_fn is not None else ""
             self.boundaries.append((time, kind, digest))
+
+
+class LogRecord(NamedTuple):
+    """One :class:`EventLog` entry."""
+
+    #: ``time.monotonic()`` seconds (the asyncio loop clock too).
+    time: float
+    #: Who it is about: a job key, a worker id, ``storage``.
+    source: str
+    kind: str
+    fields: Dict[str, Any]
+
+
+class EventLog:
+    """Thread-safe, bounded, time-ordered log of :class:`LogRecord`.
+
+    The one runtime log of the service, the fleet and chaos.  The clock
+    is read under the lock, so records are in time order whichever
+    thread appends them.  Beyond ``max_records`` records are dropped
+    (counted in ``dropped``), while ``counts`` (records per kind) keeps
+    counting, so a long-lived server's counters stay exact.
+    """
+
+    #: Bound on kept records (a few per job; a server runs for days).
+    max_records = 1_000_000
+
+    def __init__(self, clock: Callable[[], float] = _time.monotonic) -> None:
+        self.dropped = 0
+        self.counts: Dict[str, int] = {}
+        self._clock = clock
+        self._records: List[LogRecord] = []
+        self._lock = threading.Lock()
+
+    def record(self, source: str, kind: str, **fields: Any) -> None:
+        with self._lock:
+            self.counts[kind] = self.counts.get(kind, 0) + 1
+            if len(self._records) >= self.max_records:
+                self.dropped += 1
+                return
+            self._records.append(LogRecord(self._clock(), source, kind, fields))
+
+    def records(
+        self, kind: Optional[str] = None, source: Optional[str] = None
+    ) -> List[LogRecord]:
+        """The records so far, in time order, optionally filtered."""
+        with self._lock:
+            snapshot = list(self._records)
+        return [
+            record
+            for record in snapshot
+            if (kind is None or record.kind == kind)
+            and (source is None or record.source == source)
+        ]
+
+    def to_payload(self) -> List[Dict[str, Any]]:
+        """Plain-JSON form: one ``{time, source, kind, fields}`` per record."""
+        return [record._asdict() for record in self.records()]

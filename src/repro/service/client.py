@@ -8,13 +8,13 @@ of them — exactly how the smoke and soak tests drive the server.
 **Resilience** — jobs are content-hash deduplicated server-side, so a
 ``submit`` frame is idempotent: re-sending it after a dropped or
 garbled connection can at worst hit the dedup path.  ``submit``/
-``submit_many`` therefore ride the shared
-:class:`~repro.common.retry.RetryPolicy` (four attempts, jittered
-exponential backoff from 50 ms capped at 1 s): transport failures
-reconnect and re-send the outstanding specs, and only after
-exhaustion does the caller see a typed :class:`ServiceUnavailable`
-instead of a raw ``socket.error``.  Typed server replies (``error``
-frames) are never retried — they are answers, not outages.
+``submit_many`` therefore retry (``attempts`` tries, four by default,
+with jittered exponential backoff from 50 ms capped at 1 s): transport
+failures reconnect and re-send the outstanding specs, and only after
+the last attempt does the caller see a typed
+:class:`ServiceUnavailable` instead of a raw ``socket.error``.  Typed
+server replies (``error`` frames) are never retried — they are
+answers, not outages.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ import sys
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.common.retry import RetryPolicy
 from repro.harness.tables import render_table
-from repro.oracle.check import CONTROLLER_MATRIX
+from repro.matrix import CONTROLLER_MATRIX
 from repro.service import protocol
-from repro.service.protocol import JobSpec, ProtocolError
+from repro.service.protocol import JobSpec, ProtocolError, parse_overrides
 
 Address = Union[Tuple[str, int], str]
 
@@ -58,6 +57,14 @@ class ServiceUnavailable(ServiceError):
 #: from a hostile or chaos-proxied wire (``ProtocolError``).
 _RETRYABLE = (ConnectionError, ProtocolError, OSError)
 
+#: Reconnect backoff before retry ``n`` (0-based): ``RETRY_BASE_DELAY
+#: * 2**n`` seconds, capped at ``RETRY_MAX_DELAY``, then scaled by a
+#: uniform factor in ``1 ± RETRY_JITTER`` so clients that lost one
+#: server together do not redial in lockstep.
+RETRY_BASE_DELAY = 0.05
+RETRY_MAX_DELAY = 1.0
+RETRY_JITTER = 0.25
+
 
 class ServiceClient:
     """One (re-dialable) connection to a running experiment server."""
@@ -66,15 +73,14 @@ class ServiceClient:
         self,
         address: Address,
         timeout: float = 300.0,
-        retry: Optional[RetryPolicy] = None,
-        rng: Optional[random.Random] = None,
+        attempts: int = 4,
     ) -> None:
+        if attempts < 1:
+            raise ValueError("attempts must be >= 1")
         self.address = address
         self.timeout = timeout
-        self.retry = retry if retry is not None else RetryPolicy(
-            attempts=4, base_delay=0.05, max_delay=1.0
-        )
-        self._rng = rng if rng is not None else random.Random()
+        #: Tries per ``submit_many`` (the first plus the retries).
+        self.attempts = attempts
         self._sock: Optional[socket.socket] = None
         self._file = None
         self._ids = itertools.count(1)
@@ -210,7 +216,7 @@ class ServiceClient:
         (drop, timeout, garbled frame) reconnect with backoff and
         re-send only the specs still outstanding — submits are
         idempotent end to end (content-hash dedup) — until the retry
-        policy is exhausted, at which point a typed
+        last of ``attempts`` tries fails, at which point a typed
         :class:`ServiceUnavailable` is raised.
         """
         specs = list(specs)
@@ -229,7 +235,7 @@ class ServiceClient:
             except _RETRYABLE as exc:
                 self._teardown()
                 attempt += 1
-                if attempt >= self.retry.attempts:
+                if attempt >= self.attempts:
                     raise ServiceUnavailable(
                         f"server at {self.address!r} unreachable after "
                         f"{attempt} attempt(s): {type(exc).__name__}: {exc}",
@@ -238,7 +244,12 @@ class ServiceClient:
                 self.retries += 1
                 if self.on_retry is not None:
                     self.on_retry(attempt, exc)
-                time.sleep(self.retry.delay(attempt - 1, self._rng))
+                delay = min(
+                    RETRY_MAX_DELAY, RETRY_BASE_DELAY * 2 ** (attempt - 1)
+                )
+                time.sleep(
+                    delay * random.uniform(1 - RETRY_JITTER, 1 + RETRY_JITTER)
+                )
 
     def _pump_submissions(
         self, specs: List[JobSpec], results: List[Optional[dict]]
@@ -298,22 +309,6 @@ class ServiceClient:
 # ----------------------------------------------------------------------
 # CLI: python -m repro.harness submit
 # ----------------------------------------------------------------------
-def _parse_overrides(pairs: List[str]) -> dict:
-    overrides = {}
-    for pair in pairs:
-        key, sep, value = pair.partition("=")
-        if not sep:
-            raise SystemExit(f"--override expects key=value, got {pair!r}")
-        if value.lower() in ("true", "false"):
-            overrides[key] = value.lower() == "true"
-        else:
-            try:
-                overrides[key] = int(value)
-            except ValueError:
-                overrides[key] = value
-    return overrides
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness submit",
@@ -328,7 +323,7 @@ def main(argv=None) -> int:
         "--design",
         default="dolos-partial",
         help=f"one of {', '.join(CONTROLLER_MATRIX)}, or 'matrix' "
-        "for all six",
+        f"for all {len(CONTROLLER_MATRIX)}",
     )
     parser.add_argument("--transactions", type=int, default=300)
     parser.add_argument("--seed", type=int, default=1)
@@ -349,11 +344,11 @@ def main(argv=None) -> int:
         parser.error("one of --port or --unix is required")
     address: Address = args.unix if args.unix else (args.host, args.port)
 
-    overrides = _parse_overrides(args.override)
     designs = (
         list(CONTROLLER_MATRIX) if args.design == "matrix" else [args.design]
     )
     try:
+        overrides = parse_overrides(args.override)
         specs = [
             JobSpec(
                 workload=args.workload,

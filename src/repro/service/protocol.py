@@ -59,7 +59,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional
 
 from repro.config import ADRConfig, SimConfig
 from repro.harness.parallel import RunUnit
@@ -283,6 +283,27 @@ class JobSpec:
         except KeyError as exc:
             raise ProtocolError(f"job missing field {exc.args[0]!r}") from None
         return spec.validate()
+
+
+def parse_overrides(pairs: Iterable[str]) -> Dict[str, object]:
+    """``KEY=VALUE`` strings (the CLIs' ``--override``) as overrides.
+
+    ``true``/``false`` (any case) become bools, integers ints, anything
+    else stays a string; :meth:`JobSpec.validate` checks keys and types.
+    """
+    overrides: Dict[str, object] = {}
+    for pair in pairs:
+        key, sep, value = pair.partition("=")
+        if not sep:
+            raise ProtocolError(f"--override expects key=value, got {pair!r}")
+        if value.lower() in ("true", "false"):
+            overrides[key] = value.lower() == "true"
+            continue
+        try:
+            overrides[key] = int(value)
+        except ValueError:
+            overrides[key] = value
+    return overrides
 
 
 # ----------------------------------------------------------------------

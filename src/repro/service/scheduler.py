@@ -54,6 +54,7 @@ from repro.harness.parallel import (
     unit_memo,
 )
 from repro.harness.trace_store import TraceCache
+from repro.instrumentation import EventLog
 from repro.service.protocol import (
     JobSpec,
     job_key,
@@ -61,7 +62,13 @@ from repro.service.protocol import (
     result_payload,
     spec_to_run_unit,
 )
-from repro.tracing.progress import JobEventLog
+
+#: The job-lifecycle kinds the scheduler records, in lifecycle order.
+#: Each record's source is the job key; ``job.submitted`` carries the
+#: ``experiment`` label, ``job.dedup`` ``via`` (``inflight`` or
+#: ``cached``), ``job.completed`` ``outcome`` (``ok``, ``error`` or
+#: ``degraded``).
+JOB_EVENT_KINDS = ("job.submitted", "job.dedup", "job.started", "job.completed")
 
 
 class DrainingError(RuntimeError):
@@ -104,10 +111,10 @@ class ExperimentScheduler:
     def __init__(
         self,
         jobs: int = 1,
-        events: Optional[JobEventLog] = None,
+        events: Optional[EventLog] = None,
     ) -> None:
         self.jobs = max(1, jobs)
-        self.events = events if events is not None else JobEventLog()
+        self.events = events if events is not None else EventLog()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._pool: Optional[Executor] = None
         self._thread_cache: Optional[TraceCache] = None
@@ -124,10 +131,6 @@ class ExperimentScheduler:
         self.failed = 0
 
     # ------------------------------------------------------------------
-    def _emit(self, kind: str, detail: str) -> None:
-        loop = self._loop or asyncio.get_event_loop()
-        self.events.event(int(loop.time() * 1e6), kind, detail)
-
     async def submit(self, spec: JobSpec) -> Job:
         """Admit one job; returns its (possibly shared) :class:`Job`.
 
@@ -139,12 +142,12 @@ class ExperimentScheduler:
             raise DrainingError("server is draining; job refused")
         key = job_key(spec)
         self.submitted += 1
-        self._emit("job.submitted", f"{key}:{spec.experiment_id or '-'}")
+        self.events.record(key, "job.submitted", experiment=spec.experiment_id)
 
         existing = self._jobs.get(key)
         if existing is not None:
             self.dedup_inflight += 1
-            self._emit("job.dedup", f"{key}:inflight")
+            self.events.record(key, "job.dedup", via="inflight")
             return existing
 
         job = Job(key=key, spec=spec, unit=spec_to_run_unit(spec))
@@ -154,12 +157,12 @@ class ExperimentScheduler:
         if result is not None:
             self.dedup_cached += 1
             job.cached = True
-            self._emit("job.dedup", f"{key}:cached")
+            self.events.record(key, "job.dedup", via="cached")
             self._finish(job, result=result)
             return job
 
         self._idle.clear()
-        self._emit("job.started", job.key)
+        self.events.record(key, "job.started")
         task = self._loop.create_task(self._run(job))
         self._tasks.add(task)  # the loop holds tasks weakly
         task.add_done_callback(self._tasks.discard)
@@ -207,7 +210,7 @@ class ExperimentScheduler:
             job.status = JobStatus.DONE
             self.completed += 1
             outcome = "degraded" if job.degraded else "ok"
-        self._emit("job.completed", f"{job.key}:{outcome}")
+        self.events.record(job.key, "job.completed", outcome=outcome)
         if not job.done.done():
             job.done.set_result(job)
         if not any(not j.finished for j in self._jobs.values()):
@@ -231,7 +234,10 @@ class ExperimentScheduler:
                 dedup_hits / self.submitted if self.submitted else 0.0
             ),
             "result_store_hits": self.dedup_cached,
-            "events": self.events.snapshot(),
+            "events": {
+                kind: self.events.counts.get(kind, 0)
+                for kind in JOB_EVENT_KINDS
+            },
             "draining": self._draining,
             "jobs": self.jobs,
         }

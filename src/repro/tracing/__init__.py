@@ -9,7 +9,6 @@ per-stage latency") for the CLI, JSONL schema and regression gate.
 """
 
 from repro.tracing.collector import SpanTracer
-from repro.tracing.progress import JOB_EVENT_KINDS, JobEventLog
 from repro.tracing.report import (
     DEFAULT_ABSOLUTE_SLACK,
     DEFAULT_RELATIVE_SLACK,
@@ -25,8 +24,6 @@ from repro.tracing.spans import STAGE_ORDER, PersistSpan
 __all__ = [
     "DEFAULT_ABSOLUTE_SLACK",
     "DEFAULT_RELATIVE_SLACK",
-    "JOB_EVENT_KINDS",
-    "JobEventLog",
     "PersistSpan",
     "Reconciliation",
     "STAGE_ORDER",

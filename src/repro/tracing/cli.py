@@ -1,9 +1,11 @@
 """``python -m repro.harness trace`` — per-stage persist latency.
 
-Runs one workload under all six oracle controller configurations with
-a span tracer attached, prints each configuration's per-stage
-p50/p95/p99 table, reconciles every run's traced fence-stall cycles
-against the cycle-breakdown's total, and writes span logs as JSONL.
+Runs one workload under every controller configuration of
+:mod:`repro.matrix` with a span tracer attached, prints each
+configuration's per-stage p50/p95/p99 table, reconciles every run's
+traced fence-stall cycles against the cycle-breakdown's total, and
+writes the span logs of the ``--config`` selection (default: all) as
+JSONL.
 
 Exit status is non-zero when any configuration fails reconciliation —
 CI uses this as the tracing-pipeline smoke test.

@@ -5,7 +5,8 @@ schedules.
 The replay tests are the heart of the determinism story: the same
 seed must produce the same :class:`ChaosPlan`, the same
 :class:`WireSchedule` decisions, and — end to end, over real worker
-subprocesses — the same injection log (modulo wall-clock stamps).
+subprocesses — the same injections in the run's event log (modulo
+wall-clock stamps).
 """
 
 from __future__ import annotations
@@ -28,14 +29,16 @@ from repro.chaos.campaign import (
     run_chaos_once,
 )
 from repro.chaos.plan import (
+    INJECTED,
     PROCESS_KINDS,
     STORAGE_KINDS,
     WIRE_KINDS,
     ChaosFault,
     ChaosPlan,
-    Injection,
-    InjectionLog,
     WireSchedule,
+    injection_tuple,
+    injections,
+    record_injection,
 )
 from repro.chaos.proxy import garble
 from repro.fleet.db import FleetDB
@@ -45,6 +48,11 @@ from repro.fleet.dispatcher import (
     expand_units,
 )
 from repro.fleet.supervisor import SupervisionConfig
+from repro.instrumentation import EventLog
+
+
+def _fired_ids(events: EventLog) -> set:
+    return {e["fields"]["fault_id"] for e in injections(events.to_payload())}
 
 
 # ======================================================================
@@ -131,14 +139,17 @@ class TestWireSchedule:
         logs = []
         for replica in range(2):
             schedule = WireSchedule(plan, "worker-0")
-            log = InjectionLog()
+            events = EventLog()
             for direction, frames in (("c2s", c2s), ("s2c", s2c)):
                 for _ in range(frames):
                     ordinal = schedule.next_ordinal(direction)
                     fault = schedule.action(direction, ordinal)
                     if fault is not None:
-                        log.record(fault, frame=ordinal)
-            logs.append(log.deterministic())
+                        assert fault.frame == ordinal
+                        record_injection(events, fault)
+            logs.append(
+                [injection_tuple(e) for e in injections(events.to_payload())]
+            )
         assert logs[0] == logs[1]
 
 
@@ -178,49 +189,42 @@ class TestGarble:
 
 
 # ======================================================================
-# Injection log
+# Injection records
 # ======================================================================
-class TestInjectionLog:
-    def test_deterministic_view_excludes_stamps(self):
+class TestInjectionRecords:
+    def test_replay_tuple_excludes_stamps(self):
         fault = ChaosFault("wire-0", "stall", worker="worker-1",
                            direction="c2s", frame=3, param=0.1)
-        log = InjectionLog()
-        log.record(fault, detail="held 0.1s")
-        (entry,) = log.entries()
-        assert entry.at > 0 and entry.mono > 0
-        assert log.deterministic() == [
-            ("wire-0", "stall", "wire", "worker-1", "c2s", 3)
-        ]
-        assert log.fired_ids() == {"wire-0"}
+        events = EventLog()
+        record_injection(events, fault, "held 0.1s")
+        (entry,) = events.to_payload()
+        assert entry["kind"] == INJECTED and entry["time"] > 0
+        assert entry["fields"]["detail"] == "held 0.1s"
+        assert injection_tuple(entry) == (
+            "wire-0", "stall", "wire", "worker-1", "c2s", 3
+        )
 
-    def test_frame_override_lands_in_the_entry(self):
-        fault = ChaosFault("wire-0", "frame-dup", worker="worker-0",
-                           direction="s2c", frame=2)
-        log = InjectionLog()
-        log.record(fault, frame=9)
-        assert log.deterministic()[0][-1] == 9
+    def test_injections_skip_supervision_records(self):
+        events = EventLog()
+        events.record("worker-0", "worker-death", detail="EOF")
+        record_injection(events, ChaosFault("store-0", "db-torn-wal"))
+        (entry,) = injections(events.to_payload())
+        assert entry["source"] == "storage"  # no worker: the layer
+        assert _fired_ids(events) == {"store-0"}
 
 
 # ======================================================================
 # Classification
 # ======================================================================
-def _inj(fault: ChaosFault, mono: float) -> Injection:
-    return Injection(
-        fault_id=fault.fault_id,
-        kind=fault.kind,
-        layer=fault.layer,
-        worker=fault.worker,
-        direction=fault.direction,
-        frame=fault.frame,
-        detail="synthetic",
-        at=0.0,
-        mono=mono,
-    )
+def _inj(fault: ChaosFault, time: float) -> dict:
+    events = EventLog(clock=lambda: time)
+    record_injection(events, fault, "synthetic")
+    return events.to_payload()[0]
 
 
-def _event(kind: str, worker: str, mono: float) -> dict:
-    return {"kind": kind, "worker": worker, "detail": "", "at": 0.0,
-            "mono": mono}
+def _event(kind: str, worker: str, time: float) -> dict:
+    return {"time": time, "source": worker, "kind": kind,
+            "fields": {"detail": ""}}
 
 
 class TestClassifyFaults:
@@ -233,53 +237,56 @@ class TestClassifyFaults:
         return ChaosPlan(seed=0, workers=2, faults=tuple(faults))
 
     def test_unreached_when_never_fired(self):
-        result = classify_faults(self._plan(self.WIRE), [], [], True)
+        result = classify_faults(self._plan(self.WIRE), [], True)
         assert result["wire-0"]["status"] == "unreached"
 
     def test_silent_when_invariants_broke(self):
         result = classify_faults(
-            self._plan(self.WIRE), [_inj(self.WIRE, 10.0)], [], False
+            self._plan(self.WIRE), [_inj(self.WIRE, 10.0)], False
         )
         assert result["wire-0"]["status"] == "silent"
 
     def test_recovered_needs_matching_evidence(self):
-        events = [_event("worker-death", "worker-1", 10.2)]
-        result = classify_faults(
-            self._plan(self.PROC), [_inj(self.PROC, 10.0)], events, True
-        )
+        events = [
+            _inj(self.PROC, 10.0),
+            _event("worker-death", "worker-1", 10.2),
+        ]
+        result = classify_faults(self._plan(self.PROC), events, True)
         assert result["proc-0"]["status"] == "recovered"
 
     def test_evidence_before_the_injection_does_not_count(self):
-        events = [_event("worker-death", "worker-1", 5.0)]
-        result = classify_faults(
-            self._plan(self.PROC), [_inj(self.PROC, 10.0)], events, True
-        )
+        events = [
+            _event("worker-death", "worker-1", 5.0),
+            _inj(self.PROC, 10.0),
+        ]
+        result = classify_faults(self._plan(self.PROC), events, True)
         assert result["proc-0"]["status"] == "tolerated"
 
     def test_other_workers_evidence_does_not_count(self):
-        events = [_event("worker-death", "worker-0", 10.2)]
-        result = classify_faults(
-            self._plan(self.PROC), [_inj(self.PROC, 10.0)], events, True
-        )
+        events = [
+            _inj(self.PROC, 10.0),
+            _event("worker-death", "worker-0", 10.2),
+        ]
+        result = classify_faults(self._plan(self.PROC), events, True)
         assert result["proc-0"]["status"] == "tolerated"
 
     def test_degraded_beats_recovered(self):
         events = [
+            _inj(self.PROC, 10.0),
             _event("worker-death", "worker-1", 10.2),
-            _event("breaker-quarantine", "worker-1", 10.5),
+            _event("respawn-exhausted", "worker-1", 10.5),
         ]
-        result = classify_faults(
-            self._plan(self.PROC), [_inj(self.PROC, 10.0)], events, True
-        )
+        result = classify_faults(self._plan(self.PROC), events, True)
         assert result["proc-0"]["status"] == "degraded"
 
     def test_storage_faults_are_never_recovered(self):
         # A worker-death around the drill is a coincidence, not
         # recovery machinery for the storage layer.
-        events = [_event("worker-death", "worker-0", 10.2)]
-        result = classify_faults(
-            self._plan(self.STORE), [_inj(self.STORE, 10.0)], events, True
-        )
+        events = [
+            _inj(self.STORE, 10.0),
+            _event("worker-death", "worker-0", 10.2),
+        ]
+        result = classify_faults(self._plan(self.STORE), events, True)
         assert result["store-0"]["status"] == "tolerated"
 
 
@@ -291,10 +298,10 @@ class TestStorageDrills:
         db_path = tmp_path / "fleet.sqlite"
         FleetDB(db_path).close()  # create the real schema first
         fault = ChaosFault("store-0", "db-crash-writer")
-        log = InjectionLog()
-        violations = _crash_writer_drill(db_path, fault, log)
+        events = EventLog()
+        violations = _crash_writer_drill(db_path, fault, events)
         assert violations == []
-        assert log.fired_ids() == {"store-0"}
+        assert _fired_ids(events) == {"store-0"}
         db = FleetDB(db_path)
         try:
             assert db.integrity_check() == "ok"
@@ -305,10 +312,10 @@ class TestStorageDrills:
         db_path = tmp_path / "fleet.sqlite"
         FleetDB(db_path).close()
         fault = ChaosFault("store-0", "db-torn-wal")
-        log = InjectionLog()
-        violations = _torn_wal_drill(db_path, fault, log, seed=1)
+        events = EventLog()
+        violations = _torn_wal_drill(db_path, fault, events, seed=1)
         assert violations == []
-        assert log.fired_ids() == {"store-0"}
+        assert _fired_ids(events) == {"store-0"}
         db = FleetDB(db_path)
         try:
             assert db.integrity_check() == "ok"
@@ -407,26 +414,61 @@ class TestChaosEndToEnd:
             assert run["ok"] is True
             assert run["counts"]["silent"] == 0
             assert run["counts"]["unreached"] == 0
-            fired = {inj["fault_id"] for inj in run["injections"]}
+            fired = {
+                inj["fields"]["fault_id"] for inj in injections(run["events"])
+            }
             assert fired == {"wire-0", "proc-0"}
+            times = [event["time"] for event in run["events"]]
+            assert times == sorted(times)
             # The SIGKILL demands real recovery machinery (death ->
             # requeue -> respawn), which classification must credit.
             assert run["classification"]["proc-0"]["status"] == "recovered"
 
         def deterministic(run):
             return sorted(
-                (
-                    inj["fault_id"],
-                    inj["kind"],
-                    inj["layer"],
-                    inj["worker"],
-                    inj["direction"],
-                    inj["frame"],
-                )
-                for inj in run["injections"]
+                injection_tuple(inj) for inj in injections(run["events"])
             )
 
         assert deterministic(runs[0]) == deterministic(runs[1])
+
+    def test_crash_looping_worker_spends_the_budget_and_degrades(
+        self, tmp_path, monkeypatch
+    ):
+        """Every incarnation of worker-0 is killed as it becomes ready:
+        the one respawn is spent, worker-0 ends in respawn-exhausted,
+        and worker-1 still records every unit exactly once."""
+        _worker_env_patch(monkeypatch, tmp_path)
+        config = _tiny_chaos_config(workers=2, respawns=1)
+        calm_dir = tmp_path / "calm"
+        calm_dir.mkdir()
+        expected, digests = _run_calm_baseline(config, calm_dir)
+        plan = ChaosPlan(
+            seed=98,
+            workers=2,
+            faults=tuple(
+                ChaosFault(f"proc-{n}", "crash-on-start", worker="worker-0",
+                           frame=n)
+                for n in (0, 1)
+            ),
+        )
+        run = run_chaos_once(
+            config, tmp_path / "run", 1, expected, digests, plan=plan
+        )
+        assert run["violations"] == []
+        assert run["ok"] is True
+        assert {
+            fault_id: entry["status"]
+            for fault_id, entry in run["classification"].items()
+        } == {"proc-0": "degraded", "proc-1": "degraded"}
+        exhausted = [
+            event for event in run["events"]
+            if event["kind"] == "respawn-exhausted"
+        ]
+        assert [event["source"] for event in exhausted] == ["worker-0"]
+        summary = run["summary"]
+        assert summary["units_recorded"] == summary["units_total"] == 2
+        assert summary["duplicates"] == 0
+        assert summary["respawns"] == 1
 
     def test_seeded_campaign_reports_zero_loss(self, tmp_path, monkeypatch):
         from repro.chaos.campaign import main as chaos_main
@@ -491,7 +533,6 @@ class TestHeartbeatSupervision:
                 heartbeat_interval=0.1,
                 stale_after=0.4,
                 respawn_budget=2,
-                probe_timeout=0.2,
             ),
         )
         holder["dispatcher"] = dispatcher
@@ -503,7 +544,7 @@ class TestHeartbeatSupervision:
 
         assert stopped, "no worker ever recorded a unit"
         assert summary.hangs >= 1
-        assert dispatcher.supervision_log.events("hang-detected")
+        assert dispatcher.events.records("hang-detected")
         assert summary.respawns >= 1
         # Zero loss despite the hang: every unit exactly once.
         assert sorted(row.unit_key for row in rows) == sorted(expected)

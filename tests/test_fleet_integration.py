@@ -18,10 +18,11 @@ import time
 
 import pytest
 
-from repro.fleet.db import FleetDB
+from repro.fleet.db import FleetDB, UnitDigestMismatch
 from repro.fleet.dispatcher import (
     CampaignSpec,
     FleetDispatcher,
+    FleetError,
     expand_units,
     spec_to_run_unit,
 )
@@ -256,6 +257,45 @@ class TestWorkerKill:
         chaos_report = build_report(db, "chaos")
         for field in ("aggregates", "speedups", "faults"):
             assert calm_report[field] == chaos_report[field]
+
+
+class TestWorkerThreadError:
+    def test_record_error_stops_the_campaign_and_names_the_unit(
+        self, tmp_path, monkeypatch, bounded
+    ):
+        """An error that is not a worker death (here the second
+        ``record_unit`` raising) ends the run with that error; the other
+        worker thread must not wait on the ledger forever."""
+        db = FleetDB(tmp_path / "fleet.sqlite")
+        real_record = db.record_unit
+        calls = []
+        lock = threading.Lock()
+
+        def record_unit(experiment_id, key, *args, **kwargs):
+            with lock:
+                calls.append(key)
+                nth = len(calls)
+            if nth == 2:
+                raise UnitDigestMismatch(f"injected mismatch for {key}")
+            return real_record(experiment_id, key, *args, **kwargs)
+
+        monkeypatch.setattr(db, "record_unit", record_unit)
+        dispatcher = FleetDispatcher(
+            _tiny_campaign(fault_sites=0),  # 4 units
+            db,
+            workers=2,
+            runtime_dir=tmp_path / "rt",
+            worker_env=_worker_env(tmp_path),
+        )
+        try:
+            with pytest.raises(FleetError) as excinfo:
+                bounded(dispatcher.run, timeout=40)
+        finally:
+            db.close()
+        message = str(excinfo.value)
+        assert calls[1] in message and "UnitDigestMismatch" in message
+        assert isinstance(excinfo.value.__cause__, UnitDigestMismatch)
+        assert not any(h.alive for h in dispatcher.worker_handles.values())
 
 
 class TestWireReport:

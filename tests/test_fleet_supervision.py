@@ -1,4 +1,4 @@
-"""Tier-1 tests for the fleet supervision plane and its env knobs.
+"""Tier-1 tests for the fleet supervision plane and the worker timeouts.
 
 Fast and subprocess-light: the heartbeat monitor runs against fake
 worker handles and a tiny threaded health responder; the only real
@@ -22,11 +22,8 @@ from repro.fleet.dispatcher import (
     worker_start_timeout,
     worker_stop_timeout,
 )
-from repro.fleet.supervisor import (
-    HeartbeatMonitor,
-    SupervisionConfig,
-    SupervisionLog,
-)
+from repro.fleet.supervisor import HeartbeatMonitor, SupervisionConfig
+from repro.instrumentation import EventLog
 from repro.service import protocol as proto
 
 
@@ -45,35 +42,13 @@ class TestSupervisionConfig:
         explicit = SupervisionConfig(heartbeat_interval=0.2, stale_after=1.5)
         assert explicit.effective_stale_after == 1.5
 
-    def test_from_env_reads_repro_fleet_vars(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLEET_HEARTBEAT", "0.25")
-        monkeypatch.setenv("REPRO_FLEET_STALE_AFTER", "2.0")
-        monkeypatch.setenv("REPRO_FLEET_RESPAWNS", "5")
-        monkeypatch.setenv("REPRO_FLEET_BREAKER_THRESHOLD", "7")
-        config = SupervisionConfig.from_env()
-        assert config.heartbeat_interval == 0.25
-        assert config.stale_after == 2.0
-        assert config.respawn_budget == 5
-        assert config.breaker_threshold == 7
-        assert config.heartbeat_enabled
-
-    def test_from_env_defaults_stay_off(self, monkeypatch):
-        for name in (
-            "REPRO_FLEET_HEARTBEAT",
-            "REPRO_FLEET_STALE_AFTER",
-            "REPRO_FLEET_RESPAWNS",
-        ):
-            monkeypatch.delenv(name, raising=False)
-        config = SupervisionConfig.from_env()
-        assert not config.heartbeat_enabled
-        assert config.respawn_budget == 0
-
-    def test_breaker_factory_uses_config_knobs(self):
-        config = SupervisionConfig(breaker_threshold=2, breaker_max_trips=1)
-        breaker = config.breaker()
-        breaker.record_failure("a")
-        breaker.record_failure("b")
-        assert breaker.quarantined
+    def test_probe_timeout_is_half_the_staleness_window(self):
+        assert SupervisionConfig(
+            heartbeat_interval=0.1, stale_after=0.5
+        ).probe_timeout == pytest.approx(0.25)
+        assert SupervisionConfig(
+            heartbeat_interval=0.2
+        ).probe_timeout == pytest.approx(0.3)
 
 
 class TestFleetEnvKnobs:
@@ -121,26 +96,6 @@ class TestWorkerIncarnations:
         assert worker.ready_path.name == "worker-3.r2.ready"
         # A chaos proxy repoint never outlives the incarnation.
         assert worker.client_socket_path == worker.socket_path
-
-
-# ======================================================================
-# Supervision log
-# ======================================================================
-class TestSupervisionLog:
-    def test_record_filter_and_payload(self):
-        log = SupervisionLog()
-        log.record("worker-start", "worker-0", "pid 1")
-        log.record("hang-detected", "worker-0", "stale")
-        log.record("worker-start", "worker-1", "pid 2")
-        assert len(log.events()) == 3
-        assert [e.worker_id for e in log.events("worker-start")] == [
-            "worker-0",
-            "worker-1",
-        ]
-        payload = log.to_payload()
-        assert payload[1]["kind"] == "hang-detected"
-        assert payload[1]["worker"] == "worker-0"
-        assert payload[1]["mono"] > 0
 
 
 # ======================================================================
@@ -209,14 +164,12 @@ def _wait_until(predicate, timeout: float = 5.0) -> bool:
 
 
 class TestHeartbeatMonitor:
-    CONFIG = SupervisionConfig(
-        heartbeat_interval=0.05, stale_after=0.15, probe_timeout=0.1
-    )
+    CONFIG = SupervisionConfig(heartbeat_interval=0.05, stale_after=0.15)
 
     def test_healthy_worker_is_never_flagged(self, tmp_path):
         responder = _HealthResponder(str(tmp_path / "w.sock"))
         worker = _FakeWorker("worker-0", responder.path)
-        log = SupervisionLog()
+        log = EventLog()
         stale = []
         monitor = HeartbeatMonitor(
             lambda: [worker], self.CONFIG, log, on_stale=stale.append
@@ -230,11 +183,11 @@ class TestHeartbeatMonitor:
             responder.close()
         assert stale == []
         assert monitor.hangs == 0
-        assert log.events("hang-detected") == []
+        assert log.records("hang-detected") == []
 
     def test_unreachable_worker_is_flagged_exactly_once(self, tmp_path):
         worker = _FakeWorker("worker-0", str(tmp_path / "missing.sock"))
-        log = SupervisionLog()
+        log = EventLog()
         stale = []
         monitor = HeartbeatMonitor(
             lambda: [worker], self.CONFIG, log, on_stale=stale.append
@@ -247,13 +200,13 @@ class TestHeartbeatMonitor:
             monitor.stop()
         assert stale == [worker]
         assert monitor.hangs == 1
-        (event,) = log.events("hang-detected")
-        assert event.worker_id == "worker-0"
-        assert "stale_after" in event.detail
+        (event,) = log.records("hang-detected")
+        assert event.source == "worker-0"
+        assert "stale_after" in event.fields["detail"]
 
     def test_a_new_incarnation_gets_a_clean_slate(self, tmp_path):
         worker = _FakeWorker("worker-0", str(tmp_path / "missing.sock"))
-        log = SupervisionLog()
+        log = EventLog()
         stale = []
         monitor = HeartbeatMonitor(
             lambda: [worker], self.CONFIG, log, on_stale=stale.append
@@ -271,7 +224,7 @@ class TestHeartbeatMonitor:
         worker = _FakeWorker(
             "worker-0", str(tmp_path / "missing.sock"), alive=False
         )
-        log = SupervisionLog()
+        log = EventLog()
         stale = []
         monitor = HeartbeatMonitor(
             lambda: [worker], self.CONFIG, log, on_stale=stale.append
@@ -290,7 +243,7 @@ class TestHeartbeatMonitor:
         # dispatcher marks it ready, or slow startup reads as a hang.
         worker = _FakeWorker("worker-0", str(tmp_path / "missing.sock"))
         worker.ready = False
-        log = SupervisionLog()
+        log = EventLog()
         stale = []
         monitor = HeartbeatMonitor(
             lambda: [worker], self.CONFIG, log, on_stale=stale.append

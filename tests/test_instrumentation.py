@@ -1,4 +1,8 @@
-"""Tests for the Timeline instrumentation and multi-seed statistics."""
+"""Tests for the Timeline and EventLog instrumentation and multi-seed
+statistics."""
+
+import sys
+import threading
 
 import pytest
 
@@ -12,7 +16,7 @@ from repro.harness.multiseed import (
     paired_speedups,
     sweep_seeds,
 )
-from repro.instrumentation import Timeline
+from repro.instrumentation import EventLog, Timeline
 
 
 class TestTimeline:
@@ -71,6 +75,65 @@ class TestTimeline:
         tl = Timeline()
         tl.sample(0, "wpq", 5)
         assert "wpq" in tl.report()
+
+
+class TestEventLog:
+    def test_record_filter_and_payload(self):
+        log = EventLog()
+        log.record("worker-0", "worker-start", detail="incarnation 0")
+        log.record("worker-0", "hang-detected", detail="stale")
+        log.record("worker-1", "worker-start", detail="incarnation 0")
+        assert len(log.records()) == 3
+        assert [r.source for r in log.records("worker-start")] == [
+            "worker-0",
+            "worker-1",
+        ]
+        assert [r.kind for r in log.records(source="worker-0")] == [
+            "worker-start",
+            "hang-detected",
+        ]
+        payload = log.to_payload()
+        assert set(payload[1]) == {"time", "source", "kind", "fields"}
+        assert payload[1]["kind"] == "hang-detected"
+        assert payload[1]["fields"] == {"detail": "stale"}
+        assert payload[1]["time"] > 0
+
+    def test_records_from_many_threads_stay_time_ordered(self):
+        log = EventLog()
+
+        def append(source):
+            for index in range(500):
+                log.record(source, "tick", index=index)
+
+        threads = [
+            threading.Thread(target=append, args=(f"t{n}",)) for n in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        times = [record.time for record in log.records()]
+        assert len(times) == log.counts["tick"] == 8 * 500
+        assert times == sorted(times)
+        assert [r.fields["index"] for r in log.records(source="t2")] == list(
+            range(500)
+        )
+
+    def test_bound_drops_records_but_counts_every_kind(self):
+        ticks = iter(range(100))
+        log = EventLog(clock=lambda: next(ticks))
+        log.max_records = 2
+        for kind in ("a", "b", "a", "c"):
+            log.record("s", kind)
+        assert [(r.time, r.kind) for r in log.records()] == [(0, "a"), (1, "b")]
+        assert log.dropped == 2
+        assert log.counts == {"a": 2, "b": 1, "c": 1}
 
 
 class TestControllerTimeline:

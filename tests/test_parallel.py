@@ -11,10 +11,12 @@ import os
 import signal
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.config import eager_config
+from repro.harness import parallel
 from repro.harness.experiments import run_experiment
 from repro.harness.parallel import (
     ParallelExecutionError,
@@ -212,6 +214,27 @@ class TestWorkerResilience:
         monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0")
         assert fan_out(_raise_in_pool, [7, 8], jobs=2) == [21, 24]
         assert "[parallel]" in capsys.readouterr().err
+
+    def test_backoff_is_exponential_and_capped(self, monkeypatch):
+        """Pool n + 1 waits REPRO_WORKER_BACKOFF * 2**n s, at most 30 s."""
+        sleeps = []
+        monkeypatch.setattr(
+            parallel, "time", SimpleNamespace(sleep=sleeps.append)
+        )
+        monkeypatch.setenv("REPRO_WORKER_RETRIES", "3")
+        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "10")
+        assert fan_out(_raise_in_pool, [1, 2], jobs=2, failures=[]) == [3, 6]
+        assert sleeps == [10.0, 20.0, parallel.MAX_WORKER_BACKOFF]
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("REPRO_WORKER_RETRIES", "-1"), ("REPRO_WORKER_BACKOFF", "-0.5")],
+        ids=["retries", "backoff"],
+    )
+    def test_negative_retry_settings_rejected(self, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=name):
+            fan_out(_raise_in_pool, [1, 2], jobs=2)
 
     def test_run_units_survive_worker_timeout(self, tmp_path, monkeypatch):
         """End-to-end through run_units: with a timeout so tight every

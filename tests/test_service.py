@@ -22,16 +22,17 @@ from repro.harness import memo, parallel
 from repro.harness.parallel import RunUnit, execute_unit
 from repro.harness.runner import RunResult
 from repro.harness.trace_store import ResultStore, TraceCache
+from repro.instrumentation import EventLog
 from repro.oracle.check import controller_matrix
 from repro.service import protocol as proto
 from repro.service.client import ServiceClient
 from repro.service.scheduler import (
+    JOB_EVENT_KINDS,
     DrainingError,
     ExperimentScheduler,
     JobStatus,
 )
 from repro.service.server import ExperimentServer, TokenBucket, _ClientSession
-from repro.tracing import JOB_EVENT_KINDS, JobEventLog
 
 #: Small enough to finish in milliseconds, large enough to be a real run.
 TX = 8
@@ -92,6 +93,28 @@ class TestJobSpec:
             proto.JobSpec.from_wire({"workload": "hashmap"})
         with pytest.raises(proto.ProtocolError):
             proto.JobSpec.from_wire("not an object")
+
+    @pytest.mark.parametrize(
+        "pairs, expected",
+        [
+            (["wpq_coalescing=true"], {"wpq_coalescing": True}),
+            (["wpq_coalescing=False"], {"wpq_coalescing": False}),
+            (["adr_budget=12", "transaction_size=-3"],
+             {"adr_budget": 12, "transaction_size": -3}),
+            (["persist_model=strict"], {"persist_model": "strict"}),
+            (["persist_model=a=b"], {"persist_model": "a=b"}),
+            ([], {}),
+            (["adr_budget"], "expects key=value"),
+        ],
+    )
+    def test_parse_overrides(self, pairs, expected):
+        """The one ``--override KEY=VALUE`` parser of ``submit`` and
+        ``fleet run``."""
+        if isinstance(expected, str):
+            with pytest.raises(proto.ProtocolError, match=expected):
+                proto.parse_overrides(pairs)
+        else:
+            assert proto.parse_overrides(pairs) == expected
 
 
 class TestJobKey:
@@ -351,7 +374,7 @@ class TestScheduler:
         assert stats["result_store_hits"] == 1
 
     def test_cold_job_is_dispatched_at_admission(self):
-        events = JobEventLog()
+        events = EventLog()
 
         async def scenario():
             scheduler = _scheduler(events=events)
@@ -363,7 +386,7 @@ class TestScheduler:
 
         job, status = _run_async(scenario())
         assert status is JobStatus.RUNNING
-        kinds = [kind for _time, kind, _detail in events.history(job.key)]
+        kinds = [record.kind for record in events.records(source=job.key)]
         assert kinds[:2] == ["job.submitted", "job.started"]
 
     def test_drain_refuses_new_work_but_finishes_accepted(self):
@@ -384,26 +407,34 @@ class TestScheduler:
         assert stats["in_flight"] == 0
 
     def test_job_lifecycle_rides_the_event_timeline(self):
-        events = JobEventLog()
+        events = EventLog()
 
         async def scenario():
             scheduler = _scheduler(events=events)
             job = await scheduler.submit(SPEC)
             await scheduler.submit(SPEC)  # dedup
             await job.done
+            stats = scheduler.stats()
             await scheduler.close()
-            return job
+            return job, stats
 
-        job = _run_async(scenario())
+        job, stats = _run_async(scenario())
         counts = events.counts
         assert counts["job.submitted"] == 2
         assert counts["job.dedup"] == 1
         assert counts["job.started"] == 1
         assert counts["job.completed"] == 1
-        kinds = [kind for _time, kind, _detail in events.history(job.key)]
-        assert kinds[0] == "job.submitted"
-        assert kinds[-1] == "job.completed"
         assert set(counts) <= set(JOB_EVENT_KINDS)
+        assert stats["events"] == counts
+        history = events.records(source=job.key)
+        assert [record.kind for record in history] == [
+            "job.submitted", "job.started", "job.submitted", "job.dedup",
+            "job.completed",
+        ]
+        assert history[3].fields == {"via": "inflight"}
+        assert history[-1].fields == {"outcome": "ok"}
+        times = [record.time for record in history]
+        assert times == sorted(times)
 
 
 def _die_in_pool(unit, cache):

@@ -8,8 +8,8 @@ Two halves:
   reply on a connection that keeps working, never a dead session task.
 * **client resilience** — :class:`ServiceClient` must reconnect with
   backoff through transport drops (submits are idempotent end to end)
-  and surface a typed :class:`ServiceUnavailable` only after the retry
-  policy is exhausted.
+  and surface a typed :class:`ServiceUnavailable` only after its last
+  attempt.
 """
 
 from __future__ import annotations
@@ -18,10 +18,11 @@ import asyncio
 import json
 import socket
 import threading
+from types import SimpleNamespace
 
 import pytest
 
-from repro.common.retry import RetryPolicy
+from repro.service import client as client_mod
 from repro.service import protocol as proto
 from repro.service.client import (
     ServiceClient,
@@ -335,16 +336,12 @@ class _ScriptedServer:
             pass
 
 
-def _fast_retry(attempts: int) -> RetryPolicy:
-    return RetryPolicy(attempts=attempts, base_delay=0.01, jitter=0.0)
-
-
 class TestClientReconnect:
     def test_submit_survives_one_transport_drop(self, tmp_path):
         path = str(tmp_path / "svc.sock")
         server = _ScriptedServer(path, [_drop_after_submit, _serve_result])
         try:
-            client = ServiceClient(path, timeout=5.0, retry=_fast_retry(3))
+            client = ServiceClient(path, timeout=5.0, attempts=3)
             seen = []
             client.on_retry = lambda attempt, exc: seen.append(
                 (attempt, type(exc).__name__)
@@ -363,7 +360,7 @@ class TestClientReconnect:
         path = str(tmp_path / "svc.sock")
         server = _ScriptedServer(path, [_drop_after_submit])
         try:
-            client = ServiceClient(path, timeout=5.0, retry=_fast_retry(2))
+            client = ServiceClient(path, timeout=5.0, attempts=2)
             with pytest.raises(ServiceUnavailable) as excinfo:
                 client.submit(SPEC)
             client.close()
@@ -394,7 +391,7 @@ class TestClientReconnect:
         path = str(tmp_path / "svc.sock")
         server = _ScriptedServer(path, [serve_error])
         try:
-            client = ServiceClient(path, timeout=5.0, retry=_fast_retry(4))
+            client = ServiceClient(path, timeout=5.0, attempts=4)
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(SPEC)
             client.close()
@@ -403,6 +400,33 @@ class TestClientReconnect:
         assert excinfo.value.code == "bad-job"
         assert client.retries == 0  # no pointless reconnects
         assert server.connections == 1
+
+    def test_backoff_is_exponential_capped_and_jittered(
+        self, tmp_path, monkeypatch
+    ):
+        """Retry n sleeps min(1 s, 50 ms * 2**n), scaled by 1 +- 25 %."""
+        sleeps = []
+        monkeypatch.setattr(
+            client_mod, "time", SimpleNamespace(sleep=sleeps.append)
+        )
+        path = str(tmp_path / "svc.sock")
+        server = _ScriptedServer(path, [_drop_after_submit])
+        try:
+            client = ServiceClient(path, timeout=5.0, attempts=8)
+            with pytest.raises(ServiceUnavailable):
+                client.submit(SPEC)
+            client.close()
+        finally:
+            server.close()
+        raw = [0.05, 0.1, 0.2, 0.4, 0.8, 1.0, 1.0]
+        assert len(sleeps) == len(raw)
+        for delay, base in zip(sleeps, raw):
+            assert 0.75 * base <= delay <= 1.25 * base
+        assert sleeps != raw  # jittered
+
+    def test_attempts_below_one_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            ServiceClient(str(tmp_path / "never-dialed.sock"), attempts=0)
 
     def test_garbled_greeting_fails_fast_at_construction(self, tmp_path):
         # Construction is deliberately single-shot: a garbled hello is
@@ -414,5 +438,5 @@ class TestClientReconnect:
         path = str(tmp_path / "svc.sock")
         server = _ScriptedServer(path, [garbled_hello])
         with pytest.raises(ProtocolError):
-            ServiceClient(path, timeout=5.0, retry=_fast_retry(2))
+            ServiceClient(path, timeout=5.0, attempts=2)
         server.close()
