@@ -26,7 +26,10 @@ lost or corrupted; *recovered* requires matching supervision evidence
 worker at or after the injection); *degraded* requires
 respawn-exhaustion evidence.  Faults whose trigger never arrived (e.g.
 frame 4 of a wire that only carried 3) are reported *unreached* and
-excluded from the tally.
+excluded from the tally — but a layer (wire, process, storage) that
+planned faults in some run and fired none in any run fails the
+campaign: a proxy or orchestrator that stopped injecting would
+otherwise pass the zero-loss gate without testing anything.
 """
 
 from __future__ import annotations
@@ -35,13 +38,13 @@ import argparse
 import json
 import os
 import random
+import shutil
 import signal
 import sqlite3
 import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -52,13 +55,15 @@ from repro.fleet.dispatcher import (
     CampaignSpec,
     FleetDispatcher,
     FleetError,
+    add_campaign_flags,
+    campaign_from_flags,
     expand_units,
+    supervision_from_flags,
 )
 from repro.fleet.supervisor import SupervisionConfig
 from repro.instrumentation import EventLog
 
 __all__ = [
-    "ChaosCampaignConfig",
     "run_chaos_campaign",
     "check_invariants",
     "classify_faults",
@@ -71,43 +76,6 @@ RECOVERY_KINDS = frozenset(
 )
 #: Evidence that capacity was permanently lost (campaign still done).
 DEGRADED_KINDS = frozenset({"respawn-exhausted"})
-
-
-@dataclass(frozen=True)
-class ChaosCampaignConfig:
-    """One chaos campaign: the experiment matrix plus the chaos knobs."""
-
-    name: str = "chaos"
-    workloads: Tuple[str, ...] = ("hashmap",)
-    designs: Tuple[str, ...] = ("dolos-partial", "prewpq-eager")
-    unit_seeds: Tuple[int, ...] = (1, 2)
-    transactions: int = 8
-    chaos_seeds: Tuple[int, ...] = (1, 2, 3)
-    workers: int = 2
-    #: Supervision under chaos (always on — a chaos run without hang
-    #: detection would wait out every SIGSTOP on the submit timeout).
-    heartbeat: float = 0.1
-    stale_after: float = 0.5
-    respawns: int = 4
-    wire_faults: int = 3
-    process_faults: int = 2
-    storage_faults: int = 2
-
-    def campaign_spec(self) -> CampaignSpec:
-        return CampaignSpec(
-            name=self.name,
-            workloads=self.workloads,
-            designs=self.designs,
-            seeds=self.unit_seeds,
-            transactions=self.transactions,
-        ).validate()
-
-    def supervision(self) -> SupervisionConfig:
-        return SupervisionConfig(
-            heartbeat_interval=self.heartbeat,
-            stale_after=self.stale_after,
-            respawn_budget=self.respawns,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -301,19 +269,18 @@ def _torn_wal_drill(
 # The campaign driver
 # ----------------------------------------------------------------------
 def _run_calm_baseline(
-    config: ChaosCampaignConfig, out_dir: Path
+    campaign: CampaignSpec, out_dir: Path
 ) -> Tuple[Set[str], Dict[str, str]]:
     """Faultless inline run: the digest ground truth for every unit."""
-    spec = config.campaign_spec()
-    expected = {unit.key for unit in expand_units(spec)}
+    expected = {unit.key for unit in expand_units(campaign)}
     db = FleetDB(out_dir / "calm.sqlite")
     try:
         FleetDispatcher(
-            spec, db, workers=0, experiment_id=f"{config.name}-calm"
+            campaign, db, workers=0, experiment_id=f"{campaign.name}-calm"
         ).run()
         digests = {
             row.unit_key: row.payload_digest
-            for row in db.unit_rows(f"{config.name}-calm")
+            for row in db.unit_rows(f"{campaign.name}-calm")
         }
     finally:
         db.close()
@@ -323,7 +290,9 @@ def _run_calm_baseline(
 
 
 def run_chaos_once(
-    config: ChaosCampaignConfig,
+    campaign: CampaignSpec,
+    supervision: SupervisionConfig,
+    workers: int,
     out_dir: Path,
     chaos_seed: int,
     expected_keys: Set[str],
@@ -333,20 +302,17 @@ def run_chaos_once(
     """One faulted campaign under ``chaos_seed``; returns its report.
 
     ``plan`` overrides the seed-generated schedule (replay tests pin
-    hand-built plans whose triggers are guaranteed to fire).
+    hand-built plans whose triggers are guaranteed to fire).  The run
+    starts from an empty ``chaos-<seed>`` directory: a database or memo
+    left by an earlier run would let it resume with nothing to dispatch.
     """
     runtime = out_dir / f"chaos-{chaos_seed}"
-    runtime.mkdir(parents=True, exist_ok=True)
+    shutil.rmtree(runtime, ignore_errors=True)
+    runtime.mkdir(parents=True)
     db_path = runtime / "fleet.sqlite"
-    experiment_id = f"{config.name}-chaos-{chaos_seed}"
+    experiment_id = f"{campaign.name}-chaos-{chaos_seed}"
     if plan is None:
-        plan = ChaosPlan.generate(
-            chaos_seed,
-            workers=config.workers,
-            wire_faults=config.wire_faults,
-            process_faults=config.process_faults,
-            storage_faults=config.storage_faults,
-        )
+        plan = ChaosPlan.generate(chaos_seed, workers=workers)
     result_cache = runtime / "result-cache"
     # One log for the whole run: injections, supervision, client retries.
     events = EventLog()
@@ -359,15 +325,15 @@ def run_chaos_once(
 
     db = FleetDB(db_path)
     dispatcher = FleetDispatcher(
-        config.campaign_spec(),
+        campaign,
         db,
-        workers=config.workers,
+        workers=workers,
         experiment_id=experiment_id,
         runtime_dir=runtime,
         worker_env=env,
         on_record=orchestrator.on_record,
         on_worker_start=orchestrator.on_worker_start,
-        supervision=config.supervision(),
+        supervision=supervision,
         events=events,
     )
     started = time.monotonic()
@@ -420,17 +386,38 @@ def run_chaos_once(
     }
 
 
+def unfired_layers(runs: Sequence[Dict[str, object]]) -> List[str]:
+    """Layers that planned faults in some run but fired none in any."""
+    planned = {
+        fault["layer"] for run in runs for fault in run["plan"]["faults"]
+    }
+    fired = {
+        event["fields"]["layer"]
+        for run in runs
+        for event in injections(run["events"])
+    }
+    return sorted(planned - fired)
+
+
 def run_chaos_campaign(
-    config: ChaosCampaignConfig, out_dir: Path
+    campaign: CampaignSpec,
+    supervision: SupervisionConfig,
+    workers: int,
+    chaos_seeds: Sequence[int],
+    out_dir: Path,
 ) -> Dict[str, object]:
     """Calm baseline + one faulted run per chaos seed + roll-up."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    expected_keys, calm_digests = _run_calm_baseline(config, out_dir)
+    expected_keys, calm_digests = _run_calm_baseline(campaign, out_dir)
     runs = [
-        run_chaos_once(config, out_dir, seed, expected_keys, calm_digests)
-        for seed in config.chaos_seeds
+        run_chaos_once(
+            campaign, supervision, workers, out_dir, seed,
+            expected_keys, calm_digests,
+        )
+        for seed in chaos_seeds
     ]
+    unfired = unfired_layers(runs)
     totals = {
         "faults_planned": sum(len(run["plan"]["faults"]) for run in runs),
         "faults_fired": sum(len(injections(run["events"])) for run in runs),
@@ -439,22 +426,19 @@ def run_chaos_campaign(
             for status in STATUSES
         },
         "violations": sum(len(run["violations"]) for run in runs),
+        "unfired_layers": unfired,
         "lost_units": 0 if all(run["ok"] for run in runs) else None,
     }
     report = {
         "config": {
-            "name": config.name,
-            "workloads": list(config.workloads),
-            "designs": list(config.designs),
-            "unit_seeds": list(config.unit_seeds),
-            "transactions": config.transactions,
-            "chaos_seeds": list(config.chaos_seeds),
-            "workers": config.workers,
+            **campaign.to_payload(),
+            "chaos_seeds": list(chaos_seeds),
+            "workers": workers,
         },
         "units": len(expected_keys),
         "runs": runs,
         "totals": totals,
-        "ok": all(run["ok"] for run in runs),
+        "ok": all(run["ok"] for run in runs) and not unfired,
     }
     report_path = out_dir / "chaos-report.json"
     report_path.write_text(json.dumps(report, sort_keys=True, indent=2))
@@ -465,10 +449,6 @@ def run_chaos_campaign(
 # ----------------------------------------------------------------------
 # CLI: python -m repro.harness chaos
 # ----------------------------------------------------------------------
-def _csv(text: str) -> Tuple[str, ...]:
-    return tuple(item for item in text.split(",") if item)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness chaos",
@@ -479,25 +459,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--chaos-seeds", default="1,2,3",
         help="comma-separated chaos schedule seeds",
     )
-    parser.add_argument("--workloads", default="hashmap")
-    parser.add_argument(
-        "--designs", default="dolos-partial,prewpq-eager",
-        help="comma-separated controller designs",
-    )
-    parser.add_argument("--seeds", default="1,2", help="unit seeds")
-    parser.add_argument("--transactions", type=int, default=8)
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument(
-        "--heartbeat", type=float, default=0.1,
-        help="supervision heartbeat interval (seconds)",
-    )
-    parser.add_argument(
-        "--stale-after", type=float, default=0.5,
-        help="hang-detection staleness threshold (seconds)",
-    )
-    parser.add_argument(
-        "--respawns", type=int, default=4,
-        help="fleet-wide worker respawn budget per run",
+    # Supervision is always on under chaos: without hang detection a
+    # run would wait out every SIGSTOP on the submit timeout.
+    add_campaign_flags(
+        parser, seeds="1,2", transactions=8,
+        heartbeat=0.1, stale_after=0.5, respawns=4,
     )
     parser.add_argument(
         "--out", default=None,
@@ -506,24 +472,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
 
-    config = ChaosCampaignConfig(
-        workloads=_csv(args.workloads),
-        designs=_csv(args.designs),
-        unit_seeds=tuple(int(s) for s in _csv(args.seeds)),
-        transactions=args.transactions,
-        chaos_seeds=tuple(int(s) for s in _csv(args.chaos_seeds)),
-        workers=args.workers,
-        heartbeat=args.heartbeat,
-        stale_after=args.stale_after,
-        respawns=args.respawns,
-    )
-    out_dir = Path(
-        args.out
-        if args.out
-        else tempfile.mkdtemp(prefix="repro-chaos-")
-    )
+    out_dir = Path(args.out or tempfile.mkdtemp(prefix="repro-chaos-"))
     try:
-        report = run_chaos_campaign(config, out_dir)
+        report = run_chaos_campaign(
+            campaign_from_flags(args, "chaos"),
+            supervision_from_flags(args),
+            args.workers,
+            [int(seed) for seed in args.chaos_seeds.split(",") if seed],
+            out_dir,
+        )
     except FleetError as exc:
         print(f"chaos: {exc}", file=sys.stderr)
         return 1
@@ -553,6 +510,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"fired, {totals['silent']} silent, "
         f"{totals['violations']} invariant violations"
     )
+    if totals["unfired_layers"]:
+        print(
+            "[chaos] no fault fired in layer(s) "
+            f"{', '.join(totals['unfired_layers'])}: the gate tested nothing "
+            "there"
+        )
     print(f"[chaos] report: {report['report_path']}")
     if report["ok"]:
         print(
@@ -560,7 +523,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "exactly once, digests bit-identical to the calm baseline"
         )
         return 0
-    print("[chaos] FAILED — see violations above", file=sys.stderr)
+    print("[chaos] FAILED — see above", file=sys.stderr)
     return 1
 
 

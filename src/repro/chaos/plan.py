@@ -5,7 +5,7 @@ expanding a catalogue of fault archetypes with a ``random.Random``
 (mirroring :mod:`repro.faults.plan`, which does the same for
 *simulated-crash* sites inside the memory model — this module faults
 the *fleet* around the simulator instead).  The plan is pure data:
-serialisable, comparable, and replayable — the same seed always
+comparable and replayable — the same seed always
 produces the same plan, and a :class:`WireSchedule` derived from it
 makes the same decision for the same frame ordinal every run.  That
 determinism is what the replay tests assert: two runs from one seed
@@ -28,7 +28,6 @@ Three layers:
 
 from __future__ import annotations
 
-import json
 import random
 import threading
 from dataclasses import dataclass
@@ -121,17 +120,6 @@ class ChaosFault:
             "param": self.param,
         }
 
-    @classmethod
-    def from_payload(cls, data: Dict[str, object]) -> "ChaosFault":
-        return cls(
-            fault_id=str(data["fault_id"]),
-            kind=str(data["kind"]),
-            worker=str(data.get("worker", "")),
-            direction=str(data.get("direction", "")),
-            frame=int(data.get("frame", 0)),
-            param=float(data.get("param", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
 class ChaosPlan:
@@ -221,23 +209,6 @@ class ChaosPlan:
             "workers": self.workers,
             "faults": [fault.to_payload() for fault in self.faults],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True)
-
-    @classmethod
-    def from_payload(cls, data: Dict[str, object]) -> "ChaosPlan":
-        return cls(
-            seed=int(data["seed"]),
-            workers=int(data["workers"]),
-            faults=tuple(
-                ChaosFault.from_payload(item) for item in data["faults"]
-            ),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChaosPlan":
-        return cls.from_payload(json.loads(text))
 
 
 # ----------------------------------------------------------------------

@@ -13,13 +13,12 @@ core clock); nanosecond device parameters are converted to cycles in
 from repro.engine.events import Event, EventQueue
 from repro.engine.kernel import Simulator, SimulationError
 from repro.engine.process import Delay, Process, Signal, WaitSignal
-from repro.engine.resources import FifoChannel, Resource
+from repro.engine.resources import Resource
 
 __all__ = [
     "Delay",
     "Event",
     "EventQueue",
-    "FifoChannel",
     "Process",
     "Resource",
     "Signal",

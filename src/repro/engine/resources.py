@@ -1,9 +1,9 @@
-"""Shared resources for processes: counting resources and FIFO channels."""
+"""Shared resources for processes: counting resources and pipelined lanes."""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Deque, Generator
 
 from repro.engine.kernel import SimulationError, Simulator
 from repro.engine.process import Signal
@@ -101,57 +101,3 @@ class PipelineLane:
         next_start = self._next_start
         return now if now > next_start else next_start
 
-
-class FifoChannel:
-    """An unbounded (or bounded) FIFO between producer and consumer processes.
-
-    ``yield from channel.get()`` blocks until an item is available;
-    :meth:`put` never blocks but raises when a bound is exceeded (the
-    caller is expected to model back-pressure explicitly — the WPQ does).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: Optional[int] = None,
-        name: str = "",
-    ) -> None:
-        self._sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Signal] = deque()
-        self.total_puts = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
-
-    def put(self, item: Any) -> None:
-        """Append ``item``; wakes one blocked getter."""
-        if self.is_full:
-            raise SimulationError(f"channel {self.name!r} overflow")
-        self.total_puts += 1
-        if self._getters:
-            gate = self._getters.popleft()
-            gate.fire(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Generator[Any, Any, Any]:
-        """Block until an item is available, then pop it (generator)."""
-        if self._items:
-            return self._items.popleft()
-        gate = Signal(self._sim, name=f"{self.name}.get")
-        self._getters.append(gate)
-        item = yield gate
-        return item
-
-    def try_get(self) -> Any:
-        """Pop without blocking; returns ``None`` when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None

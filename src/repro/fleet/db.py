@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.harness.trace_store import ResultStore
+from repro.harness.trace_store import result_digest
 from repro.workloads import GENERATOR_VERSION
 
 ENV_DB = "REPRO_FLEET_DB"
@@ -124,23 +124,32 @@ def default_db_path() -> Path:
 
 
 def current_git_hash() -> str:
-    """Best-effort git HEAD of the running checkout ('' when unknown)."""
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-    except (OSError, subprocess.SubprocessError):
+    """Best-effort git HEAD of the running checkout ('' when unknown).
+
+    A tree whose tracked files differ from HEAD gets a ``-dirty``
+    suffix: its results were not computed by the commit alone.
+    """
+    here = Path(__file__).resolve().parent
+
+    def git(*args: str) -> Optional[str]:
+        try:
+            proc = subprocess.run(
+                ["git", "--no-optional-locks", *args],
+                cwd=here,
+                capture_output=True,
+                text=True,
+                timeout=5,
+            )
+        except (OSError, subprocess.SubprocessError):
+            return None
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    head = git("rev-parse", "HEAD")
+    if not head:
         return ""
-    return proc.stdout.strip() if proc.returncode == 0 else ""
-
-
-#: Payload digests reuse the service's result-store scheme so a db row
-#: can be compared bit-for-bit against a wire ``result`` frame digest.
-payload_digest = ResultStore.payload_digest
+    if git("status", "--porcelain", "--untracked-files=no"):
+        head += "-dirty"
+    return head
 
 
 @dataclass
@@ -283,7 +292,7 @@ class FleetDB:
         double-recorded).  Raises
         :class:`UnitDigestMismatch` when the digests differ.
         """
-        digest = payload_digest(payload)
+        digest = result_digest(payload)
         conn = self._conn()
         # BEGIN IMMEDIATE serialises concurrent writers on the same
         # key: the check-then-insert pair must be atomic or two racing
@@ -364,7 +373,7 @@ class FleetDB:
         try:
             payload = json.loads(row["payload"])
             stored = row["payload_digest"]
-            if payload_digest(payload) != stored:
+            if result_digest(payload) != stored:
                 raise ValueError("payload digest mismatch")
             spec = json.loads(row["spec"])
         except Exception as exc:

@@ -2,7 +2,8 @@
 
 A declarative :class:`CampaignSpec` (configs × workloads × seeds ×
 fault plans) expands into a deterministic, duplicate-free unit list
-(:func:`expand_units`), each unit keyed by its unit-memo key.  The
+(:func:`expand_units`), each unit keyed by its job key — the unit-memo
+key (:func:`repro.service.protocol.job_key`).  The
 :class:`FleetDispatcher` then spawns one ``python -m repro.harness
 serve`` subprocess per worker (Unix socket, the service wire protocol)
 and drives each from its own thread through one shared queue, the
@@ -48,20 +49,18 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.fleet.db import FleetDB, current_git_hash, default_db_path
 from repro.fleet.supervisor import HeartbeatMonitor, SupervisionConfig
-from repro.harness.memo import UnitMemo
 from repro.harness.parallel import execute_unit
 from repro.harness.trace_store import TraceCache
 from repro.instrumentation import EventLog
-from repro.oracle.check import controller_matrix
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import (
     JobSpec,
     ProtocolError,
+    job_key,
     parse_overrides,
     result_payload,
     spec_to_run_unit,
 )
-from repro.workloads import ALL_WORKLOADS, ORACLE_SEMANTICS
 
 logger = logging.getLogger(__name__)
 
@@ -69,21 +68,8 @@ logger = logging.getLogger(__name__)
 WORKER_START_TIMEOUT = 30.0
 #: Seconds SIGTERM gets before :meth:`ServiceWorker.stop` escalates.
 WORKER_STOP_TIMEOUT = 10.0
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    return float(raw) if raw else default
-
-
-def worker_start_timeout() -> float:
-    """``REPRO_FLEET_START_TIMEOUT`` or :data:`WORKER_START_TIMEOUT`."""
-    return _env_float("REPRO_FLEET_START_TIMEOUT", WORKER_START_TIMEOUT)
-
-
-def worker_stop_timeout() -> float:
-    """``REPRO_FLEET_STOP_TIMEOUT`` or :data:`WORKER_STOP_TIMEOUT`."""
-    return _env_float("REPRO_FLEET_STOP_TIMEOUT", WORKER_STOP_TIMEOUT)
+#: Socket timeout of a worker's client (one unit's submit round trip).
+SUBMIT_TIMEOUT = 300.0
 
 
 class FleetError(RuntimeError):
@@ -122,6 +108,16 @@ class CampaignSpec:
     scenario: Tuple[Tuple[str, object], ...] = ()
 
     def validate(self) -> "CampaignSpec":
+        """Campaign-level checks; every unit is validated by expanding it."""
+        self.unit_specs()
+        return self
+
+    def unit_specs(self) -> List[JobSpec]:
+        """Every unit's validated :class:`JobSpec`, in expansion order.
+
+        Duplicate workloads, designs or seeds expand once.  A unit that
+        :meth:`JobSpec.validate` rejects raises :class:`FleetError`.
+        """
         if not self.name:
             raise FleetError("campaign needs a name")
         if not self.workloads or not self.designs or not self.seeds:
@@ -129,44 +125,40 @@ class CampaignSpec:
                 "campaign matrix is empty: need at least one workload, "
                 "design and seed"
             )
-        matrix = controller_matrix()
-        for workload in self.workloads:
-            if workload not in ALL_WORKLOADS:
-                raise FleetError(
-                    f"unknown workload {workload!r}; choose from "
-                    f"{sorted(ALL_WORKLOADS)}"
-                )
-        for design in self.designs:
-            if design not in matrix:
-                raise FleetError(
-                    f"unknown design {design!r}; choose from "
-                    f"{sorted(matrix)}"
-                )
-        if self.transactions <= 0:
-            raise FleetError("transactions must be positive")
         if self.fault_sites < 0:
             raise FleetError("fault_sites must be >= 0")
-        if self.fault_sites:
-            for workload in self.workloads:
-                if workload not in ORACLE_SEMANTICS:
-                    raise FleetError(
-                        f"workload {workload!r} has no oracle semantics; "
-                        "fault units need one"
-                    )
+        modes: List[Dict[str, object]] = [{}]
         if self.scenario:
-            probe = JobSpec(
-                workload=self.workloads[0],
-                design=self.designs[0],
-                transactions=self.transactions,
-                seed=self.seeds[0],
-                mode="scenario",
-                scenario=dict(self.scenario),
+            modes.append({"mode": "scenario", "scenario": dict(self.scenario)})
+        if self.fault_sites > 0:
+            modes.append({"mode": "faults", "fault_sites": self.fault_sites})
+        cells = list(
+            itertools.product(
+                dict.fromkeys(self.workloads),
+                dict.fromkeys(self.designs),
+                dict.fromkeys(self.seeds),
             )
-            try:
-                probe.validate()
-            except ProtocolError as exc:
-                raise FleetError(f"invalid campaign scenario: {exc}") from None
-        return self
+        )
+        specs = []
+        for mode in modes:
+            for workload, design, seed in cells:
+                try:
+                    specs.append(
+                        JobSpec(
+                            workload=workload,
+                            design=design,
+                            transactions=self.transactions,
+                            seed=seed,
+                            experiment_id=self.name,
+                            overrides=dict(self.overrides),
+                            **mode,
+                        ).validate()
+                    )
+                except ProtocolError as exc:
+                    raise FleetError(
+                        f"invalid unit in campaign: {exc}"
+                    ) from None
+        return specs
 
     def to_payload(self) -> Dict[str, object]:
         """Plain-JSON form (db snapshot / campaign files)."""
@@ -213,51 +205,19 @@ class FleetUnit:
     spec: JobSpec
 
 
-def _dedup_keep_order(values: Sequence) -> List:
-    return list(dict.fromkeys(values))
-
-
 def expand_units(campaign: CampaignSpec) -> List[FleetUnit]:
     """Expand ``campaign`` into its deterministic, duplicate-free units.
 
-    The unit key is :meth:`UnitMemo.key_for` of the job's run unit: the
-    unit's identity plus the generator and simulator-source versions, so
-    the FleetDB, the unit memo and the workers agree about unit identity,
+    The unit key is the job key (:func:`repro.service.protocol.job_key`,
+    the unit-memo key of the job's run unit): the unit's identity plus
+    the generator and simulator-source versions, so the FleetDB, the
+    unit memo and the workers' wire frames agree about unit identity,
     and a row recorded by other simulator sources has a different key.
     """
-    campaign.validate()
-    memo = UnitMemo(None)
-    overrides = {key: value for key, value in campaign.overrides}
-    modes: List[Dict[str, object]] = [{}]
-    if campaign.scenario:
-        modes.append({"mode": "scenario", "scenario": dict(campaign.scenario)})
-    if campaign.fault_sites > 0:
-        modes.append({"mode": "faults", "fault_sites": campaign.fault_sites})
-    cells = list(
-        itertools.product(
-            _dedup_keep_order(campaign.workloads),
-            _dedup_keep_order(campaign.designs),
-            _dedup_keep_order(campaign.seeds),
-        )
-    )
-
     units: Dict[str, FleetUnit] = {}
-    for mode in modes:
-        for workload, design, seed in cells:
-            try:
-                spec = JobSpec(
-                    workload=workload,
-                    design=design,
-                    transactions=campaign.transactions,
-                    seed=seed,
-                    experiment_id=campaign.name,
-                    overrides=overrides,
-                    **mode,
-                ).validate()
-            except ProtocolError as exc:
-                raise FleetError(f"invalid unit in campaign: {exc}") from None
-            key = memo.key_for(spec_to_run_unit(spec))
-            units.setdefault(key, FleetUnit(key=key, spec=spec))
+    for spec in campaign.unit_specs():
+        key = job_key(spec)
+        units.setdefault(key, FleetUnit(key=key, spec=spec))
     return list(units.values())
 
 
@@ -358,7 +318,10 @@ class ServiceWorker:
     can never race the dead process's stale paths.  ``connect`` dials
     ``client_socket_path`` — normally the worker's own socket, but the
     chaos harness repoints it at a fault-injecting proxy while the
-    supervision plane keeps probing ``socket_path`` directly.
+    supervision plane keeps probing ``socket_path`` directly.  Once
+    started, ``endpoints`` holds what the server bound (its ready
+    file): ``host`` and ``port`` of its loopback TCP listener and its
+    ``unix`` socket path.
     """
 
     def __init__(
@@ -367,13 +330,11 @@ class ServiceWorker:
         runtime_dir: Path,
         jobs: int = 1,
         env: Optional[Dict[str, str]] = None,
-        submit_timeout: float = 300.0,
     ) -> None:
         self.worker_id = worker_id
         self.runtime_dir = Path(runtime_dir)
         self.jobs = jobs
         self.env = dict(os.environ if env is None else env)
-        self.submit_timeout = submit_timeout
         self.instance = 0
         self.process: Optional[subprocess.Popen] = None
         self._set_paths()
@@ -391,12 +352,12 @@ class ServiceWorker:
         #: worker that is still booting (interpreter start can exceed
         #: stale_after on a loaded machine) — probing begins here.
         self.ready = False
+        self.endpoints: Dict[str, object] = {}
 
     def start(self) -> None:
         self.runtime_dir.mkdir(parents=True, exist_ok=True)
         self.ready_path.unlink(missing_ok=True)
         Path(self.socket_path).unlink(missing_ok=True)
-        start_timeout = worker_start_timeout()
         self.process = subprocess.Popen(
             [
                 sys.executable,
@@ -414,7 +375,7 @@ class ServiceWorker:
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
-        deadline = time.monotonic() + start_timeout
+        deadline = time.monotonic() + WORKER_START_TIMEOUT
         while not self.ready_path.exists():
             if self.process.poll() is not None:
                 raise FleetError(
@@ -425,9 +386,10 @@ class ServiceWorker:
                 self.process.kill()
                 raise FleetError(
                     f"worker {self.worker_id} did not become ready within "
-                    f"{start_timeout}s (REPRO_FLEET_START_TIMEOUT)"
+                    f"{WORKER_START_TIMEOUT}s"
                 )
             time.sleep(0.01)
+        self.endpoints = json.loads(self.ready_path.read_text())
         self.ready = True
 
     def respawn(self) -> None:
@@ -438,9 +400,7 @@ class ServiceWorker:
         self.start()
 
     def connect(self) -> ServiceClient:
-        return ServiceClient(
-            self.client_socket_path, timeout=self.submit_timeout
-        )
+        return ServiceClient(self.client_socket_path, timeout=SUBMIT_TIMEOUT)
 
     @property
     def alive(self) -> bool:
@@ -458,7 +418,7 @@ class ServiceWorker:
             return
         self.process.send_signal(signal.SIGTERM)
         try:
-            self.process.wait(timeout=worker_stop_timeout())
+            self.process.wait(timeout=WORKER_STOP_TIMEOUT)
         except subprocess.TimeoutExpired:
             self.process.kill()
             self.process.wait()
@@ -633,12 +593,6 @@ class FleetDispatcher:
             for index in range(self.workers)
         ]
         reports = [WorkerReport(worker_id=h.worker_id) for h in handles]
-        logger.info(
-            "fleet timeouts: start=%.1fs (REPRO_FLEET_START_TIMEOUT) "
-            "stop=%.1fs (REPRO_FLEET_STOP_TIMEOUT)",
-            worker_start_timeout(),
-            worker_stop_timeout(),
-        )
         if self.supervision.heartbeat_enabled:
             logger.info(
                 "fleet supervision: heartbeat=%.2fs stale-after=%.2fs "
@@ -841,34 +795,81 @@ class FleetDispatcher:
 # ----------------------------------------------------------------------
 # CLI: python -m repro.harness fleet {run,status,report}
 # ----------------------------------------------------------------------
-def _campaign_from_args(args) -> CampaignSpec:
-    if args.campaign:
-        return CampaignSpec.from_file(Path(args.campaign))
-    overrides = parse_overrides(args.override)
+def add_campaign_flags(
+    parser: argparse.ArgumentParser,
+    seeds: str,
+    transactions: int,
+    heartbeat: float,
+    stale_after: float,
+    respawns: int,
+) -> None:
+    """The matrix, worker and supervision flags of ``fleet run`` and
+    ``harness chaos``; each command passes its own defaults."""
+    parser.add_argument("--workloads", default="hashmap")
+    parser.add_argument(
+        "--designs", default="dolos-partial,prewpq-eager",
+        help="comma-separated controller designs",
+    )
+    parser.add_argument("--seeds", default=seeds, help="unit seeds")
+    parser.add_argument("--transactions", type=int, default=transactions)
+    parser.add_argument(
+        "--workers", type=int, default=2,
+        help="worker service processes (0 = inline, no subprocesses)",
+    )
+    parser.add_argument(
+        "--heartbeat", type=float, default=heartbeat,
+        help=f"seconds between worker health probes (default {heartbeat}; "
+        "0 = off)",
+    )
+    parser.add_argument(
+        "--stale-after", type=float, default=stale_after,
+        help="kill a worker silent for this many seconds "
+        f"(default {stale_after}; 0 = 3x heartbeat)",
+    )
+    parser.add_argument(
+        "--respawns", type=int, default=respawns,
+        help=f"fleet-wide worker respawn budget (default {respawns})",
+    )
+
+
+def campaign_from_flags(args, name: str, **fields) -> CampaignSpec:
+    """The :class:`CampaignSpec` the :func:`add_campaign_flags` flags name."""
     return CampaignSpec(
-        name=args.name,
+        name=name,
         workloads=tuple(w for w in args.workloads.split(",") if w),
         designs=tuple(d for d in args.designs.split(",") if d),
         seeds=tuple(int(s) for s in args.seeds.split(",") if s),
         transactions=args.transactions,
-        overrides=tuple(sorted(overrides.items())),
-        fault_sites=args.fault_sites,
+        **fields,
     ).validate()
 
 
+def supervision_from_flags(args) -> SupervisionConfig:
+    return SupervisionConfig(
+        heartbeat_interval=args.heartbeat,
+        stale_after=args.stale_after,
+        respawn_budget=args.respawns,
+    )
+
+
 def _cmd_run(args) -> int:
-    campaign = _campaign_from_args(args)
+    if args.campaign:
+        campaign = CampaignSpec.from_file(Path(args.campaign))
+    else:
+        overrides = parse_overrides(args.override)
+        campaign = campaign_from_flags(
+            args,
+            args.name,
+            overrides=tuple(sorted(overrides.items())),
+            fault_sites=args.fault_sites,
+        )
     db = FleetDB(Path(args.db) if args.db else None)
     dispatcher = FleetDispatcher(
         campaign,
         db,
         workers=args.workers,
         experiment_id=args.experiment or None,
-        supervision=SupervisionConfig(
-            heartbeat_interval=args.heartbeat,
-            stale_after=args.stale_after,
-            respawn_budget=args.respawns,
-        ),
+        supervision=supervision_from_flags(args),
     )
     summary = dispatcher.run()
     print(
@@ -931,13 +932,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     run = sub.add_parser("run", help="expand and run a campaign")
     run.add_argument("--campaign", default=None, help="campaign JSON file")
     run.add_argument("--name", default="campaign")
-    run.add_argument("--workloads", default="hashmap")
-    run.add_argument(
-        "--designs", default="dolos-partial,prewpq-eager",
-        help="comma-separated controller designs",
+    add_campaign_flags(
+        run, seeds="1,2,3", transactions=60,
+        heartbeat=0.0, stale_after=0.0, respawns=0,
     )
-    run.add_argument("--seeds", default="1,2,3")
-    run.add_argument("--transactions", type=int, default=60)
     run.add_argument(
         "--fault-sites", type=int, default=0,
         help="> 0 adds a fault-injection unit per matrix cell",
@@ -945,27 +943,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     run.add_argument(
         "--override", action="append", default=[], metavar="KEY=VALUE"
     )
-    run.add_argument(
-        "--workers", type=int, default=2,
-        help="worker service processes (0 = inline, no subprocesses)",
-    )
     run.add_argument("--experiment", default="", help="experiment id")
     run.add_argument(
         "--db", default=None,
         help=f"sqlite database path (default: ${ENV_DB_HELP})",
-    )
-    run.add_argument(
-        "--heartbeat", type=float, default=0.0,
-        help="seconds between worker health probes (default 0 = off)",
-    )
-    run.add_argument(
-        "--stale-after", type=float, default=0.0,
-        help="kill a worker silent for this many seconds "
-        "(default 3x heartbeat)",
-    )
-    run.add_argument(
-        "--respawns", type=int, default=0,
-        help="fleet-wide worker respawn budget (default 0)",
     )
     run.add_argument("--json", action="store_true")
     run.add_argument(

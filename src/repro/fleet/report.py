@@ -290,6 +290,12 @@ def _stat(stat: Dict[str, object]) -> str:
     return f"{stat['mean']:.1f} ± {stat['ci95']:.1f} (n={stat['n']})"
 
 
+def _short_hash(git_hash: str) -> str:
+    """The commit's first 12 hex digits, keeping a ``-dirty`` suffix."""
+    commit, dirty, _ = git_hash.partition("-dirty")
+    return commit[:12] + dirty or "unknown"
+
+
 def render_html(report: Dict[str, object]) -> str:
     """Render one report dict as a self-contained HTML page."""
     eid = html.escape(str(report["experiment_id"]))
@@ -299,7 +305,7 @@ def render_html(report: Dict[str, object]) -> str:
         f"<style>{_CSS}</style></head><body>",
         f"<h1>Fleet report — {eid}</h1>",
         "<p class='meta'>"
-        f"git {html.escape(str(report['git_hash'])[:12] or 'unknown')} · "
+        f"git {html.escape(_short_hash(str(report['git_hash'])))} · "
         f"generator v{report['generator_version']} · "
         f"{report['units']['total']} units "
         f"({report['units']['run']} run, {report['units']['faults']} fault, "

@@ -22,11 +22,14 @@ The unit key hashes:
 
 Because the key needs no trace, a hit neither loads nor generates one,
 and the service scheduler can decide a replay at admission, before any
-work exists.  ``run``, ``faults`` and ``scenario`` units are memoized;
-``breakdown`` units bypass the memo (their instrumented results carry
-per-span state it does not capture).  Results are stored through the
-quarantining :class:`repro.harness.trace_store.ResultStore` (corrupt
-entries are moved aside and count as misses, never as wrong results).
+work exists.  The same key names the unit everywhere else: it is the
+service's job key (:func:`repro.service.protocol.job_key`) and the
+FleetDB's unit key.  ``run``, ``faults`` and ``scenario`` units are
+memoized; ``breakdown`` units bypass the memo (their instrumented
+results carry per-span state it does not capture).  Results are stored
+through the quarantining :class:`repro.harness.trace_store.ResultStore`
+(corrupt entries are moved aside and count as misses, never as wrong
+results).
 
 Environment:
 
@@ -237,12 +240,6 @@ class UnitMemo:
             return None
         self.hits += 1
         return result
-
-    def lookup(self, unit: RunUnit):
-        """The memoized result of ``unit``, or ``None``; touches no trace."""
-        if self._store is None:
-            return None
-        return self.load(self.key_for(unit), unit.mode)
 
     def store(self, key: str, result) -> None:
         if self._store is None:

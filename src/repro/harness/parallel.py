@@ -253,30 +253,15 @@ class ParallelExecutionError(RuntimeError):
     """A unit failed even in the serial fallback."""
 
 
-def _worker_timeout() -> Optional[float]:
-    """Per-unit wall-clock limit (seconds); None (default) = unbounded."""
-    env = os.environ.get("REPRO_WORKER_TIMEOUT", "").strip()
-    return float(env) if env else None
-
-
+#: Per-unit wall-clock limit of a pool attempt (seconds; None =
+#: unbounded).  :func:`fan_out` reads these four at call time.
+WORKER_TIMEOUT: Optional[float] = None
+#: Fresh pools a failed unit is retried on before the serial fallback.
+WORKER_RETRIES = 2
+#: Sleep before the first replacement pool, doubling per pool (seconds).
+WORKER_BACKOFF = 0.05
 #: Cap on one pool-replacement backoff sleep (seconds).
 MAX_WORKER_BACKOFF = 30.0
-
-
-def _worker_retries() -> int:
-    env = os.environ.get("REPRO_WORKER_RETRIES", "").strip()
-    retries = int(env) if env else 2
-    if retries < 0:
-        raise ValueError(f"REPRO_WORKER_RETRIES must be >= 0, got {retries}")
-    return retries
-
-
-def _worker_backoff() -> float:
-    env = os.environ.get("REPRO_WORKER_BACKOFF", "").strip()
-    backoff = float(env) if env else 0.05
-    if backoff < 0:
-        raise ValueError(f"REPRO_WORKER_BACKOFF must be >= 0, got {backoff}")
-    return backoff
 
 
 def report_failures(failures: List[WorkerFailure]) -> None:
@@ -314,10 +299,10 @@ def fan_out(
     results line up with ``items``; ``jobs <= 1`` runs in-process.
 
     A unit whose worker raises, dies (``BrokenProcessPool``) or exceeds
-    ``REPRO_WORKER_TIMEOUT`` is retried on a *fresh* pool up to
-    ``REPRO_WORKER_RETRIES`` times, then completed in-process, so one
-    bad worker cannot kill the sweep.  Pool ``n + 1`` starts after
-    ``REPRO_WORKER_BACKOFF * 2**n`` seconds, capped at
+    :data:`WORKER_TIMEOUT` is retried on a *fresh* pool up to
+    :data:`WORKER_RETRIES` times, then completed in-process, so one bad
+    worker cannot kill the sweep.  Pool ``n + 1`` starts after
+    ``WORKER_BACKOFF * 2**n`` seconds, capped at
     :data:`MAX_WORKER_BACKOFF`.  Each such unit gets a
     :class:`WorkerFailure` in
     ``failures`` (else printed to stderr).  Raises
@@ -352,16 +337,16 @@ def fan_out(
             )
         )
 
-    timeout = _worker_timeout()
-    retries = _worker_retries()
-    backoff = _worker_backoff()
+    timeout = WORKER_TIMEOUT
     pending = list(range(len(items)))
-    for attempt in range(retries + 1):
+    for attempt in range(WORKER_RETRIES + 1):
         if not pending:
             break
         if attempt:
             # Unjittered, so the retry schedule is deterministic.
-            time.sleep(min(MAX_WORKER_BACKOFF, backoff * 2 ** (attempt - 1)))
+            time.sleep(
+                min(MAX_WORKER_BACKOFF, WORKER_BACKOFF * 2 ** (attempt - 1))
+            )
         pool = process_pool(min(jobs, len(pending)))
         hung = False
         try:

@@ -197,6 +197,12 @@ class TraceStore:
         return final
 
 
+def result_digest(payload) -> str:
+    """Digest of the canonical JSON encoding of a result payload."""
+    material = json.dumps(dict(payload), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()[:24]
+
+
 class ResultStore:
     """Digest-verified on-disk store of JSON result payloads.
 
@@ -218,12 +224,6 @@ class ResultStore:
         self.misses = 0
         self.quarantined = 0
 
-    @staticmethod
-    def payload_digest(payload: dict) -> str:
-        """Digest of the canonical JSON encoding of ``payload``."""
-        material = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()[:24]
-
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
@@ -238,7 +238,7 @@ class ResultStore:
             payload = entry["payload"]
             if entry.get("key") != key:
                 raise ValueError("result cache key mismatch")
-            if entry.get("payload_digest") != self.payload_digest(payload):
+            if entry.get("payload_digest") != result_digest(payload):
                 raise ValueError("result payload digest mismatch")
         except Exception:
             self._quarantine(path)
@@ -254,7 +254,7 @@ class ResultStore:
         entry = {
             "key": key,
             "payload": payload,
-            "payload_digest": self.payload_digest(payload),
+            "payload_digest": result_digest(payload),
         }
         fd, tmp_name = tempfile.mkstemp(
             dir=self.root, prefix=".tmp-", suffix=".json"

@@ -139,10 +139,6 @@ class Timeline:
             glyphs.append(_SPARK_GLYPHS[index])
         return "".join(glyphs)
 
-    def boundary_events(self) -> List[Tuple[int, str, str]]:
-        """Events whose kind is a persist boundary, in emission order."""
-        return [e for e in self._events if e[1] in PERSIST_BOUNDARY_KINDS]
-
     def report(self) -> str:
         """Multi-channel text report (summaries + sparklines)."""
         lines = []

@@ -7,24 +7,23 @@ request-serving system with the queueing/backpressure shape of an
 inference frontend:
 
 * :mod:`repro.service.protocol` — the JSON-lines wire protocol, job
-  specs, content-hash job keys (same canonical-JSON + SHA-256 scheme
-  as :class:`repro.harness.trace_store.TraceStore`), and result
-  payload digests;
+  specs, job keys (the unit-memo key of the job's run unit, which the
+  FleetDB also records), and result payload digests;
 * :mod:`repro.service.scheduler` — dedup of identical
-  in-flight/completed jobs, replay at admission from the unit memo
-  (:class:`repro.harness.memo.UnitMemo`, keyed by run unit and
-  simulator source — the one result cache every run path shares),
-  dispatch at admission onto a worker thread or a long-lived process
-  pool (:func:`repro.harness.parallel.process_pool`), and
-  drain-on-shutdown;
+  in-flight/completed jobs by that key, replay at admission from the
+  unit memo (:class:`repro.harness.memo.UnitMemo` — the one result
+  cache every run path shares), dispatch at admission onto a worker
+  thread or a long-lived process pool
+  (:func:`repro.harness.parallel.process_pool`), and drain-on-shutdown;
 * :mod:`repro.service.server` — the asyncio server (loopback TCP +
   Unix socket), per-client token-bucket rate limiting, bounded event
-  queues, graceful SIGTERM drain;
+  queues (fixed limits, module constants), graceful SIGTERM drain;
 * :mod:`repro.service.client` — a blocking JSON-lines client used by
   ``python -m repro.harness submit`` and the test suite;
-* :mod:`repro.service.smoke` — the end-to-end smoke: concurrent
-  clients, the controller matrix, bit-identical-to-direct-run
-  comparison, and the drain check (CI's ``service-smoke`` job).
+* :mod:`repro.service.smoke` — the end-to-end smoke: a server started
+  the way the fleet starts its workers, concurrent clients, the
+  controller matrix, bit-identical-to-direct-run comparison, and the
+  drain check (CI's ``service-smoke`` job).
 
 Start a server with ``python -m repro.harness serve``; submit with
 ``python -m repro.harness submit``.  See docs/performance.md.

@@ -5,13 +5,14 @@ soak test.  Deliberately synchronous (plain sockets, one connection):
 each *client* is simple, and concurrency is exercised by running many
 of them — exactly how the smoke and soak tests drive the server.
 
-**Resilience** — jobs are content-hash deduplicated server-side, so a
+**Resilience** — jobs are deduplicated server-side by unit key, so a
 ``submit`` frame is idempotent: re-sending it after a dropped or
-garbled connection can at worst hit the dedup path.  ``submit``/
-``submit_many`` therefore retry (``attempts`` tries, four by default,
-with jittered exponential backoff from 50 ms capped at 1 s): transport
-failures reconnect and re-send the outstanding specs, and only after
-the last attempt does the caller see a typed
+garbled connection can at worst hit the dedup path.  (A ``result``
+frame whose payload does not match its ``digest`` counts as garbled.)
+``submit``/``submit_many`` therefore retry (``attempts`` tries, four
+by default, with jittered exponential backoff from 50 ms capped at
+1 s): transport failures reconnect and re-send the outstanding specs,
+and only after the last attempt does the caller see a typed
 :class:`ServiceUnavailable` instead of a raw ``socket.error``.  Typed
 server replies (``error`` frames) are never retried — they are
 answers, not outages.
@@ -138,7 +139,17 @@ class ServiceClient:
         line = self._file.readline()
         if not line:
             raise ConnectionError("server closed the connection")
-        return protocol.decode_message(line)
+        frame = protocol.decode_message(line)
+        if frame["type"] == "result":
+            # A result whose payload no longer matches its digest was
+            # damaged in transit: as untrustworthy as undecodable bytes.
+            payload = frame.get("payload")
+            if not (
+                isinstance(payload, dict)
+                and frame.get("digest") == protocol.result_digest(payload)
+            ):
+                raise ProtocolError("result payload does not match its digest")
+        return frame
 
     # -- low-level frame API (smoke/soak drive these directly) ----------
     def post(self, spec: JobSpec) -> str:
@@ -215,7 +226,7 @@ class ServiceClient:
         are matched back to requests by ``id``.  Transport failures
         (drop, timeout, garbled frame) reconnect with backoff and
         re-send only the specs still outstanding — submits are
-        idempotent end to end (content-hash dedup) — until the retry
+        idempotent end to end (unit-key dedup) — until the retry
         last of ``attempts`` tries fails, at which point a typed
         :class:`ServiceUnavailable` is raised.
         """

@@ -32,21 +32,24 @@ staleness window is declared hung — SIGSTOP'd, deadlocked, or
 livelocked processes all look the same from outside — and is killed
 for the normal re-dispatch machinery to absorb.
 
-**Job identity** — :func:`job_key` content-hashes the simulation-
-relevant fields of a :class:`JobSpec` exactly the way
-:meth:`repro.harness.trace_store.TraceStore.digest` keys traces:
-canonical sorted-key JSON, SHA-256, 24-hex truncation, with the trace
-``GENERATOR_VERSION`` folded in so a workload-generator bump
-invalidates service results and disk traces in lockstep.  The client
-label ``experiment_id`` is deliberately *not* hashed: two users asking
-for the same simulation under different labels share one execution.
+**Job identity** — :func:`job_key` is the unit-memo key
+(:meth:`repro.harness.memo.UnitMemo.key_for`) of the job's run unit:
+the unit's identity plus the trace ``GENERATOR_VERSION`` and the
+simulator-source fingerprint.  The service's dedup, the memo replay,
+the wire ``key`` of ``accepted``/``result`` frames and the FleetDB
+rows all name a job by it, so two specs share a key exactly when they
+run the same unit, and a simulator change re-keys every job.  The
+client label ``experiment_id`` is not part of the unit: two users
+asking for the same simulation under different labels share one
+execution.
 
 **Result integrity** — :func:`~repro.harness.runner.result_payload`
 (re-exported here, as is its inverse ``payload_to_result``) serialises
 a :class:`~repro.harness.runner.RunResult` to a plain dict and
 :func:`result_digest` fingerprints its canonical JSON; the digest
-travels with every ``result`` message and is what the golden suite and
-the smoke compare bit-for-bit against direct in-process runs.
+travels with every ``result`` message, the client checks it against
+the payload, and the golden suite and the smoke compare it bit-for-bit
+against direct in-process runs.
 
 **Units** — :func:`spec_to_run_unit` maps a job to the
 :class:`~repro.harness.parallel.RunUnit` it runs; the service scheduler
@@ -56,17 +59,19 @@ and the fleet both use it.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping
 
 from repro.config import ADRConfig, SimConfig
+from repro.harness.memo import UnitMemo
 from repro.harness.parallel import RunUnit
-# The payload codec lives beside RunResult; wire users import it here.
+# The payload codec lives beside RunResult and the digest beside the
+# result store; wire users import both here.
 from repro.harness.runner import payload_to_result, result_payload  # noqa: F401
+from repro.harness.trace_store import result_digest  # noqa: F401
 from repro.oracle.check import controller_matrix
-from repro.workloads import ALL_WORKLOADS, GENERATOR_VERSION, ORACLE_SEMANTICS
+from repro.workloads import ALL_WORKLOADS, ORACLE_SEMANTICS
 
 PROTOCOL_VERSION = 1
 
@@ -306,42 +311,6 @@ def parse_overrides(pairs: Iterable[str]) -> Dict[str, object]:
     return overrides
 
 
-# ----------------------------------------------------------------------
-# Job identity
-# ----------------------------------------------------------------------
-def canonical_job(spec: JobSpec) -> Dict[str, object]:
-    """The hash-relevant identity of ``spec`` (label excluded).
-
-    ``mode``/``fault_sites`` are folded in only for non-default modes,
-    so every pre-existing ``run`` job keeps its historical key and the
-    persistent result caches stay valid across the protocol extension.
-    """
-    canonical = {
-        "workload": spec.workload,
-        "design": spec.design,
-        "transactions": spec.transactions,
-        "seed": spec.seed,
-        "overrides": {k: spec.overrides[k] for k in sorted(spec.overrides)},
-        "generator_version": GENERATOR_VERSION,
-        "protocol_version": PROTOCOL_VERSION,
-    }
-    if spec.mode != "run":
-        canonical["mode"] = spec.mode
-    if spec.mode == "faults":
-        canonical["fault_sites"] = spec.fault_sites
-    if spec.mode == "scenario":
-        canonical["scenario"] = {
-            key: spec.scenario[key] for key in sorted(spec.scenario)
-        }
-    return canonical
-
-
-def job_key(spec: JobSpec) -> str:
-    """Stable content digest of ``spec`` (TraceStore-style)."""
-    material = json.dumps(canonical_job(spec), sort_keys=True)
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()[:24]
-
-
 def resolve_config(spec: JobSpec) -> SimConfig:
     """Build the :class:`SimConfig` a job runs under."""
     config = controller_matrix()[spec.design]
@@ -379,13 +348,13 @@ def spec_to_run_unit(spec: JobSpec) -> RunUnit:
     )
 
 
-# ----------------------------------------------------------------------
-# Result payloads
-# ----------------------------------------------------------------------
-def result_digest(payload: Mapping[str, object]) -> str:
-    """Fingerprint of a result payload's canonical JSON."""
-    material = json.dumps(dict(payload), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()[:24]
+#: Keys jobs without touching a disk (``key_for`` reads no store).
+_KEYS = UnitMemo(None)
+
+
+def job_key(spec: JobSpec) -> str:
+    """The unit-memo key of ``spec``'s run unit (label excluded)."""
+    return _KEYS.key_for(spec_to_run_unit(spec))
 
 
 # ----------------------------------------------------------------------

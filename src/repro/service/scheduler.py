@@ -7,17 +7,19 @@ process computes it.
 
 Admission pipeline for one ``submit``:
 
-1. **Key** the spec (:func:`repro.service.protocol.job_key`).
+1. **Key** the spec: build its run unit once and key it with the
+   process's :class:`~repro.harness.memo.UnitMemo` — the key
+   :func:`repro.service.protocol.job_key` returns.
 2. **Dedup** — a job with the same key admitted earlier in this
    scheduler's life (running or finished) is shared
-   (``dedup="inflight"``); a result in the process's
-   :class:`~repro.harness.memo.UnitMemo` — the same one-result cache
-   :func:`~repro.harness.parallel.execute_unit` fills — replays from
-   disk with its payload digest re-verified (``dedup="cached"``);
-   otherwise the job is new.  Memo keys name the run unit and the
-   simulator sources, so the lookup needs no trace and a server
-   restarted after a simulator change re-runs the job instead of
-   replaying a payload the old code computed.
+   (``dedup="inflight"``); a result the memo — the same one-result
+   cache :func:`~repro.harness.parallel.execute_unit` fills — holds
+   under that key replays from disk with its payload digest
+   re-verified (``dedup="cached"``); otherwise the job is new.  Memo
+   keys name the run unit and the simulator sources, so the replay
+   needs no trace and a server restarted after a simulator change
+   re-runs the job instead of replaying a payload the old code
+   computed.
 3. **Dispatch** — a new job starts before ``submit`` returns.  Each
    job is its own submission, and every caller waits for one result
    before sending its next request, so holding jobs back to group them
@@ -57,7 +59,6 @@ from repro.harness.trace_store import TraceCache
 from repro.instrumentation import EventLog
 from repro.service.protocol import (
     JobSpec,
-    job_key,
     result_digest,
     result_payload,
     spec_to_run_unit,
@@ -124,6 +125,8 @@ class ExperimentScheduler:
         self._idle = asyncio.Event()
         self._idle.set()
         # -- counters (the ``stats`` wire reply) --
+        #: Jobs started and not yet completed; ``_idle`` is set at 0.
+        self.in_flight = 0
         self.submitted = 0
         self.dedup_inflight = 0
         self.dedup_cached = 0
@@ -140,7 +143,9 @@ class ExperimentScheduler:
         self._loop = asyncio.get_running_loop()
         if self._draining:
             raise DrainingError("server is draining; job refused")
-        key = job_key(spec)
+        memo = unit_memo()
+        unit = spec_to_run_unit(spec)
+        key = memo.key_for(unit)
         self.submitted += 1
         self.events.record(key, "job.submitted", experiment=spec.experiment_id)
 
@@ -150,10 +155,10 @@ class ExperimentScheduler:
             self.events.record(key, "job.dedup", via="inflight")
             return existing
 
-        job = Job(key=key, spec=spec, unit=spec_to_run_unit(spec))
+        job = Job(key=key, spec=spec, unit=unit)
         self._jobs[key] = job
 
-        result = unit_memo().lookup(job.unit)
+        result = memo.load(key, unit.mode)
         if result is not None:
             self.dedup_cached += 1
             job.cached = True
@@ -161,6 +166,7 @@ class ExperimentScheduler:
             self._finish(job, result=result)
             return job
 
+        self.in_flight += 1
         self._idle.clear()
         self.events.record(key, "job.started")
         task = self._loop.create_task(self._run(job))
@@ -193,8 +199,11 @@ class ExperimentScheduler:
                 )
         except Exception as exc:
             self._finish(job, error=f"{type(exc).__name__}: {exc}")
-            return
-        self._finish(job, result=result)
+        else:
+            self._finish(job, result=result)
+        self.in_flight -= 1
+        if not self.in_flight:
+            self._idle.set()
 
     def _finish(
         self, job: Job, result=None, error: Optional[str] = None
@@ -213,18 +222,15 @@ class ExperimentScheduler:
         self.events.record(job.key, "job.completed", outcome=outcome)
         if not job.done.done():
             job.done.set_result(job)
-        if not any(not j.finished for j in self._jobs.values()):
-            self._idle.set()
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         """Counters for the wire ``stats`` reply and the smoke test."""
-        in_flight = sum(1 for j in self._jobs.values() if not j.finished)
         dedup_hits = self.dedup_inflight + self.dedup_cached
         return {
             "submitted": self.submitted,
             "unique_jobs": len(self._jobs),
-            "in_flight": in_flight,
+            "in_flight": self.in_flight,
             "completed": self.completed,
             "failed": self.failed,
             "dedup_inflight": self.dedup_inflight,

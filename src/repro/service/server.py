@@ -6,17 +6,18 @@ a Unix-domain socket, multiplexing any number of clients over one
 
 Per-client machinery:
 
-* **Rate limiting** — a token bucket gates message *reads*: when a
-  client exhausts its burst, the server simply stops reading its
-  socket until tokens refill, so backpressure propagates to the client
-  through TCP/SO_SNDBUF instead of through unbounded server queues.
+* **Rate limiting** — a token bucket (:data:`RATE` messages/s,
+  :data:`BURST` burst) gates message *reads*: when a client exhausts
+  its burst, the server simply stops reading its socket until tokens
+  refill, so backpressure propagates to the client through
+  TCP/SO_SNDBUF instead of through unbounded server queues.
 * **Bounded event queue** — replies flow through one
-  ``asyncio.Queue(maxsize=...)`` per client drained by a writer task.
-  Acknowledgements (``accepted``, ``pong``, ``draining``, ...) are
-  droppable (a slow reader loses them, never correctness; drops are
-  counted and reported on ``bye``); results and errors are *critical*
-  — enqueueing them awaits space, so a slow client slows only its own
-  deliveries.
+  ``asyncio.Queue(maxsize=QUEUE_SIZE)`` per client drained by a
+  writer task.  Acknowledgements (``accepted``, ``pong``,
+  ``draining``, ...) are droppable (a slow reader loses them, never
+  correctness; drops are counted and reported on ``bye``); results and
+  errors are *critical* — enqueueing them awaits space, so a slow
+  client slows only its own deliveries.
 * **Graceful drain** — on SIGTERM/SIGINT (or :meth:`shutdown`), the
   listeners close, new submissions are refused with ``draining``, the
   scheduler drains every accepted job, all pending result deliveries
@@ -46,11 +47,11 @@ from repro.service.scheduler import (
 
 logger = logging.getLogger(__name__)
 
-#: Default per-client token bucket: sustained messages/second + burst.
-DEFAULT_RATE = 200.0
-DEFAULT_BURST = 64
-#: Default per-client reply-queue bound.
-DEFAULT_QUEUE_SIZE = 256
+#: Per-client token bucket: sustained messages/second + burst.
+RATE = 200.0
+BURST = 64
+#: Per-client reply-queue bound.
+QUEUE_SIZE = 256
 
 
 class TokenBucket:
@@ -85,8 +86,8 @@ class _ClientSession:
     def __init__(self, server: "ExperimentServer", writer) -> None:
         self.server = server
         self.writer = writer
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=server.queue_size)
-        self.bucket = TokenBucket(server.rate, server.burst)
+        self.queue: asyncio.Queue = asyncio.Queue(maxsize=QUEUE_SIZE)
+        self.bucket = TokenBucket(RATE, BURST)
         self.dropped_progress = 0
         self.closed = False
 
@@ -125,18 +126,12 @@ class ExperimentServer:
         host: str = "127.0.0.1",
         port: int = 0,
         unix_path: Optional[str] = None,
-        rate: float = DEFAULT_RATE,
-        burst: int = DEFAULT_BURST,
-        queue_size: int = DEFAULT_QUEUE_SIZE,
         fleet_db: Optional[str] = None,
     ) -> None:
         self.scheduler = scheduler
         self.host = host
         self.port = port
         self.unix_path = unix_path
-        self.rate = rate
-        self.burst = burst
-        self.queue_size = queue_size
         #: Fleet results database served read-only by ``report`` frames
         #: (None = $REPRO_FLEET_DB / the default cache path).
         self.fleet_db = fleet_db
@@ -295,14 +290,11 @@ class ExperimentServer:
 
     def _health_frame(self) -> Dict[str, object]:
         """The supervision heartbeat reply: cheap, no event snapshot."""
-        in_flight = sum(
-            1 for j in self.scheduler._jobs.values() if not j.finished
-        )
         return {
             "type": "health",
             "status": "draining" if self._draining else "ok",
             "uptime_s": round(time.monotonic() - self._started_at, 3),
-            "in_flight": in_flight,
+            "in_flight": self.scheduler.in_flight,
             "completed": self.scheduler.completed,
             "failed": self.scheduler.failed,
         }
@@ -528,9 +520,6 @@ async def _amain(args) -> int:
         host=args.host,
         port=args.port,
         unix_path=args.unix,
-        rate=args.rate,
-        burst=args.burst,
-        queue_size=args.queue_size,
         fleet_db=args.fleet_db,
     )
     await server.start()
@@ -574,9 +563,6 @@ def main(argv=None) -> int:
         help="simulation workers (>=2 uses a warm process pool; "
         "0 = all cores)",
     )
-    parser.add_argument("--rate", type=float, default=DEFAULT_RATE)
-    parser.add_argument("--burst", type=int, default=DEFAULT_BURST)
-    parser.add_argument("--queue-size", type=int, default=DEFAULT_QUEUE_SIZE)
     parser.add_argument(
         "--ready-file",
         default=None,

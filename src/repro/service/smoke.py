@@ -23,63 +23,23 @@ import argparse
 import json
 import os
 import signal
-import subprocess
 import sys
 import tempfile
 import threading
-import time
 from pathlib import Path
 from typing import Dict, List
 
-from repro.harness.parallel import execute_unit, RunUnit
+from repro.fleet.dispatcher import WORKER_STOP_TIMEOUT, ServiceWorker
+from repro.harness.parallel import execute_unit
 from repro.harness.trace_store import TraceCache
 from repro.oracle.check import CONTROLLER_MATRIX
 from repro.service.client import ServiceClient
 from repro.service.protocol import (
     JobSpec,
-    resolve_config,
     result_digest,
     result_payload,
+    spec_to_run_unit,
 )
-
-READY_TIMEOUT = 60.0
-
-
-def _start_server(tmp: Path, jobs: int, env: dict) -> subprocess.Popen:
-    ready_file = tmp / "ready.json"
-    unix_path = tmp / "service.sock"
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.harness",
-            "serve",
-            "--port",
-            "0",
-            "--unix",
-            str(unix_path),
-            "--jobs",
-            str(jobs),
-            "--ready-file",
-            str(ready_file),
-        ],
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
-    deadline = time.time() + READY_TIMEOUT
-    while not ready_file.exists():
-        if proc.poll() is not None:
-            out = proc.stdout.read() if proc.stdout else ""
-            raise RuntimeError(f"server died before ready:\n{out}")
-        if time.time() > deadline:
-            proc.kill()
-            raise RuntimeError("server did not become ready in time")
-        time.sleep(0.05)
-    endpoints = json.loads(ready_file.read_text())
-    proc.endpoints = endpoints  # type: ignore[attr-defined]
-    return proc
 
 
 def _matrix_specs(workload: str, transactions: int, seed: int) -> List[JobSpec]:
@@ -100,9 +60,7 @@ def _direct_payloads(specs: List[JobSpec], cache_dir=None) -> Dict[str, dict]:
     cache = TraceCache(cache_dir)
     payloads = {}
     for spec in specs:
-        unit = RunUnit(
-            spec.workload, resolve_config(spec), spec.transactions, spec.seed
-        )
+        unit = spec_to_run_unit(spec)
         payloads[spec.design] = result_payload(execute_unit(unit, cache))
     return payloads
 
@@ -138,103 +96,106 @@ def run_smoke(
         direct = _direct_payloads(specs, cache_dir=tmp / "traces")
 
         # -- phase 1: concurrent duplicate-heavy matrix ----------------
-        proc = _start_server(tmp, jobs, env)
-        endpoints = proc.endpoints  # type: ignore[attr-defined]
-        tcp = (endpoints["host"], endpoints["port"])
-        unix = endpoints["unix"]
-        results: List[List[dict]] = [None] * clients  # type: ignore
-        errors: List[str] = []
+        server = ServiceWorker("smoke", tmp, jobs=jobs, env=env)
+        server.start()
+        tcp = (server.endpoints["host"], server.endpoints["port"])
+        unix = server.endpoints["unix"]
+        try:
+            results: List[List[dict]] = [None] * clients  # type: ignore
+            errors: List[str] = []
 
-        def one_client(index: int) -> None:
-            address = unix if (index == 0 and unix) else tcp
-            try:
-                with ServiceClient(address) as client:
-                    results[index] = client.submit_many(specs)
-            except Exception as exc:
-                errors.append(f"client {index}: {type(exc).__name__}: {exc}")
-
-        threads = [
-            threading.Thread(target=one_client, args=(i,))
-            for i in range(clients)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            report["failures"].extend(errors)
-
-        with ServiceClient(tcp) as probe:
-            stats = probe.stats()
-        report["stats"] = {
-            k: stats[k]
-            for k in ("submitted", "unique_jobs", "completed",
-                      "dedup_hits", "dedup_hit_rate")
-        }
-
-        mismatches = 0
-        for index, frames in enumerate(results):
-            if frames is None:
-                continue
-            for spec, frame in zip(specs, frames):
-                payload = frame["payload"]
-                if payload != direct[spec.design]:
-                    mismatches += 1
-                    report["failures"].append(
-                        f"client {index} {spec.design}: payload differs "
-                        "from direct run"
+            def one_client(index: int) -> None:
+                address = unix if (index == 0 and unix) else tcp
+                try:
+                    with ServiceClient(address) as client:
+                        results[index] = client.submit_many(specs)
+                except Exception as exc:
+                    errors.append(
+                        f"client {index}: {type(exc).__name__}: {exc}"
                     )
-                if frame["digest"] != result_digest(direct[spec.design]):
-                    mismatches += 1
-                    report["failures"].append(
-                        f"client {index} {spec.design}: digest mismatch"
-                    )
-        report["bit_identical"] = mismatches == 0
-        if stats["dedup_hits"] <= 0:
-            report["failures"].append(
-                "expected dedup hits > 0 on the duplicate mix"
-            )
 
-        # -- phase 2: SIGTERM drain ------------------------------------
-        drain_specs = _matrix_specs(workload, transactions, seed + 1)
-        drain_client = ServiceClient(tcp)
-        ids = [drain_client.post(spec) for spec in drain_specs]
-        accepted = 0
-        while accepted < len(ids):
-            frame = drain_client.read()
-            if frame.get("type") == "accepted":
-                accepted += 1
-        proc.send_signal(signal.SIGTERM)
-        frames = drain_client.collect(ids)
-        drain_direct = _direct_payloads(drain_specs, cache_dir=tmp / "traces")
-        lost = [
-            request_id
-            for request_id, frame in frames.items()
-            if frame.get("type") != "result"
-        ]
-        if lost:
-            report["failures"].append(
-                f"accepted jobs lost in drain: {sorted(lost)}"
-            )
-        for spec, request_id in zip(drain_specs, ids):
-            frame = frames.get(request_id, {})
-            if (
-                frame.get("type") == "result"
-                and frame["payload"] != drain_direct[spec.design]
-            ):
+            threads = [
+                threading.Thread(target=one_client, args=(i,))
+                for i in range(clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            if errors:
+                report["failures"].extend(errors)
+
+            with ServiceClient(tcp) as probe:
+                stats = probe.stats()
+            report["stats"] = {
+                k: stats[k]
+                for k in ("submitted", "unique_jobs", "completed",
+                          "dedup_hits", "dedup_hit_rate")
+            }
+
+            mismatches = 0
+            for index, frames in enumerate(results):
+                if frames is None:
+                    continue
+                for spec, frame in zip(specs, frames):
+                    payload = frame["payload"]
+                    if payload != direct[spec.design]:
+                        mismatches += 1
+                        report["failures"].append(
+                            f"client {index} {spec.design}: payload differs "
+                            "from direct run"
+                        )
+                    if frame["digest"] != result_digest(direct[spec.design]):
+                        mismatches += 1
+                        report["failures"].append(
+                            f"client {index} {spec.design}: digest mismatch"
+                        )
+            report["bit_identical"] = mismatches == 0
+            if stats["dedup_hits"] <= 0:
                 report["failures"].append(
-                    f"drain result for {spec.design} differs from direct run"
+                    "expected dedup hits > 0 on the duplicate mix"
                 )
-        drain_client.close()
-        code = proc.wait(timeout=READY_TIMEOUT)
-        report["server_exit"] = code
-        if code != 0:
-            out = proc.stdout.read() if proc.stdout else ""
-            report["failures"].append(
-                f"server exited {code} after drain:\n{out}"
+
+            # -- phase 2: SIGTERM drain --------------------------------
+            drain_specs = _matrix_specs(workload, transactions, seed + 1)
+            drain_client = ServiceClient(tcp)
+            ids = [drain_client.post(spec) for spec in drain_specs]
+            accepted = 0
+            while accepted < len(ids):
+                frame = drain_client.read()
+                if frame.get("type") == "accepted":
+                    accepted += 1
+            server.process.send_signal(signal.SIGTERM)
+            frames = drain_client.collect(ids)
+            drain_direct = _direct_payloads(
+                drain_specs, cache_dir=tmp / "traces"
             )
-        if proc.stdout:
-            proc.stdout.close()
+            lost = [
+                request_id
+                for request_id, frame in frames.items()
+                if frame.get("type") != "result"
+            ]
+            if lost:
+                report["failures"].append(
+                    f"accepted jobs lost in drain: {sorted(lost)}"
+                )
+            for spec, request_id in zip(drain_specs, ids):
+                frame = frames.get(request_id, {})
+                if (
+                    frame.get("type") == "result"
+                    and frame["payload"] != drain_direct[spec.design]
+                ):
+                    report["failures"].append(
+                        f"drain result for {spec.design} differs from "
+                        "direct run"
+                    )
+            drain_client.close()
+            code = server.process.wait(timeout=WORKER_STOP_TIMEOUT)
+            report["server_exit"] = code
+            if code != 0:
+                report["failures"].append(f"server exited {code} after drain")
+        finally:
+            server.kill()  # a no-op once the drain let it exit
     report["passed"] = not report["failures"]
     return report
 

@@ -19,13 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos import campaign as chaos_campaign
 from repro.chaos.campaign import (
-    ChaosCampaignConfig,
     _crash_writer_drill,
     _run_calm_baseline,
     _torn_wal_drill,
     check_invariants,
     classify_faults,
+    run_chaos_campaign,
     run_chaos_once,
 )
 from repro.chaos.plan import (
@@ -65,10 +66,6 @@ class TestChaosPlan:
     def test_different_seeds_differ(self):
         assert ChaosPlan.generate(1) != ChaosPlan.generate(2)
 
-    def test_json_roundtrip(self):
-        plan = ChaosPlan.generate(7, workers=3)
-        assert ChaosPlan.from_json(plan.to_json()) == plan
-
     def test_layers_and_counts(self):
         plan = ChaosPlan.generate(3, wire_faults=4, process_faults=3,
                                   storage_faults=2)
@@ -103,7 +100,6 @@ class TestChaosPlan:
     def test_generate_is_a_pure_function_of_the_seed(self, seed):
         plan = ChaosPlan.generate(seed)
         assert ChaosPlan.generate(seed) == plan
-        assert ChaosPlan.from_json(plan.to_json()) == plan
 
 
 # ======================================================================
@@ -355,21 +351,20 @@ def _worker_env_patch(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_UNIT_MEMO", "off")
 
 
-def _tiny_chaos_config(**changes) -> ChaosCampaignConfig:
-    defaults = dict(
-        name="ctest",
-        workloads=("hashmap",),
-        designs=("dolos-partial", "prewpq-eager"),
-        unit_seeds=(1,),
-        transactions=6,
-        chaos_seeds=(1,),
-        workers=1,
-        heartbeat=0.1,
-        stale_after=0.5,
-        respawns=4,
+#: Two units, small enough for one worker to finish in seconds.
+_TINY = CampaignSpec(
+    name="ctest",
+    workloads=("hashmap",),
+    designs=("dolos-partial", "prewpq-eager"),
+    seeds=(1,),
+    transactions=6,
+)
+
+
+def _supervision(respawns: int = 4) -> SupervisionConfig:
+    return SupervisionConfig(
+        heartbeat_interval=0.1, stale_after=0.5, respawn_budget=respawns
     )
-    defaults.update(changes)
-    return ChaosCampaignConfig(**defaults)
 
 
 def _pinned_plan() -> ChaosPlan:
@@ -392,22 +387,25 @@ class TestChaosEndToEnd:
         self, tmp_path, monkeypatch
     ):
         _worker_env_patch(monkeypatch, tmp_path)
-        config = _tiny_chaos_config()
         calm_dir = tmp_path / "calm"
         calm_dir.mkdir()
-        expected, digests = _run_calm_baseline(config, calm_dir)
+        expected, digests = _run_calm_baseline(_TINY, calm_dir)
         assert len(expected) == 2
 
+        # Both replays write to one directory, as a re-run of `make
+        # chaos-smoke` does: the second must re-test, not resume.
         runs = [
             run_chaos_once(
-                config,
-                tmp_path / f"run{replica}",
+                _TINY,
+                _supervision(),
+                1,
+                tmp_path / "run",
                 1,
                 expected,
                 digests,
                 plan=_pinned_plan(),
             )
-            for replica in range(2)
+            for _ in range(2)
         ]
         for run in runs:
             assert run["violations"] == []
@@ -438,10 +436,9 @@ class TestChaosEndToEnd:
         the one respawn is spent, worker-0 ends in respawn-exhausted,
         and worker-1 still records every unit exactly once."""
         _worker_env_patch(monkeypatch, tmp_path)
-        config = _tiny_chaos_config(workers=2, respawns=1)
         calm_dir = tmp_path / "calm"
         calm_dir.mkdir()
-        expected, digests = _run_calm_baseline(config, calm_dir)
+        expected, digests = _run_calm_baseline(_TINY, calm_dir)
         plan = ChaosPlan(
             seed=98,
             workers=2,
@@ -452,7 +449,8 @@ class TestChaosEndToEnd:
             ),
         )
         run = run_chaos_once(
-            config, tmp_path / "run", 1, expected, digests, plan=plan
+            _TINY, _supervision(respawns=1), 2, tmp_path / "run", 1,
+            expected, digests, plan=plan,
         )
         assert run["violations"] == []
         assert run["ok"] is True
@@ -486,6 +484,43 @@ class TestChaosEndToEnd:
         )
         assert code == 0
         assert (out / "chaos-report.json").exists()
+
+    def test_a_layer_that_never_fires_fails_the_gate(
+        self, tmp_path, monkeypatch
+    ):
+        """With injection disabled every unit still lands exactly once,
+        so only the unfired-layer check can tell the gate tested
+        nothing."""
+
+        class Inert:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def on_record(self, worker_id, unit_key):
+                pass
+
+            def on_worker_start(self, worker):
+                pass
+
+            def close(self):
+                pass
+
+        _worker_env_patch(monkeypatch, tmp_path)
+        monkeypatch.setattr(chaos_campaign, "ChaosOrchestrator", Inert)
+        for drill in ("_crash_writer_drill", "_torn_wal_drill"):
+            monkeypatch.setattr(
+                chaos_campaign, drill, lambda *args: []
+            )
+        report = run_chaos_campaign(
+            _TINY, _supervision(), 1, [1], tmp_path / "out"
+        )
+        [run] = report["runs"]
+        assert run["violations"] == [] and run["ok"] is True
+        assert report["totals"]["faults_fired"] == 0
+        assert report["totals"]["unfired_layers"] == [
+            "process", "storage", "wire"
+        ]
+        assert report["ok"] is False
 
 
 # ======================================================================

@@ -197,7 +197,7 @@ class TestUnitMemo:
         assert not unit_memo.enabled
         result = unit_memo.run(_unit(), TraceCache(None))
         assert result.cycles > 0
-        assert unit_memo.lookup(_unit()) is None
+        assert unit_memo.load(unit_memo.key_for(_unit()), "run") is None
         assert (unit_memo.hits, unit_memo.misses) == (0, 0)
 
     def test_key_changes_with_every_unit_field_and_version(

@@ -1,10 +1,10 @@
-"""Tests for Resource, PipelineLane and FifoChannel."""
+"""Tests for Resource and PipelineLane."""
 
 import pytest
 
 from repro.engine import Delay, Process, Simulator
 from repro.engine.kernel import SimulationError
-from repro.engine.resources import FifoChannel, PipelineLane, Resource
+from repro.engine.resources import PipelineLane, Resource
 
 
 class TestResource:
@@ -105,59 +105,3 @@ class TestPipelineLane:
         for _ in range(5):
             lane.book(0, 1)
         assert lane.operations == 5
-
-
-class TestFifoChannel:
-    def test_put_then_get(self, sim):
-        chan = FifoChannel(sim)
-        chan.put("x")
-        got = []
-
-        def worker():
-            item = yield from chan.get()
-            got.append(item)
-
-        Process(sim, worker())
-        sim.run()
-        assert got == ["x"]
-
-    def test_get_blocks_until_put(self, sim):
-        chan = FifoChannel(sim)
-        got = []
-
-        def worker():
-            item = yield from chan.get()
-            got.append((item, sim.now))
-
-        Process(sim, worker())
-        sim.schedule(25, lambda: chan.put("late"))
-        sim.run()
-        assert got == [("late", 25)]
-
-    def test_bounded_overflow(self, sim):
-        chan = FifoChannel(sim, capacity=1)
-        chan.put(1)
-        assert chan.is_full
-        with pytest.raises(SimulationError):
-            chan.put(2)
-
-    def test_try_get(self, sim):
-        chan = FifoChannel(sim)
-        assert chan.try_get() is None
-        chan.put(5)
-        assert chan.try_get() == 5
-
-    def test_fifo_order(self, sim):
-        chan = FifoChannel(sim)
-        for i in range(5):
-            chan.put(i)
-        got = []
-
-        def worker():
-            for _ in range(5):
-                item = yield from chan.get()
-                got.append(item)
-
-        Process(sim, worker())
-        sim.run()
-        assert got == [0, 1, 2, 3, 4]

@@ -15,18 +15,22 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import subprocess
 import threading
 
 import pytest
 
+from repro.fleet import db as db_mod
 from repro.fleet.db import (
     ENV_DB,
     FleetDB,
     FleetDBError,
     UnitDigestMismatch,
+    current_git_hash,
     default_db_path,
-    payload_digest,
 )
+from repro.fleet.report import build_report, render_html
+from repro.service.protocol import result_digest
 from repro.workloads import GENERATOR_VERSION
 
 
@@ -76,7 +80,7 @@ class TestSchemaRoundTrip:
         row = db.load_unit("exp", "k1")
         assert row.spec == _spec()
         assert row.payload == _payload()
-        assert row.payload_digest == payload_digest(_payload())
+        assert row.payload_digest == result_digest(_payload())
         assert (row.workload, row.design, row.seed) == (
             "hashmap", "dolos-partial", 1,
         )
@@ -262,3 +266,41 @@ class TestStatusAndEnv:
         assert ro.load_unit("exp", "k1").payload == _payload()
         with pytest.raises(sqlite3.OperationalError):
             ro._conn().execute("INSERT INTO quarantine VALUES (1,2,3,4,5,6)")
+
+
+class TestGitHash:
+    """An experiment is stamped with the commit, and with ``-dirty``
+    when tracked files differ from it."""
+
+    @staticmethod
+    def _fake_git(monkeypatch, porcelain: str) -> list:
+        calls = []
+
+        def run(args, **kwargs):
+            calls.append(args)
+            stdout = "0123456789abcdef01\n" if "rev-parse" in args else porcelain
+            return subprocess.CompletedProcess(args, 0, stdout, "")
+
+        monkeypatch.setattr(db_mod.subprocess, "run", run)
+        return calls
+
+    def test_clean_tree_is_the_commit(self, monkeypatch):
+        calls = self._fake_git(monkeypatch, "")
+        assert current_git_hash() == "0123456789abcdef01"
+        assert any("--untracked-files=no" in args for args in calls)
+
+    def test_edited_tree_is_dirty(self, monkeypatch):
+        self._fake_git(monkeypatch, " M src/repro/fleet/db.py\n")
+        assert current_git_hash() == "0123456789abcdef01-dirty"
+
+    def test_no_git_is_unknown(self, monkeypatch):
+        def run(args, **kwargs):
+            raise OSError("no git")
+
+        monkeypatch.setattr(db_mod.subprocess, "run", run)
+        assert current_git_hash() == ""
+
+    def test_report_meta_line_keeps_the_suffix(self, db):
+        db.open_experiment("exp", {}, git_hash="0123456789abcdef01-dirty")
+        html = render_html(build_report(db, "exp"))
+        assert "git 0123456789ab-dirty ·" in html

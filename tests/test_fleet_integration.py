@@ -155,6 +155,37 @@ class TestFleetMatchesSerial:
         assert sum(row.elapsed_s for row in rows) <= summary.elapsed_s
 
 
+class TestScenarioCampaign:
+    def test_inline_soak_campaign_records_run_and_scenario_units(
+        self, tmp_path, monkeypatch
+    ):
+        """The soak spec's open-loop units ride the fleet like run units
+        and roll up into the report's scenario section."""
+        from repro.scenarios import soak_campaign
+
+        monkeypatch.setattr(parallel, "_UNIT_MEMO", memo.UnitMemo(None))
+        campaign = soak_campaign(
+            name="soak-test",
+            designs=("dolos-full", "prewpq-eager"),
+            seeds=(1,),
+            transactions=20,
+            fault_sites=0,
+        )
+        db = FleetDB(tmp_path / "fleet.sqlite")
+        try:
+            summary = FleetDispatcher(campaign, db, workers=0).run()
+            status = db.status("soak-test")
+            report = build_report(db, "soak-test")
+        finally:
+            db.close()
+        assert summary.units_recorded == summary.units_total == 4
+        assert status["by_mode"] == {"run": 2, "scenario": 2}
+        assert report["units"]["scenario"] == 2
+        assert [(s["workload"], s["design"]) for s in report["scenarios"]] == [
+            ("hashmap", "dolos-full"), ("hashmap", "prewpq-eager")
+        ]
+
+
 class TestWorkerKill:
     def test_killed_worker_is_redispatched_bit_identically(
         self, tmp_path, monkeypatch, caplog

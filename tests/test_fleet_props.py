@@ -16,23 +16,27 @@ Three invariants carry the fleet's correctness argument:
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import shutil
 import tempfile
 import threading
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fleet.db import FleetDB
 from repro.fleet.dispatcher import (
     CampaignSpec,
+    FleetError,
     FleetUnit,
     UnitLedger,
     expand_units,
 )
 from repro.fleet.report import build_report
 from repro.oracle.check import controller_matrix
+from repro.service.protocol import job_key
 from repro.workloads import ORACLE_SEMANTICS
 
 # Fault units require oracle semantics, so campaigns draw from that set.
@@ -64,6 +68,8 @@ class TestExpansion:
         again = expand_units(campaign)
         assert [u.key for u in units] == [u.key for u in again]
         assert len({u.key for u in units}) == len(units)
+        # One key: the FleetDB unit key is the service's job key.
+        assert all(u.key == job_key(u.spec) for u in units)
         cells = (
             len(set(campaign.workloads))
             * len(set(campaign.designs))
@@ -88,6 +94,53 @@ class TestExpansion:
         assert {u.key for u in expand_units(campaign)} == {
             u.key for u in expand_units(shuffled)
         }
+
+
+_VALID = CampaignSpec(
+    name="valid",
+    workloads=("hashmap",),
+    designs=("dolos-partial",),
+    seeds=(1,),
+    transactions=4,
+)
+
+
+class TestCampaignValidation:
+    def test_valid_campaign_validates(self):
+        assert _VALID.validate() is _VALID
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"name": ""},
+            {"workloads": ()},
+            {"designs": ()},
+            {"seeds": ()},
+            {"workloads": ("no-such-workload",)},
+            {"designs": ("no-such-design",)},
+            {"transactions": 0},
+            {"transactions": -3},
+            {"fault_sites": -1},
+            {"scenario": (("rate", 0.06), ("no-such-key", 1))},
+            {"scenario": (("arrivals", "mmpp"),)},  # no rate
+        ],
+        ids=[
+            "empty-name", "no-workloads", "no-designs", "no-seeds",
+            "unknown-workload", "unknown-design", "zero-transactions",
+            "negative-transactions", "negative-fault-sites",
+            "unknown-scenario-key", "scenario-without-rate",
+        ],
+    )
+    def test_invalid_campaign_raises_fleet_error(self, changes):
+        with pytest.raises(FleetError):
+            dataclasses.replace(_VALID, **changes).validate()
+
+    def test_fault_units_need_oracle_semantics(self, monkeypatch):
+        # Every shipped workload has oracle semantics; withdraw one.
+        monkeypatch.delitem(ORACLE_SEMANTICS, "hashmap")
+        assert _VALID.validate() is _VALID  # run units do not need it
+        with pytest.raises(FleetError):
+            dataclasses.replace(_VALID, fault_sites=1).validate()
 
 
 def _fake_units(n: int):

@@ -161,7 +161,7 @@ def _raise_everywhere(item):
 class TestWorkerResilience:
     def test_crashed_worker_is_retried(self, tmp_path, monkeypatch):
         monkeypatch.setenv(_MARKER_ENV, str(tmp_path))
-        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0.01")
+        monkeypatch.setattr(parallel, "WORKER_BACKOFF", 0.01)
         failures = []
         results = fan_out(_flaky_square, [2, 3, 4], jobs=2, failures=failures)
         assert results == [4, 9, 16]
@@ -171,9 +171,9 @@ class TestWorkerResilience:
     def test_hung_worker_times_out_then_serial_matches_serial_run(
         self, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "0.5")
-        monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
-        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0")
+        monkeypatch.setattr(parallel, "WORKER_TIMEOUT", 0.5)
+        monkeypatch.setattr(parallel, "WORKER_RETRIES", 1)
+        monkeypatch.setattr(parallel, "WORKER_BACKOFF", 0.0)
         failures = []
         degraded = fan_out(_hang_in_pool, [5, 6], jobs=2, failures=failures)
         # The acceptance bar: results bit-identical to an all-serial run.
@@ -183,8 +183,8 @@ class TestWorkerResilience:
         assert sorted(f.index for f in failures) == [0, 1]
 
     def test_poisoned_worker_degrades_to_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
-        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0")
+        monkeypatch.setattr(parallel, "WORKER_RETRIES", 1)
+        monkeypatch.setattr(parallel, "WORKER_BACKOFF", 0.0)
         failures = []
         results = fan_out(_raise_in_pool, [1, 2, 3], jobs=2, failures=failures)
         assert results == [3, 6, 9]
@@ -193,16 +193,16 @@ class TestWorkerResilience:
         assert all("ValueError" in f.error for f in failures)
 
     def test_serial_fallback_failure_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_RETRIES", "0")
-        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0")
+        monkeypatch.setattr(parallel, "WORKER_RETRIES", 0)
+        monkeypatch.setattr(parallel, "WORKER_BACKOFF", 0.0)
         failures = []
         with pytest.raises(ParallelExecutionError, match="serial fallback"):
             fan_out(_raise_everywhere, [1, 2], jobs=2, failures=failures)
         assert failures and failures[0].resolution == "failed"
 
     def test_report_failures_prints_summary(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
-        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0")
+        monkeypatch.setattr(parallel, "WORKER_RETRIES", 1)
+        monkeypatch.setattr(parallel, "WORKER_BACKOFF", 0.0)
         failures = []
         fan_out(_raise_in_pool, [1, 2], jobs=2, failures=failures)
         report_failures(failures)
@@ -210,31 +210,21 @@ class TestWorkerResilience:
         assert "serial" in err and "ValueError" in err
 
     def test_uncollected_failures_still_reported(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
-        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0")
+        monkeypatch.setattr(parallel, "WORKER_RETRIES", 1)
+        monkeypatch.setattr(parallel, "WORKER_BACKOFF", 0.0)
         assert fan_out(_raise_in_pool, [7, 8], jobs=2) == [21, 24]
         assert "[parallel]" in capsys.readouterr().err
 
     def test_backoff_is_exponential_and_capped(self, monkeypatch):
-        """Pool n + 1 waits REPRO_WORKER_BACKOFF * 2**n s, at most 30 s."""
+        """Pool n + 1 waits WORKER_BACKOFF * 2**n s, at most 30 s."""
         sleeps = []
         monkeypatch.setattr(
             parallel, "time", SimpleNamespace(sleep=sleeps.append)
         )
-        monkeypatch.setenv("REPRO_WORKER_RETRIES", "3")
-        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "10")
+        monkeypatch.setattr(parallel, "WORKER_RETRIES", 3)
+        monkeypatch.setattr(parallel, "WORKER_BACKOFF", 10.0)
         assert fan_out(_raise_in_pool, [1, 2], jobs=2, failures=[]) == [3, 6]
         assert sleeps == [10.0, 20.0, parallel.MAX_WORKER_BACKOFF]
-
-    @pytest.mark.parametrize(
-        "name, value",
-        [("REPRO_WORKER_RETRIES", "-1"), ("REPRO_WORKER_BACKOFF", "-0.5")],
-        ids=["retries", "backoff"],
-    )
-    def test_negative_retry_settings_rejected(self, monkeypatch, name, value):
-        monkeypatch.setenv(name, value)
-        with pytest.raises(ValueError, match=name):
-            fan_out(_raise_in_pool, [1, 2], jobs=2)
 
     def test_run_units_survive_worker_timeout(self, tmp_path, monkeypatch):
         """End-to-end through run_units: with a timeout so tight every
@@ -245,9 +235,9 @@ class TestWorkerResilience:
             RunUnit("btree", eager_config(), TXNS, SEED),
         ]
         serial = run_units(units, jobs=1, cache_dir=tmp_path)
-        monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "0.000001")
-        monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
-        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0")
+        monkeypatch.setattr(parallel, "WORKER_TIMEOUT", 1e-06)
+        monkeypatch.setattr(parallel, "WORKER_RETRIES", 1)
+        monkeypatch.setattr(parallel, "WORKER_BACKOFF", 0.0)
         failures = []
         degraded = run_units(
             units, jobs=2, cache_dir=tmp_path, failures=failures
@@ -279,7 +269,7 @@ class TestStreamingCallbacks:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv(_MARKER_ENV, str(tmp_path))
-        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0.01")
+        monkeypatch.setattr(parallel, "WORKER_BACKOFF", 0.01)
         seen, on_result = self._collect()
         failures = []
         results = fan_out(
@@ -293,8 +283,8 @@ class TestStreamingCallbacks:
         assert sorted(seen) == [(0, 2, 4), (1, 3, 9), (2, 4, 16)]
 
     def test_fires_once_per_item_in_serial_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
-        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0")
+        monkeypatch.setattr(parallel, "WORKER_RETRIES", 1)
+        monkeypatch.setattr(parallel, "WORKER_BACKOFF", 0.0)
         seen, on_result = self._collect()
         results = fan_out(
             _raise_in_pool, [1, 2, 3], jobs=2, on_result=on_result
@@ -443,8 +433,8 @@ class TestWorkerDeath:
     """A pool worker that dies takes the path of one that raises."""
 
     def test_killed_worker_degrades_to_serial(self, monkeypatch, bounded):
-        monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
-        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0")
+        monkeypatch.setattr(parallel, "WORKER_RETRIES", 1)
+        monkeypatch.setattr(parallel, "WORKER_BACKOFF", 0.0)
         failures, seen = [], []
         results = bounded(
             lambda: fan_out(
@@ -461,7 +451,7 @@ class TestWorkerDeath:
         self, tmp_path, monkeypatch, bounded
     ):
         monkeypatch.setenv(_MARKER_ENV, str(tmp_path))
-        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0")
+        monkeypatch.setattr(parallel, "WORKER_BACKOFF", 0.0)
         failures = []
         results = bounded(
             lambda: fan_out(

@@ -143,14 +143,14 @@ class TestJobKey:
     def test_simulation_relevant_fields_are_hashed(self, changes):
         assert proto.job_key(SPEC) != proto.job_key(_spec(**changes))
 
-    def test_generator_version_is_folded_in(self):
-        # The canonical form carries the trace generator version, so a
-        # generator bump invalidates service results and disk traces
-        # in lockstep.
-        canonical = proto.canonical_job(SPEC)
-        assert canonical["generator_version"] is not None
-        assert canonical["protocol_version"] == proto.PROTOCOL_VERSION
-        assert "experiment_id" not in canonical
+    def test_generator_version_is_folded_in(self, monkeypatch):
+        # The key is the unit-memo key, which carries the trace
+        # generator version, so a generator bump re-keys service jobs,
+        # memo entries and disk traces in lockstep.
+        key = proto.job_key(SPEC)
+        version = memo.GENERATOR_VERSION
+        monkeypatch.setattr(memo, "GENERATOR_VERSION", version + 1)
+        assert proto.job_key(SPEC) != key
 
 
 class TestResolveConfig:

@@ -7,9 +7,9 @@ Two halves:
   nesting, missing ``type``, oversized lines) into a typed ``error``
   reply on a connection that keeps working, never a dead session task.
 * **client resilience** — :class:`ServiceClient` must reconnect with
-  backoff through transport drops (submits are idempotent end to end)
-  and surface a typed :class:`ServiceUnavailable` only after its last
-  attempt.
+  backoff through transport drops and results that fail their digest
+  (submits are idempotent end to end) and surface a typed
+  :class:`ServiceUnavailable` only after its last attempt.
 """
 
 from __future__ import annotations
@@ -269,6 +269,22 @@ def _drop_after_submit(conn: socket.socket) -> None:
     conn.makefile("rb").readline()
 
 
+_PAYLOAD = {"workload": "hashmap", "cycles": 123}
+
+
+def _result_frame(request_id) -> bytes:
+    return proto.encode_message(
+        {
+            "type": "result",
+            "id": request_id,
+            "key": "k",
+            "payload": _PAYLOAD,
+            "digest": proto.result_digest(_PAYLOAD),
+            "cached": False,
+        }
+    )
+
+
 def _serve_result(conn: socket.socket) -> None:
     """Greet, then answer every submit with a result frame."""
     conn.sendall(_HELLO)
@@ -280,18 +296,21 @@ def _serve_result(conn: socket.socket) -> None:
         message = json.loads(line.decode("utf-8"))
         if message.get("type") != "submit":
             return
-        conn.sendall(
-            proto.encode_message(
-                {
-                    "type": "result",
-                    "id": message["id"],
-                    "key": "k",
-                    "payload": {"ok": True},
-                    "digest": "d",
-                    "cached": False,
-                }
-            )
-        )
+        conn.sendall(_result_frame(message["id"]))
+
+
+def _serve_garbled_result(conn: socket.socket) -> None:
+    """Greet, then answer the submit with one bit flipped in the payload.
+
+    The frame still decodes and its id still matches: only the digest
+    it carries shows the damage.
+    """
+    conn.sendall(_HELLO)
+    message = json.loads(conn.makefile("rb").readline().decode("utf-8"))
+    frame = _result_frame(message["id"])
+    garbled = frame.replace(b'"hashmap"', b'"Hashmap"')  # 0x68 ^ 0x20
+    assert garbled != frame
+    conn.sendall(garbled)
 
 
 class _ScriptedServer:
@@ -351,9 +370,24 @@ class TestClientReconnect:
         finally:
             server.close()
         assert frame["type"] == "result"
-        assert frame["payload"] == {"ok": True}
+        assert frame["payload"] == _PAYLOAD
         assert client.retries == 1
         assert seen and seen[0][0] == 1
+        assert server.connections == 2
+
+    def test_result_that_fails_its_digest_is_resent(self, tmp_path):
+        path = str(tmp_path / "svc.sock")
+        server = _ScriptedServer(path, [_serve_garbled_result, _serve_result])
+        try:
+            client = ServiceClient(path, timeout=5.0, attempts=3)
+            seen = []
+            client.on_retry = lambda attempt, exc: seen.append(type(exc))
+            frame = client.submit(SPEC)
+            client.close()
+        finally:
+            server.close()
+        assert frame["payload"] == _PAYLOAD
+        assert seen == [ProtocolError]
         assert server.connections == 2
 
     def test_permanent_outage_raises_typed_unavailable(self, tmp_path):

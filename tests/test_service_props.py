@@ -1,7 +1,7 @@
 """Property-based tests for the service protocol, plus the slow soak.
 
-Hypothesis sweeps the protocol's invariants — wire roundtrips, job-key
-injectivity over the canonical form, framing robustness against
+Hypothesis sweeps the protocol's invariants — wire roundtrips, job keys
+that collide exactly when the run units do, framing robustness against
 arbitrary bytes — over the whole JobSpec space.  The soak test (slow
 tier) reuses the smoke harness at a heavier client mix against a real
 server subprocess.
@@ -15,6 +15,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.harness.memo import UnitMemo
 from repro.oracle.check import controller_matrix
 from repro.service import protocol as proto
 from repro.workloads import ALL_WORKLOADS
@@ -85,14 +86,27 @@ class TestJobSpecProperties:
         relabelled = dataclasses.replace(spec, experiment_id=label)
         assert proto.job_key(spec) == proto.job_key(relabelled)
 
-    @given(specs, specs)
-    def test_job_key_injective_over_the_canonical_form(self, a, b):
-        # Keys collide exactly when the canonical (hash-relevant)
-        # forms agree — the dedup guarantee: same key => same
-        # simulation, different simulation => different key.
+    @given(specs, specs, st.booleans())
+    def test_job_key_collides_exactly_when_the_run_units_agree(
+        self, a, b, same_cell
+    ):
+        # The dedup guarantee: same key => same simulation, different
+        # simulation => different key.  ``same_cell`` leaves only the
+        # overrides (and the label) to differ, which often resolve to
+        # the same config.
+        if same_cell:
+            b = dataclasses.replace(
+                b, workload=a.workload, design=a.design,
+                transactions=a.transactions, seed=a.seed,
+            )
         same_key = proto.job_key(a) == proto.job_key(b)
-        same_canonical = proto.canonical_job(a) == proto.canonical_job(b)
-        assert same_key == same_canonical
+        same_unit = proto.spec_to_run_unit(a) == proto.spec_to_run_unit(b)
+        assert same_key == same_unit
+
+    @given(specs)
+    def test_job_key_is_the_unit_memo_key(self, spec):
+        unit = proto.spec_to_run_unit(spec)
+        assert proto.job_key(spec) == UnitMemo(None).key_for(unit)
 
     @given(specs)
     def test_job_key_is_trace_store_shaped(self, spec):
