@@ -65,8 +65,9 @@ fleet-smoke:
 
 # Chaos-hardened fleet smoke (docs/robustness.md): run a real
 # multi-worker campaign under three seeded fault schedules (wire
-# resets/garbles/stalls, SIGSTOP/SIGKILL workers, torn-WAL and
-# killed-writer storage drills) and assert the zero-loss invariant —
+# resets/garbles/stalls, SIGSTOP/SIGKILL workers, torn-WAL,
+# killed-writer and store-corrupt drills on the one results database)
+# and assert the zero-loss invariant —
 # every unit recorded exactly once, digests bit-identical to a calm
 # baseline, no silent fault.  JSON report under results/chaos/.
 chaos-smoke:

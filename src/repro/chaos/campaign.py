@@ -3,13 +3,14 @@
 ``python -m repro.harness chaos`` drives one :class:`CampaignSpec`
 through the fleet dispatcher N times, each under a different seeded
 :class:`ChaosPlan` (wire, process, and storage faults), and checks the
-**zero-loss invariant** against a calm baseline run first inline with
-no faults:
+**zero-loss invariant** against a calm baseline: every unit run first
+serially (``execute_unit``), with no faults:
 
 * every expanded unit is recorded **exactly once** in the FleetDB;
 * every recorded digest is **bit-identical** to the calm baseline's;
 * sqlite's own ``integrity_check`` passes on a fresh reopen (after the
-  torn-WAL and killed-writer storage drills);
+  torn-WAL and killed-writer storage drills), and a result the
+  store-corrupt drill rewrote mid-run was quarantined and re-recorded;
 * every fault that fired is classified — *tolerated* (absorbed with no
   recovery machinery), *recovered* (supervision or client retries had
   to act), or *degraded* (the respawn budget ran out, but the campaign
@@ -46,7 +47,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.chaos.orchestrator import ChaosOrchestrator
 from repro.chaos.plan import ChaosFault, ChaosPlan, injections, record_injection
@@ -61,7 +62,14 @@ from repro.fleet.dispatcher import (
     supervision_from_flags,
 )
 from repro.fleet.supervisor import SupervisionConfig
+from repro.harness.parallel import execute_unit
+from repro.harness.trace_store import TraceCache
 from repro.instrumentation import EventLog
+from repro.service.protocol import (
+    result_digest,
+    result_payload,
+    spec_to_run_unit,
+)
 
 __all__ = [
     "run_chaos_campaign",
@@ -82,19 +90,17 @@ DEGRADED_KINDS = frozenset({"respawn-exhausted"})
 # Invariants
 # ----------------------------------------------------------------------
 def check_invariants(
-    db: FleetDB,
-    experiment_id: str,
-    expected_keys: Set[str],
-    calm_digests: Dict[str, str],
+    db: FleetDB, experiment_id: str, calm_digests: Dict[str, str]
 ) -> List[str]:
-    """Zero-loss checks; returns human-readable violations (empty = ok)."""
+    """Zero-loss checks against the calm baseline's digests (one per
+    expected unit); returns human-readable violations (empty = ok)."""
     violations: List[str] = []
     integrity = db.integrity_check()
     if integrity != "ok":
         violations.append(f"sqlite integrity_check: {integrity}")
     rows = {row.unit_key: row for row in db.unit_rows(experiment_id)}
-    missing = sorted(expected_keys - set(rows))
-    extra = sorted(set(rows) - expected_keys)
+    missing = sorted(set(calm_digests) - set(rows))
+    extra = sorted(set(rows) - set(calm_digests))
     if missing:
         violations.append(
             f"{len(missing)} unit(s) lost: {missing[:3]}"
@@ -102,20 +108,17 @@ def check_invariants(
         )
     if extra:
         violations.append(f"{len(extra)} phantom unit(s): {extra[:3]}")
-    for key in sorted(expected_keys & set(rows)):
-        calm = calm_digests.get(key)
-        if calm is None:
-            violations.append(f"no calm baseline digest for {key}")
-        elif rows[key].payload_digest != calm:
+    for key in sorted(calm_digests.keys() & rows.keys()):
+        if rows[key].payload_digest != calm_digests[key]:
             violations.append(
                 f"digest mismatch for {key}: chaos "
-                f"{rows[key].payload_digest} != calm {calm}"
+                f"{rows[key].payload_digest} != calm {calm_digests[key]}"
             )
     status = db.status(experiment_id)
-    if int(status["units"]) != len(expected_keys):
+    if int(status["units"]) != len(calm_digests):
         violations.append(
             f"status rollup counts {status['units']} units, "
-            f"expected {len(expected_keys)}"
+            f"expected {len(calm_digests)}"
         )
     return violations
 
@@ -142,15 +145,11 @@ def classify_faults(
             "layer": fault.layer,
             "worker": fault.worker,
         }
+        result[fault.fault_id] = entry
         if not fired:
             entry["status"] = "unreached"
-            result[fault.fault_id] = entry
             continue
         entry["detail"] = fired[0]["fields"]["detail"]
-        if not invariants_ok:
-            entry["status"] = "silent"
-            result[fault.fault_id] = entry
-            continue
         horizon = min(event["time"] for event in fired) - 0.05
         evidence = {
             event["kind"]
@@ -158,13 +157,14 @@ def classify_faults(
             if event["time"] >= horizon
             and (not fault.worker or event["source"] == fault.worker)
         }
-        if evidence & DEGRADED_KINDS:
+        if not invariants_ok:
+            entry["status"] = "silent"
+        elif evidence & DEGRADED_KINDS:
             entry["status"] = "degraded"
         elif fault.layer != "storage" and evidence & RECOVERY_KINDS:
             entry["status"] = "recovered"
         else:
             entry["status"] = "tolerated"
-        result[fault.fault_id] = entry
     return result
 
 
@@ -172,29 +172,16 @@ def classify_faults(
 STATUSES = ("tolerated", "recovered", "degraded", "silent", "unreached")
 
 
-def _tally(classification: Dict[str, Dict[str, object]]) -> Dict[str, int]:
-    counts = dict.fromkeys(STATUSES, 0)
-    for entry in classification.values():
-        counts[str(entry["status"])] += 1
-    return counts
-
-
 # ----------------------------------------------------------------------
 # Storage drills
 # ----------------------------------------------------------------------
+#: Inserts a sentinel results row inside ``BEGIN IMMEDIATE``, then
+#: waits to be killed: the row must never commit.
 _CRASH_WRITER_SCRIPT = """\
 import sqlite3, sys, time
-conn = sqlite3.connect(sys.argv[1])
-conn.execute("PRAGMA journal_mode=WAL")
-conn.execute(
-    "CREATE TABLE IF NOT EXISTS chaos_drill (k TEXT PRIMARY KEY, v TEXT)"
-)
-conn.commit()
+conn = sqlite3.connect(sys.argv[1], isolation_level=None)
 conn.execute("BEGIN IMMEDIATE")
-conn.execute(
-    "INSERT OR REPLACE INTO chaos_drill (k, v) "
-    "VALUES ('sentinel', 'must-never-commit')"
-)
+conn.execute("INSERT INTO results VALUES ('chaos-sentinel', '{}', 'x')")
 print("armed", flush=True)
 time.sleep(30)
 """
@@ -203,7 +190,8 @@ time.sleep(30)
 def _crash_writer_drill(
     db_path: Path, fault: ChaosFault, events: EventLog
 ) -> List[str]:
-    """SIGKILL a writer inside ``BEGIN IMMEDIATE``; nothing may commit."""
+    """SIGKILL a results writer inside ``BEGIN IMMEDIATE``; nothing may
+    commit."""
     process = subprocess.Popen(
         [sys.executable, "-c", _CRASH_WRITER_SCRIPT, str(db_path)],
         stdout=subprocess.PIPE,
@@ -227,7 +215,9 @@ def _crash_writer_drill(
     )
     conn = sqlite3.connect(str(db_path))
     try:
-        count = conn.execute("SELECT COUNT(*) FROM chaos_drill").fetchone()[0]
+        count = conn.execute(
+            "SELECT COUNT(*) FROM results WHERE unit_key='chaos-sentinel'"
+        ).fetchone()[0]
     finally:
         conn.close()
     if count:
@@ -253,40 +243,21 @@ def _torn_wal_drill(
     record_injection(
         events, fault, f"appended {len(garbage)} garbage bytes to WAL"
     )
-    conn = sqlite3.connect(str(db_path))
-    try:
-        verdict = conn.execute("PRAGMA integrity_check").fetchone()[0]
-    finally:
-        conn.close()
-    if verdict != "ok":
-        return [
-            f"{fault.fault_id}: integrity_check after torn WAL: {verdict}"
-        ]
-    return []
+    return []  # check_invariants' cold integrity_check is the verdict
 
 
 # ----------------------------------------------------------------------
 # The campaign driver
 # ----------------------------------------------------------------------
-def _run_calm_baseline(
-    campaign: CampaignSpec, out_dir: Path
-) -> Tuple[Set[str], Dict[str, str]]:
-    """Faultless inline run: the digest ground truth for every unit."""
-    expected = {unit.key for unit in expand_units(campaign)}
-    db = FleetDB(out_dir / "calm.sqlite")
-    try:
-        FleetDispatcher(
-            campaign, db, workers=0, experiment_id=f"{campaign.name}-calm"
-        ).run()
-        digests = {
-            row.unit_key: row.payload_digest
-            for row in db.unit_rows(f"{campaign.name}-calm")
-        }
-    finally:
-        db.close()
-    if set(digests) != expected:
-        raise FleetError("calm baseline is incomplete; aborting chaos")
-    return expected, digests
+def _run_calm_baseline(campaign: CampaignSpec) -> Dict[str, str]:
+    """Faultless serial run: the digest ground truth for every unit."""
+    cache = TraceCache()
+    return {
+        unit.key: result_digest(
+            result_payload(execute_unit(spec_to_run_unit(unit.spec), cache))
+        )
+        for unit in expand_units(campaign)
+    }
 
 
 def run_chaos_once(
@@ -295,7 +266,6 @@ def run_chaos_once(
     workers: int,
     out_dir: Path,
     chaos_seed: int,
-    expected_keys: Set[str],
     calm_digests: Dict[str, str],
     plan: Optional[ChaosPlan] = None,
 ) -> Dict[str, object]:
@@ -303,8 +273,8 @@ def run_chaos_once(
 
     ``plan`` overrides the seed-generated schedule (replay tests pin
     hand-built plans whose triggers are guaranteed to fire).  The run
-    starts from an empty ``chaos-<seed>`` directory: a database or memo
-    left by an earlier run would let it resume with nothing to dispatch.
+    starts from an empty ``chaos-<seed>`` directory: a database left by
+    an earlier run would let it resume with nothing to dispatch.
     """
     runtime = out_dir / f"chaos-{chaos_seed}"
     shutil.rmtree(runtime, ignore_errors=True)
@@ -313,15 +283,14 @@ def run_chaos_once(
     experiment_id = f"{campaign.name}-chaos-{chaos_seed}"
     if plan is None:
         plan = ChaosPlan.generate(chaos_seed, workers=workers)
-    result_cache = runtime / "result-cache"
     # One log for the whole run: injections, supervision, client retries.
     events = EventLog()
-    orchestrator = ChaosOrchestrator(
-        plan, runtime, events, result_cache_dir=result_cache
-    )
+    orchestrator = ChaosOrchestrator(plan, runtime, events, db_path)
     env = dict(os.environ)
     env["REPRO_TRACE_CACHE"] = str(out_dir / "trace-cache")
-    env["REPRO_UNIT_MEMO"] = str(result_cache)
+    # The workers' memo is the run's FleetDB: one store, which all
+    # three storage drills hit.
+    env["REPRO_UNIT_MEMO"] = str(db_path)
 
     db = FleetDB(db_path)
     dispatcher = FleetDispatcher(
@@ -360,9 +329,7 @@ def run_chaos_once(
     # database a cold process still reads completely and verifies.
     fresh = FleetDB(db_path)
     try:
-        violations += check_invariants(
-            fresh, experiment_id, expected_keys, calm_digests
-        )
+        violations += check_invariants(fresh, experiment_id, calm_digests)
     finally:
         fresh.close()
 
@@ -370,7 +337,10 @@ def run_chaos_once(
     classification = classify_faults(
         plan, timeline, invariants_ok=not violations
     )
-    counts = _tally(classification)
+    counts = {
+        status: sum(e["status"] == status for e in classification.values())
+        for status in STATUSES
+    }
     ok = not violations and counts["silent"] == 0
     return {
         "chaos_seed": chaos_seed,
@@ -409,11 +379,10 @@ def run_chaos_campaign(
     """Calm baseline + one faulted run per chaos seed + roll-up."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    expected_keys, calm_digests = _run_calm_baseline(campaign, out_dir)
+    calm_digests = _run_calm_baseline(campaign)
     runs = [
         run_chaos_once(
-            campaign, supervision, workers, out_dir, seed,
-            expected_keys, calm_digests,
+            campaign, supervision, workers, out_dir, seed, calm_digests
         )
         for seed in chaos_seeds
     ]
@@ -435,7 +404,7 @@ def run_chaos_campaign(
             "chaos_seeds": list(chaos_seeds),
             "workers": workers,
         },
-        "units": len(expected_keys),
+        "units": len(calm_digests),
         "runs": runs,
         "totals": totals,
         "ok": all(run["ok"] for run in runs) and not unfired,
@@ -488,17 +457,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(json.dumps(report, sort_keys=True))
         return 0 if report["ok"] else 1
     for run in report["runs"]:
-        counts = run["counts"]
-        verdict = "ok" if run["ok"] else "FAILED"
+        tally = ", ".join(f"{run['counts'][s]} {s}" for s in STATUSES)
         print(
             f"[chaos] seed {run['chaos_seed']}: "
             f"{len(run['plan']['faults'])} faults planned, "
-            f"{len(injections(run['events']))} fired "
-            f"({counts['tolerated']} tolerated, "
-            f"{counts['recovered']} recovered, "
-            f"{counts['degraded']} degraded, "
-            f"{counts['silent']} silent, "
-            f"{counts['unreached']} unreached) — {verdict}"
+            f"{len(injections(run['events']))} fired ({tally}) — "
+            f"{'ok' if run['ok'] else 'FAILED'}"
         )
         for violation in run["violations"]:
             print(f"[chaos]   violation: {violation}")

@@ -10,7 +10,10 @@ The orchestrator plugs into the two dispatcher hooks:
   shared across incarnations, so the schedule stays a pure function of
   the plan.  ``crash-on-start`` faults fire here.
 * ``on_record`` — per-worker and global record counters drive the
-  ``sigstop`` / ``sigkill`` / ``store-corrupt`` triggers.
+  ``sigstop`` / ``sigkill`` / ``store-corrupt`` triggers.  The first
+  record's ``results`` row in the run's FleetDB (the workers' memo
+  too) is rewritten through SQL; verification must quarantine it and
+  the dispatcher must record the unit again.
 
 ``kill-mid-result`` rides the proxy's frame filter: when the planned
 result frame crosses the wire, the worker is SIGKILLed and the frame
@@ -27,9 +30,11 @@ import json
 import logging
 import os
 import signal
+import sqlite3
 import threading
+from contextlib import closing
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.chaos.plan import ChaosPlan, WireSchedule, record_injection
 from repro.chaos.proxy import ChaosProxy
@@ -48,13 +53,11 @@ class ChaosOrchestrator:
         plan: ChaosPlan,
         runtime_dir: Path,
         events: EventLog,
-        result_cache_dir: Optional[Path] = None,
+        db_path: Path,
     ) -> None:
         self.plan = plan
         self.runtime_dir = Path(runtime_dir)
-        self.result_cache_dir = (
-            Path(result_cache_dir) if result_cache_dir else None
-        )
+        self.db_path = db_path
         self.events = events
         self._schedules: Dict[str, WireSchedule] = {}
         self._proxies: List[ChaosProxy] = []
@@ -133,7 +136,7 @@ class ChaosOrchestrator:
         for fault in due:
             self._fire_process_fault(fault, worker_id)
         for fault in corrupt:
-            self._corrupt_result_store(fault)
+            self._corrupt_result(fault, unit_key)
 
     # ------------------------------------------------------------------
     def _frame_filter(self, worker_id: str):
@@ -212,21 +215,22 @@ class ChaosOrchestrator:
         except (ProcessLookupError, PermissionError):
             pass
 
-    def _corrupt_result_store(self, fault) -> None:
-        """Scribble over one unit-memo entry (the memo must quarantine it)."""
-        if self.result_cache_dir is None:
-            return
-        victims = sorted(self.result_cache_dir.glob("*.json"))
-        if not victims:
-            record_injection(self.events, fault, "no cache entry to corrupt yet")
-            return
-        victim = victims[0]
+    def _corrupt_result(self, fault, unit_key: str) -> None:
+        """Rewrite ``unit_key``'s recorded result (its digest kept)."""
         try:
-            victim.write_bytes(b'{"payload": "corrupted by chaos"')
-        except OSError as exc:
+            with closing(sqlite3.connect(self.db_path, timeout=30.0)) as conn:
+                with conn:
+                    changed = conn.execute(
+                        "UPDATE results SET payload=? WHERE unit_key=?",
+                        ('{"payload":"corrupted by chaos"}', unit_key),
+                    ).rowcount
+        except sqlite3.Error as exc:
             record_injection(self.events, fault, f"corruption failed: {exc}")
             return
-        record_injection(self.events, fault, f"corrupted {victim.name}")
+        if changed:  # otherwise the drill stays unreached
+            record_injection(
+                self.events, fault, f"corrupted results row {unit_key}"
+            )
 
     # ------------------------------------------------------------------
     def close(self) -> None:

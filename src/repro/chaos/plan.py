@@ -21,9 +21,9 @@ Three layers:
   subprocesses: SIGSTOP pauses (hangs), SIGKILL, kill-mid-result
   (the worker dies the instant its result frame crosses the proxy,
   before the dispatcher can record it), crash-on-start.
-* **storage** — drills against the FleetDB / unit memo: a writer
-  killed mid-``BEGIN IMMEDIATE``, a torn sqlite WAL tail, a corrupted
-  unit-memo entry.
+* **storage** — drills against the run's FleetDB file, which is also
+  the workers' unit memo: a writer killed mid-``BEGIN IMMEDIATE``, a
+  torn sqlite WAL tail, a recorded ``results`` row rewritten mid-run.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ PROCESS_KINDS = (
 STORAGE_KINDS = (
     "db-crash-writer",  # SIGKILL a writer inside BEGIN IMMEDIATE
     "db-torn-wal",      # append a garbage tail to the sqlite WAL
-    "store-corrupt",    # scribble over a unit-memo entry mid-run
+    "store-corrupt",    # rewrite a recorded results row mid-run
 )
 
 _LAYER_OF = (

@@ -47,10 +47,10 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.fleet.db import FleetDB, current_git_hash, default_db_path
+from repro.fleet.db import FleetDB, current_git_hash
 from repro.fleet.supervisor import HeartbeatMonitor, SupervisionConfig
 from repro.harness.parallel import execute_unit
-from repro.harness.trace_store import TraceCache
+from repro.harness.trace_store import ENV_DB, TraceCache
 from repro.instrumentation import EventLog
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import (
@@ -502,9 +502,16 @@ class FleetDispatcher:
         self._respawns_left = self.supervision.respawn_budget
         self._respawn_lock = threading.Lock()
         self._monitor: Optional[HeartbeatMonitor] = None
+        self._redispatches = self._hangs = 0
 
     # ------------------------------------------------------------------
     def run(self) -> FleetRunSummary:
+        """Dispatch every unit without a verified result, then check.
+
+        The check is the same verified query: a result that fails
+        verification after the ledger drained (it moved to quarantine)
+        is dispatched once more before the run counts as incomplete.
+        """
         started = time.monotonic()
         units = expand_units(self.campaign)
         self.db.open_experiment(
@@ -512,31 +519,24 @@ class FleetDispatcher:
             self.campaign.to_payload(),
             git_hash=current_git_hash(),
         )
-        # Resume support: anything a previous run of this experiment
-        # already recorded (digest-verified) is not re-dispatched.  A
-        # row whose key the expansion no longer yields was computed by
-        # other simulator sources: it is moved aside, and its unit runs.
+        # A member whose key the expansion no longer yields belongs to
+        # another matrix or to other simulator sources: it is set aside.
         self.db.quarantine_stale(
             self.experiment_id, {unit.key for unit in units}
         )
-        already = set(self.db.unit_keys(self.experiment_id))
-        todo = [unit for unit in units if unit.key not in already]
-
-        if self.workers <= 0:
-            reports = [self._run_inline(todo)]
-            ledger = None
-        else:
-            ledger, reports = self._run_distributed(todo)
-
-        missing = [
-            unit.key
-            for unit in units
-            if self.db.load_unit(self.experiment_id, unit.key) is None
-        ]
-        if missing:
+        reports: List[WorkerReport] = []
+        todo = self._unverified(units)
+        for _ in range(2):
+            if not todo:
+                break
+            run = self._run_inline if self.workers <= 0 else self._run_distributed
+            reports += run(todo)
+            todo = self._unverified(units)
+        if todo:
             raise FleetError(
-                f"fleet run incomplete: {len(missing)} of {len(units)} "
-                f"units missing from the database ({missing[:4]}...)"
+                f"fleet run incomplete: {len(todo)} of {len(units)} "
+                f"units missing from the database "
+                f"({[unit.key for unit in todo[:4]]}...)"
             )
         self.db.finish_experiment(self.experiment_id)
         status = self.db.status(self.experiment_id)
@@ -545,16 +545,21 @@ class FleetDispatcher:
             units_total=len(units),
             units_recorded=int(status["units"]),
             duplicates=int(status["duplicates"]),
-            redispatches=ledger.redispatches if ledger else 0,
+            redispatches=self._redispatches,
             worker_deaths=sum(1 for r in reports if r.died),
             elapsed_s=time.monotonic() - started,
-            hangs=self._monitor.hangs if self._monitor else 0,
+            hangs=self._hangs,
             respawns=sum(r.respawns for r in reports),
             workers=reports,
         )
 
+    def _unverified(self, units: Sequence[FleetUnit]) -> List[FleetUnit]:
+        """The units with no verified result in this experiment."""
+        verified = {row.unit_key for row in self.db.unit_rows(self.experiment_id)}
+        return [unit for unit in units if unit.key not in verified]
+
     # -- inline (workers == 0) -------------------------------------------
-    def _run_inline(self, todo: Sequence[FleetUnit]) -> WorkerReport:
+    def _run_inline(self, todo: Sequence[FleetUnit]) -> List[WorkerReport]:
         """No subprocesses: run the units in order, recording each."""
         report = WorkerReport(worker_id="inline")
         cache = TraceCache()
@@ -562,26 +567,29 @@ class FleetDispatcher:
         for unit in todo:
             result = execute_unit(spec_to_run_unit(unit.spec), cache)
             landed = time.monotonic()
-            status = self.db.record_unit(
-                self.experiment_id,
-                unit.key,
-                dict(unit.spec.to_wire()),
-                result_payload(result),
-                worker_id="inline",
-                elapsed_s=landed - previous,
-            )
+            self._record(report, unit, result_payload(result), landed - previous)
             previous = landed
-            report.completed += 1
-            if status == "duplicate":
-                report.duplicates += 1
-            if self.on_record is not None:
-                self.on_record("inline", unit.key)
-        return report
+        return [report]
+
+    def _record(self, report, unit, payload, elapsed_s, ledger=None) -> None:
+        """Record one result, complete it, count it, fire ``on_record``."""
+        status = self.db.record_unit(
+            self.experiment_id,
+            unit.key,
+            dict(unit.spec.to_wire()),
+            payload,
+            worker_id=report.worker_id,
+            elapsed_s=elapsed_s,
+        )
+        if ledger is not None:
+            ledger.complete(unit.key, report.worker_id)
+        report.completed += 1
+        report.duplicates += status == "duplicate"
+        if self.on_record is not None:
+            self.on_record(report.worker_id, unit.key)
 
     # -- distributed -----------------------------------------------------
-    def _run_distributed(
-        self, todo: Sequence[FleetUnit]
-    ) -> Tuple[UnitLedger, List[WorkerReport]]:
+    def _run_distributed(self, todo: Sequence[FleetUnit]) -> List[WorkerReport]:
         ledger = UnitLedger(todo)
         runtime = (
             Path(self.runtime_dir)
@@ -644,17 +652,15 @@ class FleetDispatcher:
         finally:
             if self._monitor is not None:
                 self._monitor.stop()
+                self._hangs += self._monitor.hangs
             for handle in handles:
                 handle.stop()
-        return ledger, reports
+            self._redispatches += ledger.redispatches
+        return reports
 
     def _kill_stale_worker(self, worker: ServiceWorker) -> None:
-        """Heartbeat verdict: the worker is hung — kill it.
-
-        The blocked submit in its driver thread then fails fast, which
-        routes the hang through the ordinary death path (requeue,
-        respawn) with no special casing.
-        """
+        """Heartbeat verdict: kill the hung worker.  Its blocked submit
+        then fails fast into the ordinary death path (requeue, respawn)."""
         logger.warning(
             "fleet worker %s hung (stale heartbeat); killing",
             worker.worker_id,
@@ -758,20 +764,10 @@ class FleetDispatcher:
                     # claim back for the survivors and bow out.
                     return f"{type(exc).__name__}: {exc}"
                 try:
-                    status = self.db.record_unit(
-                        self.experiment_id,
-                        unit.key,
-                        dict(unit.spec.to_wire()),
-                        dict(frame["payload"]),
-                        worker_id=worker.worker_id,
-                        elapsed_s=time.monotonic() - submit_started,
+                    self._record(
+                        report, unit, dict(frame["payload"]),
+                        time.monotonic() - submit_started, ledger,
                     )
-                    ledger.complete(unit.key, worker.worker_id)
-                    report.completed += 1
-                    if status == "duplicate":
-                        report.duplicates += 1
-                    if self.on_record is not None:
-                        self.on_record(worker.worker_id, unit.key)
                 except Exception as exc:
                     raise FleetError(
                         f"{worker.worker_id} failed on unit {unit.key}: "
@@ -863,7 +859,10 @@ def _cmd_run(args) -> int:
             overrides=tuple(sorted(overrides.items())),
             fault_sites=args.fault_sites,
         )
-    db = FleetDB(Path(args.db) if args.db else None)
+    if args.db:
+        # The campaign's database is also its workers' default memo.
+        os.environ[ENV_DB] = args.db
+    db = FleetDB()
     dispatcher = FleetDispatcher(
         campaign,
         db,
@@ -946,7 +945,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     run.add_argument("--experiment", default="", help="experiment id")
     run.add_argument(
         "--db", default=None,
-        help=f"sqlite database path (default: ${ENV_DB_HELP})",
+        help="sqlite database path (default: $REPRO_FLEET_DB or "
+        "~/.cache/dolos-repro/fleet.sqlite)",
     )
     run.add_argument("--json", action="store_true")
     run.add_argument(
@@ -977,8 +977,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"fleet: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
-
-ENV_DB_HELP = "REPRO_FLEET_DB or ~/.cache/dolos-repro/fleet.sqlite"
 
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(main(sys.argv[1:]))

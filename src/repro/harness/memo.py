@@ -26,19 +26,21 @@ work exists.  The same key names the unit everywhere else: it is the
 service's job key (:func:`repro.service.protocol.job_key`) and the
 FleetDB's unit key.  ``run``, ``faults`` and ``scenario`` units are
 memoized; ``breakdown`` units bypass the memo (their instrumented
-results carry per-span state it does not capture).  Results are stored
-through the quarantining :class:`repro.harness.trace_store.ResultStore`
-(corrupt entries are moved aside and count as misses, never as wrong
-results).
+results carry per-span state it does not capture).  Results live in a
+:class:`repro.harness.trace_store.ResultStore` — by default the
+FleetDB's ``results`` table, so a campaign and its workers keep one
+copy of each payload — whose one digest check quarantines a corrupt
+row and reports a miss, never a wrong result.
 
 Environment:
 
-* ``REPRO_UNIT_MEMO=<dir>`` — memo directory (created on demand).
+* ``REPRO_UNIT_MEMO=<path>`` — the memo's SQLite file (created on
+  demand).
 * ``REPRO_UNIT_MEMO=off`` (or ``0``/``none``/``disabled``/empty) —
   disable the memo entirely.
-* unset — ``units`` sibling of the trace cache (so
-  ``REPRO_TRACE_CACHE=off`` with ``REPRO_UNIT_MEMO`` unset disables
-  both layers together).
+* unset — the FleetDB file (``REPRO_FLEET_DB``, else
+  ``~/.cache/dolos-repro/fleet.sqlite``), unless
+  ``REPRO_TRACE_CACHE=off`` disables both layers together.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from repro.harness.trace_store import (
     ResultStore,
     TraceCache,
     default_cache_dir,
+    default_db_path,
 )
 from repro.workloads import GENERATOR_VERSION
 
@@ -70,17 +73,16 @@ MEMO_VERSION = 2
 _MODEL_FINGERPRINT: Optional[str] = None
 
 
-def default_unit_memo_dir() -> Optional[Path]:
-    """Resolve the unit-memo directory from the environment."""
+def default_unit_memo_path() -> Optional[Path]:
+    """Resolve the unit memo's SQLite file from the environment."""
     env = os.environ.get("REPRO_UNIT_MEMO")
     if env is not None:
         if env.strip().lower() in _DISABLED_VALUES or not env.strip():
             return None
         return Path(env).expanduser()
-    traces = default_cache_dir()
-    if traces is None:
+    if default_cache_dir() is None:
         return None
-    return traces.parent / "units"
+    return default_db_path()
 
 
 def model_fingerprint() -> str:
@@ -175,15 +177,15 @@ def _decode(payload: dict, mode: str):
 
 
 class UnitMemo:
-    """Disk memo of completed run units, keyed by the unit."""
+    """Persistent memo of completed run units, keyed by the unit."""
 
-    #: Sentinel meaning "resolve the directory from the environment".
+    #: Sentinel meaning "resolve the file from the environment".
     AUTO = object()
 
-    def __init__(self, cache_dir=AUTO) -> None:
-        if cache_dir is UnitMemo.AUTO:
-            cache_dir = default_unit_memo_dir()
-        self._store = ResultStore(cache_dir) if cache_dir is not None else None
+    def __init__(self, path=AUTO) -> None:
+        if path is UnitMemo.AUTO:
+            path = default_unit_memo_path()
+        self._store = ResultStore(path) if path is not None else None
         self.hits = 0
         self.misses = 0
 
@@ -193,7 +195,7 @@ class UnitMemo:
 
     @property
     def quarantined_entries(self) -> int:
-        """Corrupt entries moved aside by the backing store."""
+        """Rows the backing store moved to quarantine."""
         return self._store.quarantined if self._store is not None else 0
 
     # ------------------------------------------------------------------
@@ -218,33 +220,20 @@ class UnitMemo:
 
     # ------------------------------------------------------------------
     def load(self, key: str, mode: str):
-        """The result of a ``mode`` unit stored under ``key``, or ``None``."""
+        """The result of a ``mode`` unit stored under ``key``, or ``None``.
+
+        A payload that does not decode to a ``mode`` result (a bad enum
+        value, a missing field) fails the store's check like a corrupt
+        one: left in place it would fail every future load of the key.
+        """
         if self._store is None:
             return None
-        payload = self._store.load(key)
-        if payload is None:
-            self.misses += 1
-            return None
-        try:
-            result = _decode(payload, mode)
-        except Exception:
-            # The payload passed the store's byte-digest check but does
-            # not decode to a result (bad enum value, missing field).
-            # Quarantine it like any other corrupt entry — leaving it in
-            # place would fail every future load of this key while
-            # blocking regeneration from ever being consulted.
-            self._store.hits -= 1
-            self._store._quarantine(self._store.path_for(key))
-            self._store.misses += 1
+        result = self._store.load(key, lambda payload: _decode(payload, mode))
+        if result is None:
             self.misses += 1
             return None
         self.hits += 1
         return result
-
-    def store(self, key: str, result) -> None:
-        if self._store is None:
-            return
-        self._store.store(key, result_payload(result))
 
     # ------------------------------------------------------------------
     def run(self, unit: RunUnit, cache: TraceCache):
@@ -260,5 +249,5 @@ class UnitMemo:
         if cached is not None:
             return cached
         result = simulate(unit, cache)
-        self.store(key, result)
+        self._store.store(key, result_payload(result))
         return result

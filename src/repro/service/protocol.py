@@ -340,11 +340,12 @@ def spec_to_run_unit(spec: JobSpec) -> RunUnit:
         spec.seed,
         mode=spec.mode,
         fault_sites=spec.fault_sites if spec.mode == "faults" else 0,
-        scenario=(
-            tuple(sorted(dict(spec.scenario).items()))
-            if spec.mode == "scenario"
-            else ()
-        ),
+        # Coerced as the simulation reads them, so ``rate: 1`` and
+        # ``rate: 1.0`` name one unit and one key.
+        scenario=tuple(sorted(
+            (key, _SCENARIO_COERCERS[key](value))
+            for key, value in dict(spec.scenario).items()
+        )) if spec.mode == "scenario" else (),
     )
 
 

@@ -357,8 +357,9 @@ class ExperimentServer:
         concurrently-running dispatcher (separate process, WAL) is never
         blocked by the service.
         """
-        from repro.fleet.db import FleetDB, FleetDBError
+        from repro.fleet.db import FleetDB
         from repro.fleet.report import build_report, render_html
+        from repro.harness.trace_store import ResultStoreError
 
         request_id = protocol.sanitize_request_id(message)
         experiment = message.get("experiment")
@@ -396,7 +397,7 @@ class ExperimentServer:
 
         try:
             reply = await asyncio.to_thread(build)
-        except FleetDBError as exc:
+        except ResultStoreError as exc:
             await session.post_critical(
                 {
                     "type": "error",

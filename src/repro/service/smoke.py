@@ -91,7 +91,7 @@ def run_smoke(
         # Hermetic caches: the server must not replay results produced
         # by earlier runs — dedup must come from *this* job mix.
         env["REPRO_TRACE_CACHE"] = str(tmp / "traces")
-        env["REPRO_UNIT_MEMO"] = str(tmp / "units")
+        env["REPRO_UNIT_MEMO"] = str(tmp / "memo.sqlite")
 
         direct = _direct_payloads(specs, cache_dir=tmp / "traces")
 

@@ -326,7 +326,7 @@ class TestCheckInvariants:
         try:
             db.open_experiment("exp", {"name": "exp"})
             violations = check_invariants(
-                db, "exp", {"unit-a", "unit-b"}, {}
+                db, "exp", {"unit-a": "digest-a", "unit-b": "digest-b"}
             )
         finally:
             db.close()
@@ -336,7 +336,7 @@ class TestCheckInvariants:
         db = FleetDB(tmp_path / "fleet.sqlite")
         try:
             db.open_experiment("exp", {"name": "exp"})
-            violations = check_invariants(db, "exp", set(), {})
+            violations = check_invariants(db, "exp", {})
         finally:
             db.close()
         assert violations == []
@@ -387,10 +387,8 @@ class TestChaosEndToEnd:
         self, tmp_path, monkeypatch
     ):
         _worker_env_patch(monkeypatch, tmp_path)
-        calm_dir = tmp_path / "calm"
-        calm_dir.mkdir()
-        expected, digests = _run_calm_baseline(_TINY, calm_dir)
-        assert len(expected) == 2
+        digests = _run_calm_baseline(_TINY)
+        assert len(digests) == 2
 
         # Both replays write to one directory, as a re-run of `make
         # chaos-smoke` does: the second must re-test, not resume.
@@ -401,7 +399,6 @@ class TestChaosEndToEnd:
                 1,
                 tmp_path / "run",
                 1,
-                expected,
                 digests,
                 plan=_pinned_plan(),
             )
@@ -436,9 +433,7 @@ class TestChaosEndToEnd:
         the one respawn is spent, worker-0 ends in respawn-exhausted,
         and worker-1 still records every unit exactly once."""
         _worker_env_patch(monkeypatch, tmp_path)
-        calm_dir = tmp_path / "calm"
-        calm_dir.mkdir()
-        expected, digests = _run_calm_baseline(_TINY, calm_dir)
+        digests = _run_calm_baseline(_TINY)
         plan = ChaosPlan(
             seed=98,
             workers=2,
@@ -450,7 +445,7 @@ class TestChaosEndToEnd:
         )
         run = run_chaos_once(
             _TINY, _supervision(respawns=1), 2, tmp_path / "run", 1,
-            expected, digests, plan=plan,
+            digests, plan=plan,
         )
         assert run["violations"] == []
         assert run["ok"] is True
@@ -467,6 +462,34 @@ class TestChaosEndToEnd:
         assert summary["units_recorded"] == summary["units_total"] == 2
         assert summary["duplicates"] == 0
         assert summary["respawns"] == 1
+
+    def test_store_corrupt_is_quarantined_and_recorded_again(
+        self, tmp_path, monkeypatch
+    ):
+        """The drill rewrites the first recorded results row of the
+        run's FleetDB (the workers' memo too); the dispatcher's verified
+        re-read quarantines it and records the unit again."""
+        _worker_env_patch(monkeypatch, tmp_path)
+        digests = _run_calm_baseline(_TINY)
+        plan = ChaosPlan(
+            seed=97, workers=1,
+            faults=(ChaosFault("store-0", "store-corrupt"),),
+        )
+        run = run_chaos_once(
+            _TINY, _supervision(), 1, tmp_path / "run", 1,
+            digests, plan=plan,
+        )
+        assert run["violations"] == [] and run["ok"] is True
+        [injection] = injections(run["events"])
+        detail = injection["fields"]["detail"]
+        assert detail.startswith("corrupted results row ")
+        assert detail.rsplit(" ", 1)[-1] in digests
+        assert run["classification"]["store-0"]["status"] == "tolerated"
+        summary = run["summary"]
+        assert summary["units_recorded"] == summary["units_total"] == 2
+        # Two first records plus the corrupted unit's second record.
+        assert summary["duplicates"] == 1
+        assert sum(w["completed"] for w in summary["workers"]) == 3
 
     def test_seeded_campaign_reports_zero_loss(self, tmp_path, monkeypatch):
         from repro.chaos.campaign import main as chaos_main

@@ -1,6 +1,8 @@
 """Batched-core tests: epoch kernel equivalence, cancellation leak
 bounds, packed trace replay, and unit memoization."""
 
+import sqlite3
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from repro.config import eager_config, lazy_config
 from repro.cpu.trace_io import PackedTrace, trace_to_arrays
 from repro.engine import EventQueue, Simulator
 from repro.harness import memo, parallel, trace_store
-from repro.harness.memo import UnitMemo, config_fingerprint, default_unit_memo_dir
+from repro.harness.memo import UnitMemo, config_fingerprint, default_unit_memo_path
 from repro.harness.parallel import RunUnit, execute_unit
 from repro.harness.runner import run_trace
 from repro.harness.trace_store import TraceCache
@@ -180,9 +182,13 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+def _memo_file(tmp_path):
+    return tmp_path / "memo.sqlite"
+
+
 class TestUnitMemo:
     def test_miss_then_hit_bit_identical(self, tmp_path):
-        unit_memo = UnitMemo(tmp_path)
+        unit_memo = UnitMemo(_memo_file(tmp_path))
         first = unit_memo.run(_unit(), TraceCache(None))
         assert (unit_memo.hits, unit_memo.misses) == (0, 1)
         second = unit_memo.run(_unit(), TraceCache(None))
@@ -226,7 +232,9 @@ class TestUnitMemo:
     def test_hit_neither_loads_nor_generates_a_trace(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setattr(parallel, "_UNIT_MEMO", UnitMemo(tmp_path))
+        monkeypatch.setattr(
+            parallel, "_UNIT_MEMO", UnitMemo(_memo_file(tmp_path))
+        )
         first = execute_unit(_unit(), TraceCache(None))
 
         def no_trace(*_args, **_kwargs):
@@ -236,7 +244,9 @@ class TestUnitMemo:
         assert execute_unit(_unit(), TraceCache(None)) == first
 
     def test_faults_unit_replays_from_the_memo(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(parallel, "_UNIT_MEMO", UnitMemo(tmp_path))
+        monkeypatch.setattr(
+            parallel, "_UNIT_MEMO", UnitMemo(_memo_file(tmp_path))
+        )
         calls = _count_calls(
             monkeypatch, repro.faults.campaign, "run_fault_unit"
         )
@@ -250,7 +260,9 @@ class TestUnitMemo:
         assert len(calls) == 1
 
     def test_scenario_unit_replays_from_the_memo(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(parallel, "_UNIT_MEMO", UnitMemo(tmp_path))
+        monkeypatch.setattr(
+            parallel, "_UNIT_MEMO", UnitMemo(_memo_file(tmp_path))
+        )
         calls = _count_calls(
             monkeypatch, repro.scenarios.loadcurve, "run_scenario"
         )
@@ -264,13 +276,17 @@ class TestUnitMemo:
         assert len(calls) == 1
 
     def test_corrupt_entry_is_a_miss_not_a_wrong_result(self, tmp_path):
-        UnitMemo(tmp_path).run(_unit(), TraceCache(None))
-        for entry in tmp_path.glob("*.json"):
-            entry.write_text(entry.read_text().replace('"cycles":', '"cycl":'))
-        fresh = UnitMemo(tmp_path)
+        UnitMemo(_memo_file(tmp_path)).run(_unit(), TraceCache(None))
+        with sqlite3.connect(_memo_file(tmp_path)) as conn:
+            conn.execute(
+                "UPDATE results SET payload = "
+                "replace(payload, '\"cycles\":', '\"cycl\":')"
+            )
+        fresh = UnitMemo(_memo_file(tmp_path))
         result = fresh.run(_unit(), TraceCache(None))
         assert result.cycles > 0
         assert fresh.hits == 0
+        assert fresh.quarantined_entries == 1
 
     def test_undecodable_payload_is_quarantined_and_regenerated(
         self, tmp_path
@@ -278,23 +294,24 @@ class TestUnitMemo:
         """A payload whose byte digest is valid but that does not decode
         to a RunResult must be quarantined — not left in the store to
         poison every future load of the key."""
-        unit_memo = UnitMemo(tmp_path)
+        unit_memo = UnitMemo(_memo_file(tmp_path))
         key = unit_memo.key_for(_unit())
-        # Digest-valid (the store recomputes it) but decode-invalid.
+        # Digest-valid (the store computes it) but decode-invalid.
         unit_memo._store.store(key, {"controller": "no-such-design"})
         assert unit_memo.load(key, "run") is None
         assert unit_memo.misses == 1
-        # The poisoned entry moved to quarantine and is gone from the
-        # store, so the next load is a plain path miss.
-        assert not unit_memo._store.path_for(key).exists()
-        assert unit_memo._store.quarantined == 1
-        quarantine = tmp_path / unit_memo._store.QUARANTINE_DIR
-        assert [p.name for p in quarantine.iterdir()] == [f"{key}.json"]
+        # The poisoned row moved to quarantine and is gone from the
+        # results, so the next load is a plain miss.
+        assert unit_memo._store.load(key) is None
+        assert unit_memo.quarantined_entries == 1
+        with sqlite3.connect(_memo_file(tmp_path)) as conn:
+            moved = conn.execute("SELECT unit_key FROM quarantine").fetchall()
+        assert moved == [(key,)]
         # Regeneration round-trip: run repopulates the key, and a fresh
         # memo now hits on a decodable payload.
         result = unit_memo.run(_unit(), TraceCache(None))
         assert result.cycles > 0
-        fresh = UnitMemo(tmp_path)
+        fresh = UnitMemo(_memo_file(tmp_path))
         again = fresh.load(key, "run")
         assert again is not None
         assert again.cycles == result.cycles
@@ -303,14 +320,19 @@ class TestUnitMemo:
         assert fresh.load(key, "faults") is None
         assert fresh.quarantined_entries == 1
 
-    def test_env_off_disables(self, monkeypatch):
+    def test_env_off_disables(self, tmp_path, monkeypatch):
+        """``off`` disables; a value names the file; unset is the FleetDB
+        file, unless the trace cache is off too."""
         monkeypatch.setenv("REPRO_UNIT_MEMO", "off")
-        assert default_unit_memo_dir() is None
-        monkeypatch.setenv("REPRO_UNIT_MEMO", "/tmp/somewhere")
-        assert str(default_unit_memo_dir()) == "/tmp/somewhere"
+        assert default_unit_memo_path() is None
+        monkeypatch.setenv("REPRO_UNIT_MEMO", "/tmp/somewhere.sqlite")
+        assert str(default_unit_memo_path()) == "/tmp/somewhere.sqlite"
         monkeypatch.delenv("REPRO_UNIT_MEMO")
+        monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_FLEET_DB", str(tmp_path / "fleet.sqlite"))
+        assert default_unit_memo_path() == tmp_path / "fleet.sqlite"
         monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
-        assert default_unit_memo_dir() is None
+        assert default_unit_memo_path() is None
 
     def test_config_fingerprint_stable(self):
         assert config_fingerprint(eager_config()) == config_fingerprint(

@@ -2,13 +2,13 @@
 
 The db is the fleet's ground truth — first completions and
 re-dispatched ones both funnel through :meth:`FleetDB.record_unit`, so
-the
-idempotent-upsert contract (first record wins, identical re-records
-count as duplicates, *divergent* re-records raise) is what makes
-"every unit exactly once" checkable at all.  Corruption handling
-mirrors the TraceStore: a row whose payload no longer matches its
-digest is quarantined and reported missing, never silently trusted;
-so is a stale row, whose key the campaign no longer expands to.
+the idempotent-upsert contract (first record wins, identical
+re-records count as duplicates, *divergent* re-records raise) is what
+makes "every unit exactly once" checkable at all.  Results live in the
+unit memo's store (one ``results`` row per key): a row whose payload no
+longer matches its digest is quarantined and reported missing, never
+silently trusted.  A member whose key the campaign no longer expands to
+is set aside for that experiment only; its result stays.
 """
 
 from __future__ import annotations
@@ -16,20 +16,21 @@ from __future__ import annotations
 import json
 import sqlite3
 import subprocess
+import sys
 import threading
 
 import pytest
 
 from repro.fleet import db as db_mod
-from repro.fleet.db import (
+from repro.fleet.db import FleetDB, current_git_hash
+from repro.fleet.report import build_report, render_html
+from repro.harness.memo import UnitMemo
+from repro.harness.trace_store import (
     ENV_DB,
-    FleetDB,
-    FleetDBError,
+    ResultStoreError,
     UnitDigestMismatch,
-    current_git_hash,
     default_db_path,
 )
-from repro.fleet.report import build_report, render_html
 from repro.service.protocol import result_digest
 from repro.workloads import GENERATOR_VERSION
 
@@ -77,7 +78,7 @@ class TestSchemaRoundTrip:
             attempts=2, elapsed_s=1.5,
         )
         assert status == "inserted"
-        row = db.load_unit("exp", "k1")
+        [row] = db.unit_rows("exp", "k1")
         assert row.spec == _spec()
         assert row.payload == _payload()
         assert row.payload_digest == result_digest(_payload())
@@ -89,19 +90,18 @@ class TestSchemaRoundTrip:
         assert row.duplicates == 0
 
     def test_unknown_experiment_raises(self, db):
-        with pytest.raises(FleetDBError, match="unknown experiment"):
+        with pytest.raises(ResultStoreError, match="unknown experiment"):
             db.experiment("nope")
 
     def test_missing_unit_is_none(self, db):
         db.open_experiment("exp", {})
-        assert db.load_unit("exp", "missing") is None
+        assert db.unit_rows("exp", "missing") == []
 
     def test_unit_rows_sorted_by_key(self, db):
         db.open_experiment("exp", {})
         for key in ("zz", "aa", "mm"):
             db.record_unit("exp", key, _spec(), _payload())
         assert [r.unit_key for r in db.unit_rows("exp")] == ["aa", "mm", "zz"]
-        assert db.unit_keys("exp") == ["aa", "mm", "zz"]
 
 
 class TestIdempotentUpsert:
@@ -121,7 +121,7 @@ class TestIdempotentUpsert:
         with pytest.raises(UnitDigestMismatch, match="non-deterministic"):
             db.record_unit("exp", "k1", _spec(), _payload(seed=99))
         # The original record survives untouched.
-        assert db.load_unit("exp", "k1").payload == _payload(seed=1)
+        assert db.unit_rows("exp", "k1")[0].payload == _payload(seed=1)
 
     def test_open_experiment_is_idempotent(self, db):
         db.open_experiment("exp", {"name": "first"}, git_hash="aaa")
@@ -173,11 +173,56 @@ class TestConcurrentWriters:
         assert sum(r.duplicates for r in rows) == len(keys)
 
 
+    def test_memo_and_ledger_writers_race_on_one_store(self, tmp_path):
+        """More writers than cores, switching often: two record the
+        units, two store the same results through the memo's store.
+        Each key ends with one results row and one member row, and no
+        write is lost or doubled."""
+        path = tmp_path / "fleet.sqlite"
+        FleetDB(path).open_experiment("exp", {})
+        keys = [f"k{i:03d}" for i in range(30)]
+        db, memo_store = FleetDB(path), UnitMemo(path)._store
+        errors = []
+
+        def writer(record):
+            try:
+                for key in keys:
+                    if record:
+                        db.record_unit("exp", key, _spec(), _payload())
+                    else:
+                        memo_store.store(key, _payload())
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=writer, args=(n % 2 == 0,))
+            for n in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        conn = db.connect()
+        for table in ("results", "units"):
+            count = conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()
+            assert count[0] == len(keys)
+        status = db.status("exp")
+        assert (status["units"], status["duplicates"]) == (30, 30)
+        assert db.integrity_check() == "ok"
+
+
 class TestQuarantine:
     def _corrupt(self, path, key):
         conn = sqlite3.connect(path)
         conn.execute(
-            "UPDATE units SET payload=? WHERE unit_key=?",
+            "UPDATE results SET payload=? WHERE unit_key=?",
             (json.dumps({"cycles": -1, "tampered": True}), key),
         )
         conn.commit()
@@ -192,13 +237,15 @@ class TestQuarantine:
         self._corrupt(path, "k1")
 
         db = FleetDB(path)
-        assert db.load_unit("exp", "k1") is None
+        assert db.unit_rows("exp", "k1") == []
         assert db.quarantined == 1
         assert db.status("exp")["quarantined"] == 1
         # The dispatcher's contract: quarantined == missing == re-run,
-        # and the fresh record lands cleanly.
-        assert db.record_unit("exp", "k1", _spec(), _payload()) == "inserted"
-        assert db.load_unit("exp", "k1").payload == _payload()
+        # and the fresh record lands cleanly (the membership is kept,
+        # so it counts as a re-record).
+        assert db.record_unit("exp", "k1", _spec(), _payload()) == "duplicate"
+        assert db.unit_rows("exp", "k1")[0].payload == _payload()
+        assert db.status("exp")["quarantined"] == 0
 
     def test_stale_rows_move_to_quarantine(self, db):
         db.open_experiment("exp", {})
@@ -207,16 +254,24 @@ class TestQuarantine:
             db.record_unit("exp", key, _spec(), _payload())
         db.record_unit("other", "old-1", _spec(), _payload())
         assert db.quarantine_stale("exp", {"keep", "new"}) == 2
-        assert db.unit_keys("exp") == ["keep"]
-        assert db.unit_keys("other") == ["old-1"]  # other experiments stay
+        assert [r.unit_key for r in db.unit_rows("exp")] == ["keep"]
+        assert [r.unit_key for r in db.unit_rows("other")] == ["old-1"]
         assert db.status("exp")["quarantined"] == 2
-        reasons = {
-            row[0]
-            for row in db._conn().execute(
-                "SELECT reason FROM quarantine WHERE experiment_id='exp'"
-            )
-        }
-        assert reasons == {"stale: recorded by other simulator sources"}
+        assert db.status("other")["quarantined"] == 0  # other experiments stay
+        # Only the membership is set aside: the results stay stored
+        # (the memo serves them), and nothing entered quarantine.
+        assert UnitMemo(db.path)._store.load("old-2") == _payload()
+        quarantined = db.connect().execute("SELECT COUNT(*) FROM quarantine")
+        assert quarantined.fetchone()[0] == 0
+
+    def test_a_stale_member_back_in_the_expansion_counts_again(self, db):
+        db.open_experiment("exp", {})
+        for key in ("k1", "k2"):
+            db.record_unit("exp", key, _spec(), _payload())
+        db.quarantine_stale("exp", {"k1"})
+        assert db.quarantine_stale("exp", {"k1", "k2"}) == 0
+        assert [r.unit_key for r in db.unit_rows("exp")] == ["k1", "k2"]
+        assert db.status("exp")["quarantined"] == 0
 
     def test_corrupt_row_dropped_from_bulk_reads(self, tmp_path):
         path = tmp_path / "fleet.sqlite"
@@ -228,6 +283,16 @@ class TestQuarantine:
         self._corrupt(path, "k1")
         db = FleetDB(path)
         assert [r.unit_key for r in db.unit_rows("exp")] == ["k2"]
+
+    def test_the_memo_and_the_ledger_share_one_row(self, tmp_path):
+        """A worker's memo and the dispatcher write one results row."""
+        path = tmp_path / "fleet.sqlite"
+        UnitMemo(path)._store.store("k1", _payload())
+        db = FleetDB(path)
+        db.open_experiment("exp", {})
+        assert db.record_unit("exp", "k1", _spec(), _payload()) == "inserted"
+        rows = db.connect().execute("SELECT unit_key FROM results").fetchall()
+        assert [row[0] for row in rows] == ["k1"]
 
 
 class TestStatusAndEnv:
@@ -253,9 +318,23 @@ class TestStatusAndEnv:
         db.open_experiment("exp", {})
         assert (tmp_path / "custom.sqlite").exists()
 
+    def test_a_file_the_memo_created_is_an_empty_fleet_db(self, tmp_path):
+        """The memo's default file is the FleetDB's: ``fleet status`` on
+        a file only the memo wrote (no ledger tables) lists no
+        experiments, and naming one is an unknown experiment."""
+        path = tmp_path / "fleet.sqlite"
+        UnitMemo(path)._store.store("k1", _payload())
+        readonly = FleetDB(path, readonly=True)
+        assert readonly.experiments() == []
+        with pytest.raises(ResultStoreError, match="unknown experiment"):
+            readonly.status("exp")
+        # A writer adds the ledger to the memo's file.
+        FleetDB(path).open_experiment("exp", {})
+        assert readonly.experiments() == ["exp"]
+
     def test_readonly_refuses_missing_file(self, tmp_path):
-        with pytest.raises(FleetDBError, match="no fleet database"):
-            FleetDB(tmp_path / "absent.sqlite", readonly=True)._conn()
+        with pytest.raises(ResultStoreError, match="no results database"):
+            FleetDB(tmp_path / "absent.sqlite", readonly=True).connect()
 
     def test_readonly_reads_without_writing(self, tmp_path):
         path = tmp_path / "fleet.sqlite"
@@ -263,9 +342,33 @@ class TestStatusAndEnv:
         rw.open_experiment("exp", {})
         rw.record_unit("exp", "k1", _spec(), _payload())
         ro = FleetDB(path, readonly=True)
-        assert ro.load_unit("exp", "k1").payload == _payload()
+        assert ro.unit_rows("exp", "k1")[0].payload == _payload()
         with pytest.raises(sqlite3.OperationalError):
-            ro._conn().execute("INSERT INTO quarantine VALUES (1,2,3,4,5,6)")
+            ro.record_unit("exp", "k2", _spec(), _payload())
+        with pytest.raises(sqlite3.OperationalError):
+            ro.connect().execute("DELETE FROM results")
+
+    def test_a_file_of_another_schema_is_refused_by_path(self, tmp_path):
+        """A file written by the previous layout (payload columns in
+        ``units``, no version stamp) fails at open, naming the file —
+        not with a column error mid-campaign."""
+        path = tmp_path / "old.sqlite"
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "CREATE TABLE units (experiment_id TEXT NOT NULL, unit_key "
+            "TEXT NOT NULL, payload TEXT NOT NULL, payload_digest TEXT "
+            "NOT NULL, PRIMARY KEY (experiment_id, unit_key))"
+        )
+        conn.execute("CREATE TABLE quarantine (experiment_id TEXT)")
+        conn.commit()
+        conn.close()
+        for open_db in (
+            lambda: FleetDB(path),
+            lambda: FleetDB(path, readonly=True).experiments(),
+            lambda: UnitMemo(path).load("k" * 24, "run"),
+        ):
+            with pytest.raises(ResultStoreError, match=str(path)):
+                open_db()
 
 
 class TestGitHash:

@@ -10,6 +10,7 @@ kill-vs-unkilled database comparison runs in the slow tier.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import time
 
 import pytest
 
-from repro.fleet.db import FleetDB, UnitDigestMismatch
+from repro.fleet.db import FleetDB
 from repro.fleet.dispatcher import (
     CampaignSpec,
     FleetDispatcher,
@@ -26,10 +27,11 @@ from repro.fleet.dispatcher import (
     expand_units,
     spec_to_run_unit,
 )
+from repro.fleet.dispatcher import main as fleet_main
 from repro.fleet.report import build_report, render_html
 from repro.harness import memo, parallel
 from repro.harness.parallel import execute_unit
-from repro.harness.trace_store import TraceCache
+from repro.harness.trace_store import TraceCache, UnitDigestMismatch
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import result_digest, result_payload
 
@@ -124,8 +126,9 @@ class TestFleetMatchesSerial:
     def test_resume_after_a_simulator_change_reruns_every_unit(
         self, tmp_path, monkeypatch
     ):
-        """Rows recorded by other simulator sources are stale: they move
-        to quarantine and every unit runs again."""
+        """Rows recorded by other simulator sources are stale: they are
+        set aside (``fleet status`` counts them) and every unit runs
+        again."""
         monkeypatch.setattr(parallel, "_UNIT_MEMO", memo.UnitMemo(None))
         campaign = _tiny_campaign(fault_sites=0)
         db = FleetDB(tmp_path / "fleet.sqlite")
@@ -140,6 +143,89 @@ class TestFleetMatchesSerial:
         assert len(recorded) == 4
         status = db.status("stale")
         assert (status["units"], status["quarantined"]) == (4, 4)
+
+    def test_a_smaller_matrix_under_the_same_name_keeps_the_results(
+        self, tmp_path, monkeypatch
+    ):
+        """A second run of one experiment with fewer seeds sets the
+        dropped members aside for that experiment only: their results
+        were computed by the current sources, so the memo still serves
+        them, and the full matrix resumes with nothing to run."""
+        path = tmp_path / "fleet.sqlite"
+        monkeypatch.setattr(parallel, "_UNIT_MEMO", memo.UnitMemo(path))
+        full = _tiny_campaign(fault_sites=0)
+        smaller = dataclasses.replace(full, seeds=(1,))
+        db = FleetDB(path)
+        FleetDispatcher(full, db, workers=0).run()
+        FleetDispatcher(smaller, db, workers=0).run()
+        status = db.status(full.name)
+        assert (status["units"], status["quarantined"]) == (2, 2)
+        dropped = {u.key for u in expand_units(full)} - {
+            u.key for u in expand_units(smaller)
+        }
+        fresh = memo.UnitMemo(path)
+        assert all(fresh.load(key, "run") is not None for key in dropped)
+        assert fresh.hits == 2
+        recorded = []
+        FleetDispatcher(
+            full, db, workers=0,
+            on_record=lambda _worker, key: recorded.append(key),
+        ).run()
+        assert recorded == []
+        status = db.status(full.name)
+        assert (status["units"], status["quarantined"]) == (4, 0)
+
+    def test_resume_reruns_a_unit_whose_result_fails_verification(
+        self, tmp_path, monkeypatch
+    ):
+        """Resume dispatches every unit without a *verified* result: a
+        corrupted row is re-run, and the run completes."""
+        monkeypatch.setattr(parallel, "_UNIT_MEMO", memo.UnitMemo(None))
+        campaign = _tiny_campaign(fault_sites=0)
+        db = FleetDB(tmp_path / "fleet.sqlite")
+        FleetDispatcher(campaign, db, workers=0, experiment_id="rot").run()
+        victim = expand_units(campaign)[0].key
+        db.connect().execute(
+            "UPDATE results SET payload='{\"cycles\":-1}' WHERE unit_key=?",
+            (victim,),
+        )
+        recorded = []
+        summary = FleetDispatcher(
+            campaign, db, workers=0, experiment_id="rot",
+            on_record=lambda _worker, key: recorded.append(key),
+        ).run()
+        assert recorded == [victim]
+        assert summary.units_recorded == summary.units_total == 4
+        _assert_matches_serial(db, "rot", _serial_digests(campaign))
+
+    def test_unset_cache_env_keeps_one_payload_per_unit(
+        self, tmp_path, monkeypatch
+    ):
+        """With no cache knob set, the workers' memo is the campaign's
+        database: each unit's payload is stored in one results row."""
+        for name in ("REPRO_UNIT_MEMO", "REPRO_TRACE_CACHE", "REPRO_FLEET_DB"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(parallel, "_UNIT_MEMO", None)
+        assert fleet_main([
+            "run", "--name", "one-copy", "--workloads", "hashmap",
+            "--designs", "dolos-partial,prewpq-eager", "--seeds", "1",
+            "--transactions", "6", "--workers", "1",
+        ]) == 0
+        cache = tmp_path / "cache" / "dolos-repro"
+        names = {path.name for path in cache.iterdir()}
+        assert names - {"fleet.sqlite-shm", "fleet.sqlite-wal"} == {
+            "fleet.sqlite", "traces",
+        }
+        db = FleetDB(cache / "fleet.sqlite")
+        rows = db.unit_rows("one-copy")
+        assert len(rows) == 2
+        stored = db.connect().execute(
+            "SELECT unit_key, payload_digest FROM results"
+        ).fetchall()
+        assert sorted(tuple(row) for row in stored) == sorted(
+            (row.unit_key, row.payload_digest) for row in rows
+        )
 
     def test_inline_rows_time_each_unit(self, tmp_path, monkeypatch):
         """An inline row's elapsed time is its own unit's, so the rows
@@ -237,9 +323,13 @@ class TestWorkerKill:
         assert summary.worker_deaths == 1
         assert summary.units_recorded == summary.units_total == len(serial)
         _assert_matches_serial(db, "killed", serial)
-        # Exactly once: each key appears in one row; a re-dispatched
-        # unit that lands twice only bumps the duplicates counter.
-        assert len(db.unit_keys("killed")) == len(serial)
+        # Exactly once: each key has one member row and one result; a
+        # re-dispatched unit that lands twice only bumps the duplicates
+        # counter.
+        conn = db.connect()
+        for table in ("units", "results"):
+            count = conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()
+            assert count[0] == len(serial)
 
     @pytest.mark.slow
     def test_three_worker_kill_db_equals_unkilled_run(self, tmp_path):

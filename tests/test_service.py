@@ -13,6 +13,7 @@ import json
 import multiprocessing
 import os
 import signal
+import sqlite3
 import time
 
 import pytest
@@ -21,7 +22,11 @@ from repro.config import ControllerKind, MiSUDesign
 from repro.harness import memo, parallel
 from repro.harness.parallel import RunUnit, execute_unit
 from repro.harness.runner import RunResult
-from repro.harness.trace_store import ResultStore, TraceCache
+from repro.harness.trace_store import (
+    ResultStore,
+    TraceCache,
+    UnitDigestMismatch,
+)
 from repro.instrumentation import EventLog
 from repro.oracle.check import controller_matrix
 from repro.service import protocol as proto
@@ -235,36 +240,115 @@ class TestResultPayload:
 # ======================================================================
 class TestResultStore:
     PAYLOAD = {"workload": "hashmap", "cycles": 123, "stats": {"a": 1}}
+    KEY = "k" * 24
+
+    def _store(self, tmp_path) -> ResultStore:
+        return ResultStore(tmp_path / "results.sqlite")
 
     def test_roundtrip(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.store("k" * 24, self.PAYLOAD)
-        assert store.load("k" * 24) == self.PAYLOAD
-        assert (store.hits, store.misses) == (1, 0)
+        store = self._store(tmp_path)
+        store.store(self.KEY, self.PAYLOAD)
+        assert store.load(self.KEY) == self.PAYLOAD
+        assert self._store(tmp_path).load(self.KEY) == self.PAYLOAD
 
     def test_miss(self, tmp_path):
-        store = ResultStore(tmp_path)
-        assert store.load("0" * 24) is None
-        assert store.misses == 1
+        assert self._store(tmp_path).load("0" * 24) is None
 
     def test_corrupt_entry_is_quarantined_not_served(self, tmp_path):
-        store = ResultStore(tmp_path)
-        key = "k" * 24
-        path = store.store(key, self.PAYLOAD)
-        entry = json.loads(path.read_text())
-        entry["payload"]["cycles"] = 999  # digest no longer matches
-        path.write_text(json.dumps(entry))
-        assert store.load(key) is None
+        store = self._store(tmp_path)
+        store.store(self.KEY, self.PAYLOAD)
+        tampered = json.dumps({**self.PAYLOAD, "cycles": 999})
+        store.connect().execute("UPDATE results SET payload=?", (tampered,))
+        assert store.load(self.KEY) is None
         assert store.quarantined == 1
-        assert not path.exists()
-        assert list((tmp_path / ResultStore.QUARANTINE_DIR).iterdir())
+        row = store.connect().execute(
+            "SELECT unit_key, payload, reason FROM quarantine"
+        ).fetchone()
+        assert (row["unit_key"], row["payload"]) == (self.KEY, tampered)
+        assert "digest" in row["reason"]
+        # Gone from the results: the next load is a plain miss, and a
+        # re-run records cleanly.
+        assert store.load(self.KEY) is None
+        store.store(self.KEY, self.PAYLOAD)
+        assert store.load(self.KEY) == self.PAYLOAD
 
-    def test_key_mismatch_is_quarantined(self, tmp_path):
-        store = ResultStore(tmp_path)
-        path = store.store("a" * 24, self.PAYLOAD)
-        path.rename(store.path_for("b" * 24))
-        assert store.load("b" * 24) is None
+    def test_first_record_wins_and_a_different_digest_raises(self, tmp_path):
+        store = self._store(tmp_path)
+        store.store(self.KEY, self.PAYLOAD)
+        store.store(self.KEY, dict(reversed(list(self.PAYLOAD.items()))))
+        with pytest.raises(UnitDigestMismatch, match="non-deterministic"):
+            store.store(self.KEY, {**self.PAYLOAD, "cycles": 124})
+        assert store.load(self.KEY) == self.PAYLOAD
+
+    def test_a_rotten_row_is_replaced_by_the_next_record(self, tmp_path):
+        store = self._store(tmp_path)
+        store.store(self.KEY, self.PAYLOAD)
+        store.connect().execute("UPDATE results SET payload='{}'")
+        store.store(self.KEY, self.PAYLOAD)
+        assert store.load(self.KEY) == self.PAYLOAD
         assert store.quarantined == 1
+
+    def test_a_deleted_file_is_reopened_not_served(self, tmp_path):
+        """A kept connection would go on reading the deleted file."""
+        store = self._store(tmp_path)
+        store.store(self.KEY, self.PAYLOAD)
+        for suffix in ("", "-wal", "-shm"):
+            os.unlink(f"{store.path}{suffix}")
+        assert store.load(self.KEY) is None
+        store.store("j" * 24, self.PAYLOAD)
+        assert store.load("j" * 24) == self.PAYLOAD
+        assert store.path.exists()
+
+    def test_a_new_file_is_created_unsynced_then_commits_at_normal(
+        self, tmp_path, monkeypatch
+    ):
+        """Creating a file costs no fsync (six when synced, all inside
+        the first unit a new store serves); every connection then runs
+        at NORMAL, whose checkpoints sync."""
+        statements = []
+        connect = sqlite3.connect
+
+        def traced(*args, **kwargs):
+            conn = connect(*args, **kwargs)
+            conn.set_trace_callback(statements.append)
+            return conn
+
+        monkeypatch.setattr(sqlite3, "connect", traced)
+        store = self._store(tmp_path)
+        store.store(self.KEY, self.PAYLOAD)
+        assert statements[0] == "PRAGMA synchronous=OFF"
+        reopened = self._store(tmp_path)
+        statements.clear()
+        assert reopened.load(self.KEY) == self.PAYLOAD
+        assert statements[0] == "PRAGMA synchronous=NORMAL"
+        for conn in (store.connect(), reopened.connect()):
+            assert conn.execute("PRAGMA synchronous").fetchone()[0] == 1
+
+    def test_a_forked_child_opens_its_own_connection(self, tmp_path):
+        """The ``--jobs 2`` pool forks after the loop thread used the
+        store: the child must not use the connection it inherited."""
+        store = self._store(tmp_path)
+        store.store("p" * 24, self.PAYLOAD)
+        inherited = store.connect()
+        child = multiprocessing.get_context("fork").Process(
+            target=_child_records, args=(store, inherited)
+        )
+        child.start()
+        child.join(60)
+        assert child.exitcode == 0
+        store.store("q" * 24, self.PAYLOAD)
+        assert store.connect() is inherited
+        for key in ("p", "c", "q"):
+            assert store.load(key * 24) == self.PAYLOAD
+        verdict = store.connect().execute("PRAGMA integrity_check")
+        assert verdict.fetchone()[0] == "ok"
+
+
+def _child_records(store: ResultStore, inherited) -> None:
+    if store.connect() is inherited:
+        os._exit(3)
+    store.store("c" * 24, TestResultStore.PAYLOAD)
+    os._exit(0 if store.load("c" * 24) == TestResultStore.PAYLOAD else 4)
 
 
 # ======================================================================
@@ -279,9 +363,9 @@ def _scheduler(**kwargs) -> ExperimentScheduler:
     return ExperimentScheduler(**kwargs)
 
 
-def _restart_memo(monkeypatch, memo_dir) -> None:
-    """A restarted server: a fresh process memo over ``memo_dir``."""
-    monkeypatch.setattr(parallel, "_UNIT_MEMO", memo.UnitMemo(memo_dir))
+def _restart_memo(monkeypatch, memo_path) -> None:
+    """A restarted server: a fresh process memo over ``memo_path``."""
+    monkeypatch.setattr(parallel, "_UNIT_MEMO", memo.UnitMemo(memo_path))
 
 
 class TestScheduler:
@@ -319,7 +403,7 @@ class TestScheduler:
     def test_result_store_replays_across_scheduler_restarts(
         self, tmp_path, monkeypatch
     ):
-        memo_dir = tmp_path / "units"
+        memo_path = tmp_path / "memo.sqlite"
 
         async def first_life():
             scheduler = _scheduler()
@@ -337,9 +421,9 @@ class TestScheduler:
             await scheduler.close()
             return job, stats
 
-        _restart_memo(monkeypatch, memo_dir)
+        _restart_memo(monkeypatch, memo_path)
         payload = _run_async(first_life())
-        _restart_memo(monkeypatch, memo_dir)
+        _restart_memo(monkeypatch, memo_path)
         job, stats = _run_async(second_life())
         assert job.cached
         assert job.payload == payload
@@ -358,7 +442,7 @@ class TestScheduler:
             return job, stats
 
         def life():
-            _restart_memo(monkeypatch, tmp_path / "units")
+            _restart_memo(monkeypatch, tmp_path / "memo.sqlite")
             return _run_async(scenario())
 
         life()

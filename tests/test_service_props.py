@@ -13,7 +13,7 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.harness.memo import UnitMemo
 from repro.oracle.check import controller_matrix
@@ -34,7 +34,7 @@ overrides = st.fixed_dictionaries(
         "persist_model": st.sampled_from(["epoch", "strict"]),
     },
 )
-specs = st.builds(
+run_specs = st.builds(
     proto.JobSpec,
     workload=workloads,
     design=designs,
@@ -43,6 +43,27 @@ specs = st.builds(
     experiment_id=st.text(max_size=24),
     overrides=overrides,
 )
+#: Open-loop descriptors drawn from a tiny space, each number in its
+#: int and float spelling, so two draws often name one arrival process.
+scenarios = st.fixed_dictionaries(
+    {
+        "rate": st.sampled_from([1, 1.0]),
+        "burst": st.sampled_from([2, 2.0]),
+        "arrivals": st.just("mmpp"),
+    },
+    optional={"dwell": st.sampled_from([12, 12.0])},
+)
+scenario_specs = st.builds(
+    proto.JobSpec,
+    workload=workloads,
+    design=designs,
+    transactions=st.integers(1, 4),
+    seed=st.integers(0, 1),
+    experiment_id=st.text(max_size=24),
+    mode=st.just("scenario"),
+    scenario=scenarios,
+)
+specs = st.one_of(run_specs, scenario_specs)
 
 json_scalars = st.one_of(
     st.none(),
@@ -87,17 +108,28 @@ class TestJobSpecProperties:
         assert proto.job_key(spec) == proto.job_key(relabelled)
 
     @given(specs, specs, st.booleans())
+    @example(  # one arrival process, two spellings of its numbers
+        proto.JobSpec(
+            "hashmap", "dolos-full", 4, 1, mode="scenario",
+            scenario={"rate": 1, "burst": 2, "arrivals": "mmpp"},
+        ),
+        proto.JobSpec(
+            "hashmap", "dolos-full", 4, 1, mode="scenario",
+            scenario={"rate": 1.0, "burst": 2.0, "arrivals": "mmpp"},
+        ),
+        False,
+    )
     def test_job_key_collides_exactly_when_the_run_units_agree(
         self, a, b, same_cell
     ):
         # The dedup guarantee: same key => same simulation, different
         # simulation => different key.  ``same_cell`` leaves only the
-        # overrides (and the label) to differ, which often resolve to
-        # the same config.
+        # overrides, the scenario's spelling (and the label) to differ,
+        # which often resolve to the same unit.
         if same_cell:
             b = dataclasses.replace(
                 b, workload=a.workload, design=a.design,
-                transactions=a.transactions, seed=a.seed,
+                transactions=a.transactions, seed=a.seed, mode=a.mode,
             )
         same_key = proto.job_key(a) == proto.job_key(b)
         same_unit = proto.spec_to_run_unit(a) == proto.spec_to_run_unit(b)
