@@ -28,14 +28,17 @@ suite).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import Callable, Deque, Optional, Tuple
 
 from repro.config import ControllerKind
-from repro.core.requests import WriteKind, WriteRequest
-from repro.engine import Signal
-from repro.engine.resources import PipelineLane, Resource
+from repro.core.requests import WriteRequest
+from repro.engine.resources import PipelineLane
+
+#: A write's persist-completion callback (``None`` for evictions).
+OnPersist = Optional[Callable[[], None]]
 
 #: Cycles between WPQ drain command issues (scheduler bandwidth);
 #: NVM bank busy-times provide the real throughput limit.
@@ -144,9 +147,9 @@ def controller_spec(kind: ControllerKind) -> ControllerSpec:
 # ======================================================================
 # WPQ-protection strategies (the write path)
 # ======================================================================
-# Every strategy is a callback state machine: ``start(request, done)``
-# runs at the write's arrival cycle, each later stage is a
-# ``call_after``/Signal subscription, and all three share the
+# Every strategy is a callback state machine: ``start(request,
+# on_persist)`` runs at the write's arrival cycle, each later stage is a
+# ``call_after`` or a plain callback slot, and all three share the
 # controller's ``allocate`` retry loop.  The controller therefore holds
 # no generator and can be deep-copied mid-run (the crash oracle crashes
 # copies, :meth:`repro.oracle.driver.OracleExecution.crash_copy`).
@@ -162,17 +165,17 @@ class DirectInsertWrite:
         self.c = controller
         self.marks_protected = controller.spec.marks_protected
 
-    def start(self, request: WriteRequest, done: Optional[Signal]) -> None:
-        self.c.allocate(request, partial(self._allocated, done))
+    def start(self, request: WriteRequest, on_persist: OnPersist) -> None:
+        self.c.allocate(request, partial(self._allocated, on_persist))
 
-    def _allocated(self, done: Optional[Signal], entry) -> None:
+    def _allocated(self, on_persist: OnPersist, entry) -> None:
         # Queue insertion takes one cycle.
-        self.c.sim.call_after(1, partial(self._inserted, entry, done))
+        self.c.sim.call_after(1, partial(self._inserted, entry, on_persist))
 
-    def _inserted(self, entry, done: Optional[Signal]) -> None:
+    def _inserted(self, entry, on_persist: OnPersist) -> None:
         if self.marks_protected:
             entry.protected = True  # inside the (battery-backed) domain
-        self.c.persisted(entry, done)
+        self.c.persisted(entry, on_persist)
 
 
 class MaSUFrontWrite(DirectInsertWrite):
@@ -192,7 +195,7 @@ class MaSUFrontWrite(DirectInsertWrite):
             controller.config.security.masu_issue_interval, "security-unit"
         )
 
-    def start(self, request: WriteRequest, done: Optional[Signal]) -> None:
+    def start(self, request: WriteRequest, on_persist: OnPersist) -> None:
         c = self.c
         sim = c.sim
         # Security first (the persist critical path of the baseline).
@@ -205,12 +208,14 @@ class MaSUFrontWrite(DirectInsertWrite):
         _start, finish = self.lane.book(sim.now, latency)
         if request.data is not None:
             c.masu.secure_write(request.address, request.data)
-        sim.call_after(finish - sim.now, partial(self._secured, request, done))
+        sim.call_after(
+            finish - sim.now, partial(self._secured, request, on_persist)
+        )
 
-    def _secured(self, request: WriteRequest, done: Optional[Signal]) -> None:
-        self.c.stats.add("security.pre_wpq_ops")
+    def _secured(self, request: WriteRequest, on_persist: OnPersist) -> None:
+        self.c.counts["security.pre_wpq_ops"] += 1
         # Then persist: WPQ insertion.
-        super().start(request, done)
+        super().start(request, on_persist)
 
 
 class MiSUWriteEngine:
@@ -224,41 +229,42 @@ class MiSUWriteEngine:
 
     def __init__(self, controller) -> None:
         self.c = controller
-        #: Serializes slot allocation so coalescing/allocation stay FIFO.
-        self.port = Resource(controller.sim, 1, "misu")
+        #: The Mi-SU port serializes slot allocation so coalescing and
+        #: allocation stay FIFO.  A write holds it from arrival until
+        #: its MAC is booked (deferred: until it commits).
+        self.port_held = False
+        #: Writes waiting for the port, as ``(request, on_persist)`` in
+        #: arrival order; a release hands the port to the oldest.
+        self.port_queue: Deque[Tuple[WriteRequest, OnPersist]] = deque()
         #: Mi-SU's pipelined MAC engine.
         self.lane = PipelineLane(
             controller.config.security.misu_issue_interval, "misu-mac"
         )
         #: The Mi-SU flavour is fixed per run; resolve the per-write
-        #: branches once.
+        #: branches and the allocation-to-commit latency once.
         self.deferred = controller.misu.deferred
+        self.insertion_latency = controller.misu.insertion_latency()
 
     # -- write ----------------------------------------------------------
-    def start(self, request: WriteRequest, done: Optional[Signal]) -> None:
-        """Acquire the Mi-SU port (Resource.acquire's uncontended path
-        inlined), then move to the busy-check/alloc stage."""
-        port = self.port
-        if port.in_use < port.capacity and not port._wait_queue:
-            port.in_use += 1
-            port.total_acquisitions += 1
-            self._write_port_held(request, done)
+    def start(self, request: WriteRequest, on_persist: OnPersist) -> None:
+        """Take the Mi-SU port, or queue for it, then move to the
+        busy-check/alloc stage."""
+        if self.port_held:
+            self.port_queue.append((request, on_persist))
             return
-        gate = Signal(self.c.sim, name=f"{port.name}.gate")
-        port._wait_queue.append(gate)
-        started = self.c.sim.now
+        self.port_held = True
+        self._write_port_held(request, on_persist)
 
-        def granted(_value: object) -> None:
-            port.total_wait_cycles += self.c.sim.now - started
-            port.in_use += 1
-            port.total_acquisitions += 1
-            self._write_port_held(request, done)
+    def _release_port(self) -> None:
+        queue = self.port_queue
+        if queue:
+            self._write_port_held(*queue.popleft())
+        else:
+            self.port_held = False
 
-        gate._waiters.append(granted)
-
-    def _write_port_held(self, request: WriteRequest, done: Optional[Signal]) -> None:
+    def _write_port_held(self, request: WriteRequest, on_persist: OnPersist) -> None:
         c = self.c
-        then = partial(self._write_committed, request, done)
+        then = partial(self._write_committed, request, on_persist)
         # Post-WPQ-MiSU: a previous deferred secure op may still be
         # running; only one may be outstanding (Section 4.3).
         if self.deferred and c.misu.is_busy(c.sim.now):
@@ -270,32 +276,31 @@ class MiSUWriteEngine:
         c.allocate(request, then)
 
     def _write_committed(
-        self, request: WriteRequest, done: Optional[Signal], entry
+        self, request: WriteRequest, on_persist: OnPersist, entry
     ) -> None:
-        c = self.c
-        sim = c.sim
-        misu = c.misu
+        sim = self.c.sim
         if self.deferred:
             # Commit immediately; the secure op runs post-commit on the
             # (reservable-by-ADR) deferred engine.  The port is held
             # through commit so the "at most one outstanding deferred
             # op" invariant (Section 4.3) cannot be raced.
             sim.call_after(
-                misu.insertion_latency(),
-                partial(self._write_deferred_commit, entry, done),
+                self.insertion_latency,
+                partial(self._write_deferred_commit, entry, on_persist),
             )
             return
         # Full/Partial: XOR + MAC(s) before commit, on the pipelined
         # Mi-SU MAC engine (the port is released as soon as the op is
         # booked, so inserts pipeline at the engine's initiation
         # interval).
-        _start, finish = self.lane.book(sim.now, misu.insertion_latency())
-        self.port.release()
+        _start, finish = self.lane.book(sim.now, self.insertion_latency)
+        self._release_port()
         sim.call_after(
-            finish - sim.now, partial(self._write_protect, entry, request, done)
+            finish - sim.now,
+            partial(self._write_protect, entry, request, on_persist),
         )
 
-    def _write_deferred_commit(self, entry, done: Optional[Signal]) -> None:
+    def _write_deferred_commit(self, entry, on_persist: OnPersist) -> None:
         c = self.c
         entry.mac_pending = True
         entry.protected = True  # committed; ADR covers the MAC
@@ -303,22 +308,22 @@ class MiSUWriteEngine:
         c.sim.call_after(
             deferred_done - c.sim.now, partial(self._finish_deferred, entry)
         )
-        self.port.release()
-        c.persisted(entry, done)
+        self._release_port()
+        c.persisted(entry, on_persist)
 
     def _write_protect(
-        self, entry, request: WriteRequest, done: Optional[Signal]
+        self, entry, request: WriteRequest, on_persist: OnPersist
     ) -> None:
         c = self.c
         if request.data is not None:
             c.misu.protect(entry)
         entry.protected = True
-        c.stats.add("misu.protected")
+        c.counts["misu.protected"] += 1
         if c.timeline is not None:
             c.timeline.event(
                 c.sim.now, "misu.protect", f"{entry.index}:{request.seq}"
             )
-        c.persisted(entry, done)
+        c.persisted(entry, on_persist)
 
     def _finish_deferred(self, entry) -> None:
         """Complete a Post-WPQ deferred protection."""
@@ -327,7 +332,7 @@ class MiSUWriteEngine:
             if entry.request.data is not None:
                 c.misu.protect(entry)
             entry.mac_pending = False
-            c.stats.add("misu.protected")
+            c.counts["misu.protected"] += 1
             if c.timeline is not None:
                 c.timeline.event(
                     c.sim.now,
@@ -341,7 +346,7 @@ class MiSUWriteEngine:
 # ======================================================================
 # A drain is a ``wake`` callback: it issues the oldest pending entry,
 # books that entry's completion and then its own next wake, and parks
-# on ``entry_added`` when the queue is empty.
+# in the controller's ``parked_drain`` slot when the queue is empty.
 class PlainDrain:
     """Drain already-secured entries: pipelined NVM writes.
 
@@ -355,13 +360,13 @@ class PlainDrain:
         self.c = controller
         self.writes_data = controller.spec.drain_writes_data
 
-    def wake(self, _value=None) -> None:
+    def wake(self) -> None:
         c = self.c
         sim = c.sim
         wpq = c.wpq
         entry = wpq.oldest_pending()
         if entry is None:
-            c.entry_added._waiters.append(self.wake)
+            c.parked_drain = self.wake
             return
         wpq.begin_fetch(entry)
         assert entry.request is not None
@@ -377,8 +382,8 @@ class PlainDrain:
         if request.data is not None and self.writes_data:
             c.nvm.write_line(request.address, request.data)
         c.wpq.mark_cleared(entry)
-        c.stats.add("wpq.drained")
-        c.slot_freed.fire(entry)
+        c.counts["wpq.drained"] += 1
+        c.slot_freed(entry)
 
 
 class MaSUBackendDrain:
@@ -399,13 +404,13 @@ class MaSUBackendDrain:
         )
         self.mac_latency = controller.config.security.mac_latency
 
-    def wake(self, _value=None) -> None:
+    def wake(self) -> None:
         c = self.c
         sim = c.sim
         wpq = c.wpq
         entry = wpq.oldest_pending()
         if entry is None:
-            c.entry_added._waiters.append(self.wake)
+            c.parked_drain = self.wake
             return
         if entry.mac_pending:
             # Let the deferred Mi-SU op finish before consuming.
@@ -447,8 +452,8 @@ class MaSUBackendDrain:
         # its MAC (the cleared flag is in the MAC domain).
         c.wpq.mark_cleared(entry)
         c.misu.reseal_cleared(entry)
-        c.stats.add("masu.writes")
-        c.slot_freed.fire(entry)
+        c.counts["masu.writes"] += 1
+        c.slot_freed(entry)
 
 
 # ======================================================================

@@ -30,9 +30,14 @@ tags kept for the public API:
 
 The core-facing protocol:
 
-* ``submit_write(request)`` returns a :class:`Signal` that fires when a
-  PERSIST write is architecturally persisted (EVICTION writes return
-  ``None`` and are handled in the background).
+* ``submit_write(request, on_persist)`` hands a write to the controller
+  and returns nothing.  ``on_persist()`` is called, with no argument,
+  the moment a PERSIST write is architecturally persisted; it is
+  ``None`` for EVICTION writes, which drain in the background.  A
+  PERSIST submitted without a callback still completes and counts.
+  The callback is deep-copied with an in-flight write when the
+  controller is (the crash oracle's copies), so it must not be a bound
+  method of an object holding a generator.
 * ``read(address, at_tail)`` returns what the caller waits on: the read
   latency in cycles when it is known at issue, else a Signal fired with
   it.  It is known for a WPQ hit, for a design without a Ma-SU, and —
@@ -48,7 +53,7 @@ The core-facing protocol:
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.config import ControllerKind, SimConfig
 from repro.core.composition import (
@@ -67,6 +72,13 @@ from repro.engine import Signal, Simulator
 from repro.stats import StatsRegistry
 from repro.wpq.adr import ADRDrain
 from repro.wpq.queue import WritePendingQueue
+
+
+_PERSIST = WriteKind.PERSIST
+
+
+def _unobserved() -> None:
+    """Completion of a PERSIST write submitted without a callback."""
 
 
 class MemoryController:
@@ -97,14 +109,18 @@ class MemoryController:
         self.wpq = WritePendingQueue(
             self._wpq_capacity(), line_bytes=config.llc.line_bytes
         )
+        self.coalescing = config.wpq_coalescing
         self._seq = 0
-        #: Fired every time a WPQ slot frees (wakes blocked writes).
-        self.slot_freed = Signal(sim, "wpq.slot_freed")
-        #: Fired every time an entry lands in the WPQ (wakes an idle drain).
-        self.entry_added = Signal(sim, "wpq.entry_added")
+        #: The registry's counter mapping: the per-write counters are
+        #: incremented on it directly.
+        self.counts = self.stats.counts
+        #: The drain's wake-up while it is parked on an empty queue;
+        #: the next commit (:meth:`persisted`) calls it.
+        self.parked_drain: Optional[Callable[[], None]] = None
+        #: Writes a full queue NACK'd, as ``(request, then)`` in arrival
+        #: order; each freed slot (:meth:`slot_freed`) re-tries them all.
+        self.blocked_writes: List[Tuple[WriteRequest, Callable]] = []
         self._drain_started = False
-        self.writes_received = 0
-        self.reads_received = 0
         #: Optional instrumentation (see :meth:`attach_timeline`).
         self.timeline = None
         # -- the declared composition ----------------------------------
@@ -157,30 +173,28 @@ class MemoryController:
             else:
                 self._drain.wake()
 
-    def submit_write(self, request: WriteRequest) -> Optional[Signal]:
+    def submit_write(
+        self,
+        request: WriteRequest,
+        on_persist: Optional[Callable[[], None]] = None,
+    ) -> None:
         """Hand a write to the controller.
 
-        PERSIST writes return a Signal fired at persist completion;
-        EVICTION writes are fire-and-forget (``None``).
+        ``on_persist()`` is called once a PERSIST write is persisted
+        (``None`` for EVICTION writes, which nothing waits on).
         """
         sim = self.sim
         request.seq = self._seq
         self._seq += 1
         request.arrival = sim.now
-        self.writes_received += 1
-        self.stats.add("controller.writes")
-        # Names are static: per-request formatted names cost a string
-        # build per write and nothing reads them (request identity for
-        # the span tracer rides on the timeline event details instead).
-        done = (
-            Signal(sim, "persist") if request.kind is WriteKind.PERSIST else None
-        )
+        self.counts["controller.writes"] += 1
+        if on_persist is None and request.kind is _PERSIST:
+            on_persist = _unobserved
         heap = sim._queue._heap
         if sim._batch_pending or (heap and heap[0][0] == sim.now):
-            sim.call_after(0, partial(self._write.start, request, done))
+            sim.call_after(0, partial(self._write.start, request, on_persist))
         else:
-            self._write.start(request, done)
-        return done
+            self._write.start(request, on_persist)
 
     def read(self, address: int, at_tail: bool = False) -> Union[int, Signal]:
         """Demand read (LLC miss): the latency, or a Signal fired with it.
@@ -225,8 +239,7 @@ class MemoryController:
         now = sim.now
         address &= ~0x3F  # line-align
         if not deferred:
-            self.reads_received += 1
-            self.stats.add("controller.reads")
+            self.counts["controller.reads"] += 1
             heap = sim._queue._heap
             if sim._batch_pending or (heap and heap[0][0] == now):
                 if wait:
@@ -287,10 +300,10 @@ class MemoryController:
         for a freed slot are queueing, not new re-tries).
         """
         wpq = self.wpq
-        if self.config.wpq_coalescing:
+        if self.coalescing:
             entry = wpq.try_coalesce(request)
             if entry is not None:
-                self.stats.add("wpq.coalesced")
+                self.counts["wpq.coalesced"] += 1
                 then(entry)
                 return
         entry = wpq.try_allocate(request)
@@ -300,16 +313,33 @@ class MemoryController:
         if not blocked:
             wpq.record_retry()
             self.stats.add("wpq.retries")
-        self.slot_freed._waiters.append(
-            lambda _value: self.allocate(request, then, True)
-        )
+        self.blocked_writes.append((request, then))
 
-    def persisted(self, entry, done: Optional[Signal]) -> None:
-        """An entry committed to the WPQ: fire its persist, wake the drain."""
-        if done is not None:
-            done.fire(self.sim.now)
-            self.stats.add("persist.completed")
-        self.entry_added.fire(entry)
+    def persisted(self, entry, on_persist: Optional[Callable[[], None]]) -> None:
+        """An entry committed to the WPQ: complete its persist, wake the drain."""
+        if on_persist is not None:
+            on_persist()
+            self.counts["persist.completed"] += 1
+        if self.timeline is not None:
+            self._log_insert(entry)
+        drain = self.parked_drain
+        if drain is not None:
+            self.parked_drain = None
+            drain()
+
+    def slot_freed(self, entry) -> None:
+        """A drained entry freed its slot: re-try the blocked writes.
+
+        They re-try oldest first; one that loses the race again queues
+        behind the writes it blocked with, in order.
+        """
+        if self.timeline is not None:
+            self._log_drain(entry)
+        blocked = self.blocked_writes
+        if blocked:
+            self.blocked_writes = []
+            for request, then in blocked:
+                self.allocate(request, then, True)
 
     def _wpq_read_hit_latency(self) -> int:
         """Serving a read from the WPQ: tag lookup + XOR decrypt."""
@@ -321,8 +351,9 @@ class MemoryController:
     def attach_timeline(self, timeline) -> None:
         """Record WPQ occupancy, retry and persist-boundary events.
 
-        Sampling piggybacks on the insertion/drain signals so the
-        simulation hot path is untouched when no timeline is attached.
+        Insertions and drains are sampled by :meth:`persisted` and
+        :meth:`slot_freed` (one ``timeline`` check each when no
+        timeline is attached); the rest wraps WPQ and Ma-SU methods.
         Boundary events (``wpq.insert``/``wpq.pop``/``wpq.drain`` and,
         when the controller has a Ma-SU, ``masu.stage``/``masu.commit``)
         mark every instant the persisted state changes — the crash-site
@@ -336,10 +367,7 @@ class MemoryController:
         :data:`repro.instrumentation.PERSIST_BOUNDARY_KINDS`.
         """
         self.timeline = timeline
-        sample = timeline.sample
         event = timeline.event
-        added_fire = self.entry_added.fire
-        freed_fire = self.slot_freed.fire
         record_retry = self.wpq.record_retry
         begin_fetch = self.wpq.begin_fetch
         try_allocate = self.wpq.try_allocate
@@ -352,21 +380,6 @@ class MemoryController:
                 f"{'P' if request.kind is WriteKind.PERSIST else 'E'}:"
                 f"{'-' if issue is None else issue}"
             )
-
-        def on_added(value=None):
-            sample(self.sim.now, "wpq.occupancy", self.wpq.occupancy)
-            detail = ""
-            request = getattr(value, "request", None)
-            if request is not None:
-                detail = f"{value.index}:{request.seq}"
-            event(self.sim.now, "wpq.insert", detail)
-            added_fire(value)
-
-        def on_freed(value=None):
-            sample(self.sim.now, "wpq.occupancy", self.wpq.occupancy)
-            index = getattr(value, "index", None)
-            event(self.sim.now, "wpq.drain", "" if index is None else str(index))
-            freed_fire(value)
 
         def on_retry():
             event(self.sim.now, "wpq.retry")
@@ -388,8 +401,6 @@ class MemoryController:
                 event(self.sim.now, "wpq.coalesce", request_detail(entry, request))
             return entry
 
-        self.entry_added.fire = on_added
-        self.slot_freed.fire = on_freed
         self.wpq.record_retry = on_retry
         self.wpq.begin_fetch = on_fetch
         self.wpq.try_allocate = on_allocate
@@ -416,6 +427,20 @@ class MemoryController:
 
             masu.stage = on_stage
             masu.apply = on_apply
+
+    def _log_insert(self, entry) -> None:
+        timeline = self.timeline
+        now = self.sim.now
+        timeline.sample(now, "wpq.occupancy", self.wpq.occupancy)
+        request = entry.request
+        detail = "" if request is None else f"{entry.index}:{request.seq}"
+        timeline.event(now, "wpq.insert", detail)
+
+    def _log_drain(self, entry) -> None:
+        timeline = self.timeline
+        now = self.sim.now
+        timeline.sample(now, "wpq.occupancy", self.wpq.occupancy)
+        timeline.event(now, "wpq.drain", str(entry.index))
 
     def stats_snapshot(self) -> Dict[str, int]:
         snap = dict(self.stats.as_dict())

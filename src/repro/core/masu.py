@@ -114,12 +114,13 @@ class MajorSecurityUnit:
         self.integrity_failures = 0
         self.dedup_cancelled_writes = 0
         self.page_reencryptions = 0
-        #: Per-page ancestor-key chains for the tree walks.  The tree's
-        #: height and arity are fixed at construction (the merkle model
-        #: never regrows), so the keys touched walking up from a leaf
-        #: are a pure function of the page number — computed once and
-        #: replayed as a tuple on every subsequent persist to the page.
-        self._walk_keys: Dict[int, Tuple[int, ...]] = {}
+        #: Per-page tree walks: the ancestor-node keys from the page's
+        #: leaf to the root, and their MT-cache slots
+        #: (:meth:`MetadataCache.path_slots`).  The tree's height and
+        #: arity are fixed at construction (the merkle model never
+        #: regrows), so both are a pure function of the page number —
+        #: computed once and replayed on every later access to the page.
+        self._walks: Dict[int, Tuple[Tuple[int, ...], tuple]] = {}
         # Latency constants resolved once: the timing helpers run per
         # write/read and the config attribute chains dominate them.
         self._aes_latency = security.aes_latency
@@ -137,10 +138,10 @@ class MajorSecurityUnit:
         self.counter_writes_through = 0
         self.counter_writes_coalesced = 0
 
-    def _page_walk_keys(self, page: int) -> Tuple[int, ...]:
-        """Tree-node keys on the path from ``page``'s leaf to the root."""
-        keys = self._walk_keys.get(page)
-        if keys is None:
+    def _page_walk(self, page: int) -> Tuple[Tuple[int, ...], tuple]:
+        """``page``'s tree-node keys, leaf to root, and their MT slots."""
+        walk = self._walks.get(page)
+        if walk is None:
             arity = self.config.security.tree_arity
             index = page
             path = []
@@ -148,8 +149,8 @@ class MajorSecurityUnit:
                 index //= arity
                 path.append(ShadowTracker.tree_key(level, index))
             keys = tuple(path)
-            self._walk_keys[page] = keys
-        return keys
+            walk = self._walks[page] = (keys, self.mt_cache.path_slots(keys))
+        return walk
 
     # ==================================================================
     # Functional write path (Figure 11 steps 2-3)
@@ -419,7 +420,7 @@ class MajorSecurityUnit:
         mac_latency = self._mac_latency
         latency = 0
         mt_access = self.mt_cache.access
-        for key in self._page_walk_keys(page):
+        for key in self._page_walk(page)[0]:
             hit = mt_access(key, False)
             latency += mac_latency  # verify child against this node
             if hit:
@@ -465,7 +466,9 @@ class MajorSecurityUnit:
         # keep the lump latency; misses were already charged via the
         # counter walk, so we only mark dirtiness here.
         if self._merkle:
-            self.mt_cache.access_path(self._page_walk_keys(address >> 12), True)
+            page = address >> 12
+            keys, slots = self._walks.get(page) or self._page_walk(page)
+            self.mt_cache.access_path(keys, slots, True)
         return latency
 
     def read_verify_latency(self, now: int, address: int) -> int:

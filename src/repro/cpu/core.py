@@ -19,8 +19,9 @@ ahead (``tests/test_run_ahead.py``).
 Persist semantics (the crux of the paper):
 
 * ``clwb`` of a dirty line launches a writeback that reaches the memory
-  controller after the hierarchy traversal latency; the controller's
-  persist-completion signal decrements the outstanding count.
+  controller after the hierarchy traversal latency; the controller
+  calls the core back at persist completion, which decrements the
+  outstanding count.
 * ``sfence`` stalls the core until the outstanding count reaches zero —
   so every cycle of pre-WPQ security latency (baseline) or Mi-SU
   latency (Dolos) shows up in the fence stall, exactly the effect
@@ -29,6 +30,7 @@ Persist semantics (the crux of the paper):
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Optional, Tuple, Union
 
 from repro.config import SimConfig
@@ -49,6 +51,9 @@ from repro.cpu.trace import ARRIVAL_CYCLE_MASK, ARRIVAL_TENANT_SHIFT
 from repro.cpu.trace_io import PackedTrace
 from repro.engine import Process, Signal, Simulator
 from repro.stats import StatsRegistry
+
+_PERSIST = WriteKind.PERSIST
+_EVICTION = WriteKind.EVICTION
 
 
 class TraceCore:
@@ -81,6 +86,8 @@ class TraceCore:
         #: change every result digest.
         self.read_stall_cycles = 0
         self._outstanding_persists = 0
+        #: Fired when the last outstanding persist completes, and only
+        #: then: a fence waits on it.
         self._fence_signal = Signal(sim, "core.fence")
         self._process: Optional[Process] = None
         #: Optional instrumentation (span tracing): when attached, the
@@ -111,12 +118,14 @@ class TraceCore:
         # hoisted into locals once.
         sim = self.sim
         idle_through = sim.idle_through
+        call_after = sim.call_after
         strict = self.config.core.persist_model == "strict"
         controller_read = self.controller.read
         controller_fill = self.controller.fill
-        submit_eviction = self._submit_eviction
-        launch_persist = self._launch_persist
-        stats_add = self.stats.add
+        submit_write = self.controller.submit_write
+        persist_complete = self._persist_complete
+        flush_latency = self.flush_latency
+        counts = self.stats.counts
         record = self.stats.record
         tx_start_cycle = 0
         # Open-loop bookkeeping (scenario traces only): the arrival
@@ -139,10 +148,12 @@ class TraceCore:
             if kind == EV_FILL:
                 # Write-allocate fill: nothing waits on it.
                 controller_fill(operand)
-                stats_add("core.store_miss_fills")
+                counts["core.store_miss_fills"] += 1
                 continue
             if kind == EV_EVICT:
-                submit_eviction(operand)
+                # Dirty LLC victim: a background write, never waited on.
+                counts["core.evictions"] += 1
+                submit_write(WriteRequest(operand, _EVICTION))
                 continue
             if wait:
                 if at_tail and idle_through(sim.now + wait):
@@ -164,22 +175,34 @@ class TraceCore:
                     yield latency
                     at_tail = True
                 self.read_stall_cycles += latency
-                stats_add("core.memory_reads")
+                counts["core.memory_reads"] += 1
             elif kind == EV_PERSIST:
-                launch_persist(operand)
+                # A clwb writeback, pipelined: it reaches the controller
+                # after the flush traversal.  The request is built at
+                # issue so it carries the cycle the span tracer takes
+                # as the start of the persist critical path.
+                self._outstanding_persists += 1
+                counts["core.persists_issued"] += 1
+                request = WriteRequest(operand, _PERSIST)
+                request.issue_cycle = sim.now
+                call_after(
+                    flush_latency, partial(submit_write, request, persist_complete)
+                )
                 # Strict persistency: the flush itself blocks until the
                 # write is in the persistence domain.
                 if strict and (yield from self._await_persists()):
                     at_tail = False
             elif kind == EV_FENCE:
-                if (yield from self._await_persists()):
+                if self._outstanding_persists and (
+                    yield from self._await_persists()
+                ):
                     at_tail = False
-                stats_add("core.fences")
+                counts["core.fences"] += 1
             elif kind == EV_TXBEGIN:
                 tx_start_cycle = sim.now
             elif kind == EV_TXEND:
                 record("core.tx_cycles", sim.now - tx_start_cycle)
-                stats_add("core.transactions")
+                counts["core.transactions"] += 1
                 if pending_arrival >= 0:
                     sojourn = sim.now - pending_arrival
                     queue_delay = tx_start_cycle - pending_arrival
@@ -202,7 +225,7 @@ class TraceCore:
                 # queued and its wait shows up in the sojourn.
                 pending_tenant = operand >> ARRIVAL_TENANT_SHIFT
                 pending_arrival = operand & ARRIVAL_CYCLE_MASK
-                stats_add("core.arrivals")
+                counts["core.arrivals"] += 1
                 if pending_arrival > sim.now:
                     if at_tail and idle_through(pending_arrival):
                         sim.now = pending_arrival
@@ -210,7 +233,7 @@ class TraceCore:
                         yield pending_arrival - sim.now
                         at_tail = True
                 else:
-                    stats_add("core.arrivals_queued")
+                    counts["core.arrivals_queued"] += 1
         if stream.tail:
             yield stream.tail
         # Implicit final fence so all persists land before we report.
@@ -235,37 +258,17 @@ class TraceCore:
             yield self._fence_signal
             stalled = True
             stall = sim.now - started
-            self.stats.add("core.fence_stall_cycles", stall)
+            self.stats.counts["core.fence_stall_cycles"] += stall
             if self.timeline is not None:
                 self.timeline.event(sim.now, "core.fence_stall", str(stall))
         return stalled
 
     # ------------------------------------------------------------------
-    def _launch_persist(self, address: int) -> None:
-        """Issue a clwb writeback toward the controller (pipelined)."""
-        self._outstanding_persists += 1
-        self.stats.add("core.persists_issued")
-        # Built at issue time so the request carries the cycle the span
-        # tracer treats as the start of the persist critical path.
-        request = WriteRequest(address, WriteKind.PERSIST)
-        request.issue_cycle = self.sim.now
-
-        def submit() -> None:
-            done = self.controller.submit_write(request)
-            assert done is not None
-            done.subscribe(self._persist_complete)
-
-        self.sim.call_after(self.flush_latency, submit)
-
-    def _persist_complete(self, _value: object = None) -> None:
+    def _persist_complete(self) -> None:
+        """The controller's persist-completion callback."""
         self._outstanding_persists -= 1
         if self._outstanding_persists == 0:
             self._fence_signal.fire(None)
-
-    def _submit_eviction(self, address: int) -> None:
-        """Dirty LLC victim: background write, core never waits."""
-        self.stats.add("core.evictions")
-        self.controller.submit_write(WriteRequest(address, WriteKind.EVICTION))
 
     # ------------------------------------------------------------------
     @property

@@ -50,6 +50,54 @@ class RunResult:
         return 1000.0 * self.stats.get("wpq.retry_events", 0) / writes
 
 
+class AccountingError(RuntimeError):
+    """A finished run whose counters break an exact accounting law."""
+
+
+def check_accounting(stats: Mapping[str, int], wpq_read_hits: int = 0) -> None:
+    """Raise :class:`AccountingError` unless a finished run's counters balance.
+
+    The laws are exact integer identities at quiescence, when every
+    persist has completed and the WPQ is empty; the error names the
+    first broken law and both of its sides.  ``wpq_read_hits`` counts
+    the demand reads the WPQ served (no stat key carries it).
+    """
+    get = stats.get
+    laws = [
+        (
+            "controller.writes == wpq.inserts + wpq.coalesced",
+            get("controller.writes", 0),
+            get("wpq.inserts", 0) + get("wpq.coalesced", 0),
+        ),
+        (
+            "persist.completed == core.persists_issued",
+            get("persist.completed", 0),
+            get("core.persists_issued", 0),
+        ),
+        (
+            "controller.reads == nvm.reads + WPQ read hits",
+            get("controller.reads", 0),
+            get("nvm.reads", 0) + wpq_read_hits,
+        ),
+        (
+            "wpq.inserts == wpq.drained + masu.writes",
+            get("wpq.inserts", 0),
+            get("wpq.drained", 0) + get("masu.writes", 0),
+        ),
+    ]
+    if "misu.protected" in stats:
+        laws.append(
+            (
+                "misu.protected == masu.writes + wpq.coalesced",
+                get("misu.protected", 0),
+                get("masu.writes", 0) + get("wpq.coalesced", 0),
+            )
+        )
+    for law, left, right in laws:
+        if left != right:
+            raise AccountingError(f"accounting law {law} broken: {left} != {right}")
+
+
 def result_payload(result) -> Dict[str, object]:
     """Serialise one unit result to a wire/cache-stable dict.
 
@@ -133,6 +181,7 @@ def run_trace(
         merged[name + ".p95"] = hist.percentile(0.95)
         merged[name + ".p99"] = hist.percentile(0.99)
         merged[name + ".max"] = hist.max_value or 0
+    check_accounting(merged, controller.wpq.read_hits)
     return RunResult(
         workload=workload_name,
         controller=config.controller,

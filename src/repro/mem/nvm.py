@@ -38,6 +38,7 @@ class NVMDevice:
         self._num_banks = self.config.num_banks
         self._read_latency = self.config.read_latency
         self._write_latency = self.config.write_latency
+        self._accept_latency = self.config.accept_latency
         self.reads = 0
         self.writes = 0
         self.meta_reads = 0
@@ -150,10 +151,7 @@ class NVMDevice:
     # ------------------------------------------------------------------
     # Timing plane
     # ------------------------------------------------------------------
-    def _bank_for(self, address: int) -> int:
-        # Line-interleaved banking.
-        return (address >> 6) % self.config.num_banks
-
+    # Banks are line-interleaved: a line's bank is (address >> 6) % banks.
     def timed_access(self, now: int, address: int, is_write: bool) -> int:
         """Book an access and return its completion cycle.
 
@@ -181,12 +179,13 @@ class NVMDevice:
         (the WPQ slot can be reclaimed); ``done`` is media completion
         (the bank stays busy until then).
         """
-        bank = self._bank_for(address)
-        start = max(now, self._bank_free_at[bank])
-        done = start + self.config.write_latency
+        bank = (address >> 6) % self._num_banks
+        free = self._bank_free_at[bank]
+        start = now if now > free else free
+        done = start + self._write_latency
         self._bank_free_at[bank] = done
         self.writes += 1
-        return start + self.config.accept_latency, done
+        return start + self._accept_latency, done
 
     def timed_meta_access(self, now: int, key: int, is_write: bool) -> int:
         """Timing for a security-metadata access (same banks, tagged stats)."""

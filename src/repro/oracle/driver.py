@@ -8,9 +8,9 @@ for each op::
 
     1. write the value payload to fresh 64 B lines at VALUE_BASE
        (PUTs only; 1-2 lines);
-    2. **fence**: wait until every value line's persist signal fired;
+    2. **fence**: wait until every value line persisted;
     3. write one 64 B commit record at ``record_address(seq)``;
-    4. wait for the commit record's persist signal.
+    4. wait until the commit record persisted.
 
 Because the fence orders values before their commit record and records
 are written strictly in sequence, a crash at *any* instant leaves a
@@ -32,12 +32,12 @@ the next site.
 from __future__ import annotations
 
 import copy
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.config import CACHELINE_BYTES, SimConfig
 from repro.core.controller import MemoryController, make_controller
 from repro.core.requests import WriteKind, WriteRequest
-from repro.engine import Process, Signal, Simulator, WaitSignal
+from repro.engine import Process, Signal, Simulator
 from repro.oracle.ops import Op
 from repro.persistence.commitlog import (
     OP_DEL,
@@ -71,6 +71,9 @@ class OracleExecution:
         self.commits_fired = 0
         #: Next free value line (bump allocator; out-of-place writes).
         self._value_cursor = VALUE_BASE
+        #: Fired when a fence's last write persisted; the driver waits
+        #: on it at every fence.
+        self._fence = Signal(self.sim, "oracle.fence")
         self._driver = Process(self.sim, self._drive(), name="oracle.drive")
 
     # -- lifecycle -----------------------------------------------------
@@ -97,38 +100,36 @@ class OracleExecution:
         return crash_system(controller, battery=battery, injector=injector)
 
     # -- op stream -----------------------------------------------------
-    def _submit_line(self, address: int, payload: bytes) -> Signal:
-        if len(payload) < CACHELINE_BYTES:
-            payload = payload + b"\x00" * (CACHELINE_BYTES - len(payload))
-        done = self.controller.submit_write(
-            WriteRequest(address, WriteKind.PERSIST, data=payload)
-        )
-        assert done is not None
-        return done
+    def _persist(self, lines: List[Tuple[int, bytes]], commit: bool = False):
+        """Generator step: persist ``lines`` and block until all did (a fence).
 
-    def _fence(self, signals: List[Signal]):
-        """Generator step: block until every signal in the batch fired.
-
-        :class:`~repro.engine.process.Signal` has no memory, so waiting
-        on the batch one-by-one would hang if an earlier member fired
-        while we waited on a later one.  Instead each member got a
-        counting subscriber *at submit time* (persist signals always
-        fire at least one cycle after submission, so no fire can
-        precede the subscription) and a fresh aggregate signal fires on
-        the last completion.
+        Every line gets the same counting callback; the last completion
+        fires the fence the driver waits on.  A completion comes at
+        least one cycle after its submission, so none precedes the
+        wait.  ``commit`` counts the completion in
+        :attr:`commits_fired`.  The callback is a plain function, not a
+        bound method: a crash copy deep-copies it with the in-flight
+        write, and this object holds the driver's generator.
         """
-        barrier = Signal(self.sim, "oracle.fence")
-        remaining = len(signals)
+        fence = self._fence
+        sim = self.sim
+        remaining = len(lines)
 
-        def arrived(_value) -> None:
+        def persisted() -> None:
             nonlocal remaining
+            if commit:
+                self.commits_fired += 1
             remaining -= 1
             if remaining == 0:
-                barrier.fire(self.sim.now)
+                fence.fire(sim.now)
 
-        for signal in signals:
-            signal.subscribe(arrived)
-        yield WaitSignal(barrier)
+        for address, payload in lines:
+            if len(payload) < CACHELINE_BYTES:
+                payload = payload + b"\x00" * (CACHELINE_BYTES - len(payload))
+            self.controller.submit_write(
+                WriteRequest(address, WriteKind.PERSIST, data=payload), persisted
+            )
+        yield fence
 
     def _drive(self):
         for op in self.ops:
@@ -137,14 +138,15 @@ class OracleExecution:
                 lines = value_lines(len(value))
                 value_address = self._value_cursor
                 self._value_cursor += lines * CACHELINE_BYTES
-                pending = [
-                    self._submit_line(
-                        value_address + i * CACHELINE_BYTES,
-                        value[i * CACHELINE_BYTES:(i + 1) * CACHELINE_BYTES],
-                    )
-                    for i in range(lines)
-                ]
-                yield from self._fence(pending)
+                yield from self._persist(
+                    [
+                        (
+                            value_address + i * CACHELINE_BYTES,
+                            value[i * CACHELINE_BYTES:(i + 1) * CACHELINE_BYTES],
+                        )
+                        for i in range(lines)
+                    ]
+                )
                 record = CommitRecord(
                     seq=op.seq,
                     op=OP_PUT,
@@ -162,16 +164,10 @@ class OracleExecution:
                     value_length=0,
                     checksum=value_checksum(b""),
                 )
-            commit_done = self._submit_line(
-                record_address(op.seq), record.encode()
-            )
-
-            def committed(_value) -> None:
-                self.commits_fired += 1
-
-            commit_done.subscribe(committed)
             # Commit records are strictly ordered: the next op's value
-            # lines may not even be submitted until this record's
-            # persist completion fires.
-            yield from self._fence([commit_done])
+            # lines may not even be submitted until this record
+            # persisted.
+            yield from self._persist(
+                [(record_address(op.seq), record.encode())], commit=True
+            )
         return self.commits_fired

@@ -2,7 +2,7 @@
 
 The oracle drives every controller with a log-structured key/value
 store: each transaction writes its value lines to fresh addresses,
-fences (waits for the persist signals), then appends one 64-byte
+fences (waits until those lines persisted), then appends one 64-byte
 commit record.  Because the record is written *after* its value lines
 are in the persistence domain, the recovered commit log is always a
 gap-free prefix of the submitted transaction stream — the invariant

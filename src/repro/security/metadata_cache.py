@@ -113,16 +113,36 @@ class MetadataCache:
                 self.on_dirty_eviction(self._address_to_key(victim.address))
         return False
 
-    def access_path(self, keys: Tuple[int, ...], is_write: bool) -> int:
+    def path_slots(self, keys: Tuple[int, ...]) -> Tuple[Tuple[dict, int, int], ...]:
+        """Each key's ``(set, tag, set index)``, for :meth:`access_path`.
+
+        A pure function of the keys (the set dicts never change
+        identity), so a caller that walks the same chain on every write
+        computes it once.
+        """
+        cache = self._cache
+        num_sets = cache._num_sets
+        sets = cache._sets
+        return tuple(
+            (sets[key % num_sets], key // num_sets, key % num_sets) for key in keys
+        )
+
+    def access_path(
+        self,
+        keys: Tuple[int, ...],
+        slots: Tuple[Tuple[dict, int, int], ...],
+        is_write: bool,
+    ) -> int:
         """Reference a chain of blocks (a tree walk) in one fused loop.
 
         Equivalent to ``sum(not self.access(k, is_write) for k in keys)``
         — returns the number of *misses* — but keeps the per-key
         bookkeeping inline so an eager tree update (height ≈ 8 accesses
         per persisted line) costs one method call instead of eight.
-        Falls back to per-key :meth:`access` when a fault injector is
-        armed or keys don't map 1:1 onto lines, so fault campaigns see
-        the exact same injection points.
+        ``slots`` is :meth:`path_slots` of ``keys``.  Falls back to
+        per-key :meth:`access` when a fault injector is armed or keys
+        don't map 1:1 onto lines, so fault campaigns see the exact same
+        injection points.
         """
         if self.fault_injector is not None or not self._key_is_line:
             misses = 0
@@ -130,22 +150,18 @@ class MetadataCache:
                 if not self.access(key, is_write):
                     misses += 1
             return misses
-        self.accesses += len(keys)
+        self.accesses += len(slots)
         # The per-key body of SetAssociativeCache.reference_line,
         # inlined: an eager walk re-touches the same ancestor chain on
         # every persist, so the method-call overhead per level is the
         # dominant cost, not the dict work itself.
         cache = self._cache
-        sets = cache._sets
         num_sets = cache._num_sets
         assoc = cache._assoc
         on_dirty = self.on_dirty_eviction
         hits = 0
         misses = 0
-        for key in keys:
-            index = key % num_sets
-            cache_set = sets[index]
-            tag = key // num_sets
+        for cache_set, tag, index in slots:
             state = cache_set.get(tag)
             if state is not None:
                 hits += 1

@@ -96,19 +96,27 @@ class ServiceClient:
 
     # ------------------------------------------------------------------
     def _dial(self) -> dict:
-        """(Re)connect and read the greeting; returns the hello frame."""
+        """(Re)connect and read the greeting; returns the hello frame.
+
+        A connect or greeting that fails closes the new socket before
+        the error propagates: a constructor that raises leaves nothing
+        open, and a re-dial after a garbled greeting leaks no fd.
+        """
         self._teardown()
-        if isinstance(self.address, str):
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self.timeout)
-            sock.connect(self.address)
-        else:
-            sock = socket.create_connection(
-                self.address, timeout=self.timeout
-            )
-        self._sock = sock
-        self._file = sock.makefile("rwb")
-        self.hello = self._read()
+        try:
+            if isinstance(self.address, str):
+                self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                self._sock.settimeout(self.timeout)
+                self._sock.connect(self.address)
+            else:
+                self._sock = socket.create_connection(
+                    self.address, timeout=self.timeout
+                )
+            self._file = self._sock.makefile("rwb")
+            self.hello = self._read()
+        except BaseException:
+            self._teardown()
+            raise
         return self.hello
 
     def _teardown(self) -> None:

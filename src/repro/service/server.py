@@ -213,14 +213,20 @@ class ExperimentServer:
                 if done:
                     break
         finally:
-            await session.drain_writer()
-            await writer_task
-            self._sessions.discard(session)
+            # The socket is closed even when this task is cancelled
+            # mid-flush (``asyncio.run`` cancels every task left when
+            # its main coroutine returns), so no session's transport
+            # outlives the loop.
             try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
+                await session.drain_writer()
+                await writer_task
+            finally:
+                self._sessions.discard(session)
+                try:
+                    writer.close()
+                    await writer.wait_closed()
+                except (ConnectionResetError, BrokenPipeError, OSError):
+                    pass
 
     async def _handle_message(self, session: _ClientSession, line: bytes) -> bool:
         """Dispatch one frame; returns True when the session should end.

@@ -71,18 +71,21 @@ class StatsRegistry:
     """Flat store of named counters/histograms with scoped views."""
 
     def __init__(self) -> None:
-        self._counters: Dict[str, int] = defaultdict(int)
+        #: The counters themselves.  Hot paths increment it directly
+        #: (``counts[name] += 1``), which is what :meth:`add` does
+        #: without the method call; a name appears once first counted.
+        self.counts: Dict[str, int] = defaultdict(int)
         self._histograms: Dict[str, Histogram] = {}
 
     # -- counters ------------------------------------------------------
     def add(self, name: str, amount: int = 1) -> None:
-        self._counters[name] += amount
+        self.counts[name] += amount
 
     def set(self, name: str, value: int) -> None:
-        self._counters[name] = value
+        self.counts[name] = value
 
     def get(self, name: str, default: int = 0) -> int:
-        return self._counters.get(name, default)
+        return self.counts.get(name, default)
 
     # -- histograms ----------------------------------------------------
     def histogram(self, name: str) -> Histogram:
@@ -100,13 +103,13 @@ class StatsRegistry:
         return StatsScope(self, prefix)
 
     def counters(self) -> Iterator[Tuple[str, int]]:
-        return iter(sorted(self._counters.items()))
+        return iter(sorted(self.counts.items()))
 
     def histograms(self) -> Iterator[Tuple[str, Histogram]]:
         return iter(sorted(self._histograms.items()))
 
     def as_dict(self) -> Dict[str, int]:
-        return dict(self._counters)
+        return dict(self.counts)
 
     def ratio(self, numerator: str, denominator: str) -> float:
         denom = self.get(denominator)

@@ -115,8 +115,11 @@ class WritePendingQueue:
         Ma-SU.  The caller still re-runs Mi-SU protection on the merged
         payload (a fresh ciphertext/MAC for the slot).
         """
-        entry = self.lookup(request.address)
-        if entry is None or entry.in_flight:
+        index = self._tags.get(request.address & self._line_mask)
+        if index is None:
+            return None
+        entry = self.entries[index]
+        if not entry.occupied or entry.in_flight:
             return None
         # The slot's old (protected) content stays architectural until
         # Mi-SU re-protects the merged payload; a crash in between
@@ -201,7 +204,7 @@ class WritePendingQueue:
         entry.cleared = True
         entry.in_flight = False
         if entry.request is not None:
-            key = self.line_address(entry.request.address)
+            key = entry.request.address & self._line_mask
             if self._tags.get(key) == entry.index:
                 del self._tags[key]
         self.next_fetch_index = (entry.index + 1) % self.capacity

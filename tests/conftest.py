@@ -66,6 +66,21 @@ def record_read():
     return issue
 
 
+@pytest.fixture
+def persist():
+    """Submit a PERSIST write and call ``then(cycle)`` once it persisted.
+
+    ``persist(controller, request, then)`` passes the controller a
+    completion callback that hands ``then`` the cycle of completion.
+    """
+
+    def submit(controller, request, then):
+        sim = controller.sim
+        controller.submit_write(request, lambda: then(sim.now))
+
+    return submit
+
+
 @pytest.fixture(scope="session")
 def tier1_metrics():
     """Every golden-snapshot headline metric, recomputed once per session.

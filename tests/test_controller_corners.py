@@ -69,12 +69,11 @@ class TestCoalescingCorners:
         sim.run()
         assert controller.wpq.inserts == first_inserts + 1
 
-    def test_burst_of_same_address_coalesces_heavily(self):
+    def test_burst_of_same_address_coalesces_heavily(self, persist):
         sim, controller = build()
         completed = []
         for _ in range(10):
-            done = controller.submit_write(WriteRequest(HEAP, WriteKind.PERSIST))
-            done.subscribe(lambda _v: completed.append(1))
+            persist(controller, WriteRequest(HEAP, WriteKind.PERSIST), completed.append)
         sim.run()
         assert len(completed) == 10
         # Far fewer slots consumed than writes submitted.
@@ -93,14 +92,16 @@ class TestCoalescingCorners:
 
 
 class TestMixedTraffic:
-    def test_evictions_and_persists_all_drain(self):
+    def test_evictions_and_persists_all_drain(self, persist):
         sim, controller = build()
         persists = []
         for i in range(10):
-            kind = WriteKind.PERSIST if i % 2 else WriteKind.EVICTION
-            done = controller.submit_write(WriteRequest(HEAP + i * 64, kind))
-            if done is not None:
-                done.subscribe(lambda _v: persists.append(1))
+            if i % 2:
+                request = WriteRequest(HEAP + i * 64, WriteKind.PERSIST)
+                persist(controller, request, persists.append)
+            else:
+                request = WriteRequest(HEAP + i * 64, WriteKind.EVICTION)
+                controller.submit_write(request)
         sim.run()
         assert len(persists) == 5
         assert controller.stats.get("masu.writes") == 10
@@ -113,7 +114,7 @@ class TestMixedTraffic:
                 WriteRequest(HEAP + i * 64, WriteKind.PERSIST)
             )
         sim.run()
-        assert controller.writes_received == 50
+        assert controller.stats.get("controller.writes") == 50
         assert controller.stats.get("persist.completed") == 50
         assert controller.stats.get("masu.writes") == controller.wpq.inserts
         assert controller.wpq.is_empty
@@ -130,14 +131,15 @@ class TestMixedTraffic:
 
 
 class TestPersistCompletionOrder:
-    def test_distinct_addresses_complete_in_submission_order(self):
+    def test_distinct_addresses_complete_in_submission_order(self, persist):
         sim, controller = build()
         order = []
         for i in range(8):
-            done = controller.submit_write(
-                WriteRequest(HEAP + i * 64, WriteKind.PERSIST)
+            persist(
+                controller,
+                WriteRequest(HEAP + i * 64, WriteKind.PERSIST),
+                lambda _cycle, i=i: order.append(i),
             )
-            done.subscribe(lambda _v, i=i: order.append(i))
         sim.run()
         assert order == sorted(order)
 
@@ -164,15 +166,16 @@ class TestPersistCompletionOrder:
 
 class TestDeterminismAcrossControllers:
     @pytest.mark.parametrize("kind", list(ControllerKind))
-    def test_every_controller_is_deterministic(self, kind):
+    def test_every_controller_is_deterministic(self, kind, persist):
         def run_once():
             sim, controller = build(kind)
             completed = []
             for i in range(20):
-                done = controller.submit_write(
-                    WriteRequest(HEAP + (i % 7) * 64, WriteKind.PERSIST)
+                persist(
+                    controller,
+                    WriteRequest(HEAP + (i % 7) * 64, WriteKind.PERSIST),
+                    completed.append,
                 )
-                done.subscribe(lambda _v: completed.append(sim.now))
             sim.run()
             return completed
 

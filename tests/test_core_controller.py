@@ -22,9 +22,7 @@ def build(kind=ControllerKind.DOLOS, **changes):
 
 
 def submit_persist(controller, address, data=None):
-    return controller.submit_write(
-        WriteRequest(address, WriteKind.PERSIST, data=data)
-    )
+    controller.submit_write(WriteRequest(address, WriteKind.PERSIST, data=data))
 
 
 class TestFactory:
@@ -49,19 +47,17 @@ class TestFactory:
 
 
 class TestPersistCompletion:
-    def test_ideal_persists_immediately(self):
+    def test_ideal_persists_immediately(self, persist):
         sim, controller = build(ControllerKind.NON_SECURE_IDEAL)
         times = []
-        done = submit_persist(controller, 0x1000)
-        done.subscribe(lambda _v: times.append(sim.now))
+        persist(controller, WriteRequest(0x1000, WriteKind.PERSIST), times.append)
         sim.run()
         assert times and times[0] <= 4
 
-    def test_baseline_pays_security_before_persist(self):
+    def test_baseline_pays_security_before_persist(self, persist):
         sim, controller = build(ControllerKind.PRE_WPQ_SECURE)
         times = []
-        done = submit_persist(controller, 0x1000)
-        done.subscribe(lambda _v: times.append(sim.now))
+        persist(controller, WriteRequest(0x1000, WriteKind.PERSIST), times.append)
         sim.run()
         security = controller.config.security
         expected_min = (
@@ -69,44 +65,41 @@ class TestPersistCompletion:
         )
         assert times[0] >= expected_min
 
-    def test_dolos_partial_persists_after_one_mac(self):
+    def test_dolos_partial_persists_after_one_mac(self, persist):
         sim, controller = build(ControllerKind.DOLOS)
         times = []
-        done = submit_persist(controller, 0x1000)
-        done.subscribe(lambda _v: times.append(sim.now))
+        persist(controller, WriteRequest(0x1000, WriteKind.PERSIST), times.append)
         sim.run()
         mac = controller.config.security.mac_latency
         assert mac <= times[0] < mac + 50
 
-    def test_dolos_post_persists_almost_instantly(self):
+    def test_dolos_post_persists_almost_instantly(self, persist):
         sim, controller = build(
             ControllerKind.DOLOS, misu_design=MiSUDesign.POST_WPQ
         )
         times = []
-        done = submit_persist(controller, 0x1000)
-        done.subscribe(lambda _v: times.append(sim.now))
+        persist(controller, WriteRequest(0x1000, WriteKind.PERSIST), times.append)
         sim.run()
         assert times[0] <= 4
 
-    def test_dolos_full_pays_two_macs(self):
+    def test_dolos_full_pays_two_macs(self, persist):
         sim, controller = build(
             ControllerKind.DOLOS, misu_design=MiSUDesign.FULL_WPQ
         )
         times = []
-        done = submit_persist(controller, 0x1000)
-        done.subscribe(lambda _v: times.append(sim.now))
+        persist(controller, WriteRequest(0x1000, WriteKind.PERSIST), times.append)
         sim.run()
         assert times[0] >= 2 * controller.config.security.mac_latency
 
-    def test_persist_ordering_faster_for_dolos(self):
+    def test_persist_ordering_faster_for_dolos(self, persist):
         """The paper's core claim at the unit level: persist latency
         Dolos << baseline for the same write stream."""
 
         def persist_time(kind):
             sim, controller = build(kind)
             times = []
-            done = submit_persist(controller, 0x1000)
-            done.subscribe(lambda _v: times.append(sim.now))
+            request = WriteRequest(0x1000, WriteKind.PERSIST)
+            persist(controller, request, times.append)
             sim.run()
             return times[0]
 
@@ -123,12 +116,15 @@ class TestWPQBackpressure:
         sim.run()
         assert controller.wpq.retry_events > 0
 
-    def test_all_persists_eventually_complete(self):
+    def test_all_persists_eventually_complete(self, persist):
         sim, controller = build(ControllerKind.DOLOS)
         completed = []
         for i in range(40):
-            done = submit_persist(controller, 0x10000 + i * 64)
-            done.subscribe(lambda _v: completed.append(1))
+            persist(
+                controller,
+                WriteRequest(0x10000 + i * 64, WriteKind.PERSIST),
+                completed.append,
+            )
         sim.run()
         assert len(completed) == 40
 
@@ -149,11 +145,12 @@ class TestWPQBackpressure:
 
 class TestEvictionWrites:
     def test_eviction_returns_no_signal(self):
-        _, controller = build(ControllerKind.DOLOS)
-        result = controller.submit_write(
-            WriteRequest(0x1000, WriteKind.EVICTION)
-        )
+        sim, controller = build(ControllerKind.DOLOS)
+        result = controller.submit_write(WriteRequest(0x1000, WriteKind.EVICTION))
         assert result is None
+        sim.run()
+        assert controller.stats.get("controller.writes") == 1
+        assert "persist.completed" not in controller.stats.as_dict()
 
     def test_evictions_drain_through_masu(self):
         sim, controller = build(ControllerKind.DOLOS)

@@ -48,13 +48,12 @@ def run_and_crash(
         data = value(f"{design.value}-{i}")
         submitted_values.setdefault(address, []).append(data)
 
-        def on_persist(_v, address=address, data=data):
+        def on_persist(address=address, data=data):
             persisted_values.setdefault(address, []).append(data)
 
-        done = controller.submit_write(
-            WriteRequest(address, WriteKind.PERSIST, data=data)
+        controller.submit_write(
+            WriteRequest(address, WriteKind.PERSIST, data=data), on_persist
         )
-        done.subscribe(on_persist)
 
     sim.run(until=crash_cycle)
     image = crash_system(controller, battery=battery)

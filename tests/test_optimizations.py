@@ -168,10 +168,10 @@ class TestEADRController:
         controller = make_controller(sim, config)
         times = []
         for i in range(writes):
-            done = controller.submit_write(
-                WriteRequest(HEAP + i * 64, WriteKind.PERSIST)
+            controller.submit_write(
+                WriteRequest(HEAP + i * 64, WriteKind.PERSIST),
+                lambda: times.append(sim.now),
             )
-            done.subscribe(lambda _v: times.append(sim.now))
         sim.run()
         return controller, times
 

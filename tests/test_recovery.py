@@ -219,10 +219,10 @@ class TestOsirisEdgeCases:
             address = HEAP + i * 64
             data = line_factory(f"full-{design.value}-{i}")
             oracle[address] = data
-            done = controller.submit_write(
-                WriteRequest(address, WriteKind.PERSIST, data=data)
+            controller.submit_write(
+                WriteRequest(address, WriteKind.PERSIST, data=data),
+                lambda a=address: persisted.add(a),
             )
-            done.subscribe(lambda _v, a=address: persisted.add(a))
         # Advance in small steps until the queue is full of *protected*
         # entries (allocation precedes Mi-SU protection by the MAC
         # latency, and the Ma-SU drains while we fill, so a fixed cycle

@@ -11,6 +11,7 @@ is keyed by exactly the fields the resolved stream depends on.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,20 @@ class PerOpCore(TraceCore):
     def run(self, trace):
         self._process = Process(self.sim, self._per_op(trace), name="core")
         return self._process
+
+    def _launch_persist(self, line):
+        self._outstanding_persists += 1
+        self.stats.add("core.persists_issued")
+        request = WriteRequest(line, WriteKind.PERSIST)
+        request.issue_cycle = self.sim.now
+        self.sim.call_after(
+            self.flush_latency,
+            partial(self.controller.submit_write, request, self._persist_complete),
+        )
+
+    def _submit_eviction(self, victim):
+        self.stats.add("core.evictions")
+        self.controller.submit_write(WriteRequest(victim, WriteKind.EVICTION))
 
     def _per_op(self, trace):
         sim = self.sim
