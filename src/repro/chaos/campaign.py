@@ -192,24 +192,19 @@ def _crash_writer_drill(
 ) -> List[str]:
     """SIGKILL a results writer inside ``BEGIN IMMEDIATE``; nothing may
     commit."""
-    process = subprocess.Popen(
+    # Leaving the block closes the writer's pipe and reaps it.
+    with subprocess.Popen(
         [sys.executable, "-c", _CRASH_WRITER_SCRIPT, str(db_path)],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
-    )
-    try:
-        armed = process.stdout.readline()
-        if "armed" not in armed:
-            process.kill()
-            process.wait()
-            return [f"{fault.fault_id}: writer drill never armed"]
-        process.send_signal(signal.SIGKILL)
-        process.wait()
-    finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait()
+    ) as process:
+        try:
+            armed = "armed" in process.stdout.readline()
+        finally:
+            process.send_signal(signal.SIGKILL)
+    if not armed:
+        return [f"{fault.fault_id}: writer drill never armed"]
     record_injection(
         events, fault, "writer SIGKILLed inside BEGIN IMMEDIATE"
     )

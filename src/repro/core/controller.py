@@ -196,44 +196,30 @@ class MemoryController:
         else:
             self._write.start(request, on_persist)
 
-    def read(self, address: int, at_tail: bool = False) -> Union[int, Signal]:
-        """Demand read (LLC miss): the latency, or a Signal fired with it.
-
-        ``at_tail`` states that the caller returns straight to the
-        kernel's drain after this call (nothing else runs in its
-        event), so when no event fires before the data returns, the
-        verification it would compute then is computed at issue.  The
-        trace core sets it; it cannot be inferred here (see the module
-        docstring for when the latency is known at issue).
-        """
-        return self._book(address, True, at_tail)
-
-    def fill(self, address: int) -> None:
-        """Write-allocate fill (store miss): a read nothing waits on.
-
-        Books exactly the timing :meth:`read` books — WPQ tag check,
-        device read, Ma-SU verification at data return — but allocates
-        no Signal and schedules no completion event.
-        """
-        self._book(address, False)
-
-    def _book(
+    def read(
         self,
         address: int,
-        wait: bool,
         at_tail: bool = False,
+        wait: bool = True,
         deferred: bool = False,
         done: Optional[Signal] = None,
     ) -> Union[int, Signal, None]:
         """Book one read: WPQ tag check, device read, verification.
 
+        A demand read (LLC miss) returns the latency, or a Signal fired
+        with it.  ``at_tail`` states that the caller returns straight to
+        the kernel's drain after this call (nothing else runs in its
+        event), so when no event fires before the data returns, the
+        verification it would compute then is computed at issue.  The
+        trace core sets it; it cannot be inferred here (see the module
+        docstring for when the latency is known at issue).  A fill
+        (``wait`` false, :meth:`fill`) returns nothing and schedules
+        only the verification a Ma-SU owes its data.
+
         An issued read is counted, then booked now — or, with events
-        still pending at this cycle, behind them: the deferred booking
-        comes back here with the Signal the waiter already holds, and
-        schedules its completion.  A read booked at issue returns its
-        latency when all of it is known here, else the Signal its
-        completion fires.  A fill (``wait`` false) schedules only the
-        verification a Ma-SU owes its data.
+        still pending at this cycle, behind them: the ``deferred``
+        booking comes back here with the Signal the waiter already
+        holds (``done``), and schedules its completion.
         """
         sim = self.sim
         now = sim.now
@@ -245,7 +231,7 @@ class MemoryController:
                 if wait:
                     done = Signal(sim, "read")
                 sim.call_after(
-                    0, partial(self._book, address, wait, False, True, done)
+                    0, partial(self.read, address, False, wait, True, done)
                 )
                 return done
         if self.wpq.lookup(address) is not None:
@@ -259,24 +245,36 @@ class MemoryController:
                     # Nothing fires before the data returns, so the
                     # verification it would compute then is computed now.
                     finish += masu.read_verify_latency(finish, address)
-                else:
-                    if wait and done is None:
+                elif wait:
+                    if done is None:
                         done = Signal(sim, "read")
                     sim.call_at(
                         finish, partial(self._read_verify, address, now, done)
                     )
                     return done
+                else:
+                    # A fill: the verification is the whole event.
+                    sim.call_at(
+                        finish, partial(masu.read_verify_latency, finish, address)
+                    )
+                    return None
         if not deferred:
             return finish - now
         if done is not None:
             sim.call_at(finish, partial(self._read_fire, now, done))
 
-    def _read_verify(
-        self, address: int, arrival: int, done: Optional[Signal]
-    ) -> None:
+    def fill(self, address: int) -> None:
+        """Write-allocate fill (store miss): a read nothing waits on.
+
+        Books exactly the timing :meth:`read` books — WPQ tag check,
+        device read, Ma-SU verification at data return — but allocates
+        no Signal and schedules no completion event.
+        """
+        self.read(address, False, False)
+
+    def _read_verify(self, address: int, arrival: int, done: Signal) -> None:
         verify = self.masu.read_verify_latency(self.sim.now, address)
-        if done is not None:
-            self.sim.call_after(verify, partial(self._read_fire, arrival, done))
+        self.sim.call_after(verify, partial(self._read_fire, arrival, done))
 
     def _read_fire(self, arrival: int, done: Signal) -> None:
         done.fire(self.sim.now - arrival)

@@ -114,12 +114,18 @@ class MajorSecurityUnit:
         self.integrity_failures = 0
         self.dedup_cancelled_writes = 0
         self.page_reencryptions = 0
-        #: Per-page tree walks: the ancestor-node keys from the page's
-        #: leaf to the root, and their MT-cache slots
-        #: (:meth:`MetadataCache.path_slots`).  The tree's height and
-        #: arity are fixed at construction (the merkle model never
-        #: regrows), so both are a pure function of the page number —
-        #: computed once and replayed on every later access to the page.
+        #: The tree's arity and the key of node 0 at each level, leaf
+        #: side first: a page's ancestor at level ``l`` has key
+        #: ``ShadowTracker.tree_key(l, 0) | index``.  Both are fixed at
+        #: construction (the merkle model never regrows).
+        self._arity = security.tree_arity
+        self._level_keys = tuple(
+            ShadowTracker.tree_key(level, 0)
+            for level in range(1, self.tree.height + 1)
+        )
+        #: Each written page's ancestor keys, leaf to root, and their
+        #: MT-cache slots (:meth:`MetadataCache.path_slots`): built on
+        #: the page's first write, replayed on every later one.
         self._walks: Dict[int, Tuple[Tuple[int, ...], tuple]] = {}
         # Latency constants resolved once: the timing helpers run per
         # write/read and the config attribute chains dominate them.
@@ -128,6 +134,8 @@ class MajorSecurityUnit:
         self._hash_latency = security.masu_hash_latency
         self._critical_hash_latency = security.masu_critical_hash_latency
         self._counter_cache_latency = security.counter_cache.latency
+        #: A read whose counter hits: the cache, then the data MAC.
+        self._read_hit_latency = self._counter_cache_latency + self._mac_latency
         #: SuperMem-style write-through counters: every counter update
         #: goes to NVM (coalesced per counter line), so the stale-copy
         #: Osiris window never opens and the tree walk leaves the
@@ -139,17 +147,16 @@ class MajorSecurityUnit:
         self.counter_writes_coalesced = 0
 
     def _page_walk(self, page: int) -> Tuple[Tuple[int, ...], tuple]:
-        """``page``'s tree-node keys, leaf to root, and their MT slots."""
-        walk = self._walks.get(page)
-        if walk is None:
-            arity = self.config.security.tree_arity
-            index = page
-            path = []
-            for level in range(1, self.tree.height + 1):
-                index //= arity
-                path.append(ShadowTracker.tree_key(level, index))
-            keys = tuple(path)
-            walk = self._walks[page] = (keys, self.mt_cache.path_slots(keys))
+        """Build and keep ``page``'s write walk: its tree-node keys, leaf
+        to root, and their MT slots."""
+        arity = self._arity
+        index = page
+        path = []
+        for level_key in self._level_keys:
+            index //= arity
+            path.append(level_key | index)
+        keys = tuple(path)
+        walk = self._walks[page] = (keys, self.mt_cache.path_slots(keys))
         return walk
 
     # ==================================================================
@@ -406,28 +413,36 @@ class MajorSecurityUnit:
         cache_key = (
             self.morphable.cache_key(page) if self.morphable is not None else page
         )
-        cache_latency = self._counter_cache_latency
         if self.counter_cache.access(cache_key, is_write):
-            return cache_latency
-        # Miss: fetch the counter block from NVM.
-        done = self.nvm.timed_meta_access(now, cache_key, is_write=False)
-        latency = (done - now) + cache_latency
-        latency += self._tree_walk_latency(now + latency, page)
-        return latency
+            return self._counter_cache_latency
+        return self._counter_miss_latency(now, cache_key, page)
 
-    def _tree_walk_latency(self, now: int, page: int) -> int:
-        """Verification walk up the tree until a cached (verified) node."""
+    def _counter_miss_latency(self, now: int, cache_key: int, page: int) -> int:
+        """A counter-cache miss: fetch the block from NVM, then verify it
+        by a walk up the tree that stops at the first cached node.
+
+        Each ancestor's key is derived as the walk climbs, so a walk
+        that stops at the first level derives one key.
+        """
+        nvm = self.nvm
         mac_latency = self._mac_latency
-        latency = 0
+        arity = self._arity
         mt_access = self.mt_cache.access
-        for key in self._page_walk(page)[0]:
+        # The cycle the walk has reached: the counter block's arrival,
+        # then each level's MAC check and, on a miss, its node fetch.
+        cycle = (
+            nvm.timed_meta_access(now, cache_key, False) + self._counter_cache_latency
+        )
+        index = page
+        for level_key in self._level_keys:
+            index //= arity
+            key = level_key | index
             hit = mt_access(key, False)
-            latency += mac_latency  # verify child against this node
+            cycle += mac_latency  # verify child against this node
             if hit:
-                return latency
-            done = self.nvm.timed_meta_access(now + latency, key & 0xFFFFFFFF, False)
-            latency += done - (now + latency)
-        return latency
+                break
+            cycle = nvm.timed_meta_access(cycle, key & 0xFFFFFFFF, False)
+        return cycle - now
 
     def write_pipeline_latency(
         self, now: int, address: int, critical_path: bool = False
@@ -472,12 +487,19 @@ class MajorSecurityUnit:
         return latency
 
     def read_verify_latency(self, now: int, address: int) -> int:
-        """Extra cycles security adds to a demand read (all schemes)."""
-        latency = self.counter_access_latency(now, address, is_write=False)
-        # Data-MAC verification; decryption pad generation overlaps the
-        # NVM data read, so AES latency is hidden.
-        latency += self._mac_latency
-        return latency
+        """Extra cycles security adds to a read (all schemes): a verified
+        counter (:meth:`counter_access_latency`), then the data-MAC check.
+
+        Decryption pad generation overlaps the NVM data read, so AES
+        latency is hidden.
+        """
+        page = address >> 12
+        cache_key = (
+            self.morphable.cache_key(page) if self.morphable is not None else page
+        )
+        if self.counter_cache.access(cache_key, False):
+            return self._read_hit_latency
+        return self._counter_miss_latency(now, cache_key, page) + self._mac_latency
 
     # ==================================================================
     # Stats

@@ -7,6 +7,10 @@ keep it that way without moving the event schedule: each design fires
 exactly the events it always has for one 60-tx hashmap unit at seed 1,
 and constructs far fewer Signals than the unit has persists (the
 core's fence Signal plus the demand reads that wait on one).
+
+A read goes core -> controller -> Ma-SU the same way: its verification
+walk derives each tree key as it climbs, so only the pages a design
+writes keep a walk.
 """
 
 from __future__ import annotations
@@ -60,3 +64,32 @@ def test_events_and_signals_per_design(label, monkeypatch):
     assert result.stats["core.persists_issued"] == PERSISTS
     assert sims[0].events_fired == EVENTS[label]
     assert len(built) * 10 < PERSISTS, f"{len(built)} Signals built"
+
+
+def test_a_read_only_page_builds_no_walk_memo():
+    """The Ma-SU keeps a tree walk only for the pages it writes: a read's
+    verification walk of a never-written page leaves nothing behind."""
+    config = controller_matrix()["dolos-full"]
+    transactions = 100
+    trace = generate_trace(
+        "read-heavy", transactions, config.transaction_size, SEED
+    )
+    masus = []
+    written = set()
+
+    def probe(sim, controller, core):
+        masu = controller.masu
+        pipeline_latency = masu.write_pipeline_latency
+
+        def recorded(now, address, critical_path=False):
+            written.add(address >> 12)
+            return pipeline_latency(now, address, critical_path)
+
+        masu.write_pipeline_latency = recorded
+        masus.append(masu)
+
+    run_trace(config, trace, "read-heavy", transactions, probe=probe)
+    masu = masus[0]
+    # Reads miss the counter cache on far more pages than are written.
+    assert masu.counter_cache.misses > 10 * len(written) > 0
+    assert set(masu._walks) <= written
