@@ -4,8 +4,7 @@ Four measurements seed the repo's performance trajectory:
 
 * **events/sec** — a self-rescheduling callback chain plus a one-shot
   fan, exercising exactly the heap operations of the simulator's hot
-  loop (both the cancellable ``schedule`` path and the lightweight
-  ``call_after`` fast path);
+  loop (``call_after``, the kernel's one scheduling call);
 * **events/sec, epoch path** — a dense same-cycle fan drained through
   the epoch kernel's batch dispatch, the shape the batched core was
   built for;
@@ -47,26 +46,19 @@ EPOCH_CYCLES = 1_500
 RUN_TRANSACTIONS = 300
 
 
-def bench_events_per_sec(fast_path: bool = True) -> float:
+def bench_events_per_sec() -> float:
     """Fire a rescheduling chain + a one-shot fan; return events/sec."""
     sim = Simulator()
     remaining = [CHAIN_EVENTS]
-    if fast_path:
-        def tick():
-            remaining[0] -= 1
-            if remaining[0] > 0:
-                sim.call_after(1, tick)
-        sim.call_after(1, tick)
-        for i in range(FAN_EVENTS):
-            sim.call_after(i % 97, _noop)
-    else:
-        def tick():
-            remaining[0] -= 1
-            if remaining[0] > 0:
-                sim.schedule(1, tick)
-        sim.schedule(1, tick)
-        for i in range(FAN_EVENTS):
-            sim.schedule(i % 97, _noop)
+
+    def tick():
+        remaining[0] -= 1
+        if remaining[0] > 0:
+            sim.call_after(1, tick)
+
+    sim.call_after(1, tick)
+    for i in range(FAN_EVENTS):
+        sim.call_after(i % 97, _noop)
     started = time.perf_counter()
     sim.run()
     elapsed = time.perf_counter() - started
@@ -129,8 +121,7 @@ def bench_run_unit_seconds_batched() -> float:
 def collect() -> dict:
     return {
         "bench": "kernel",
-        "events_per_sec_fast": round(bench_events_per_sec(fast_path=True)),
-        "events_per_sec_schedule": round(bench_events_per_sec(fast_path=False)),
+        "events_per_sec_fast": round(bench_events_per_sec()),
         "events_per_sec_epoch": round(bench_events_per_sec_epoch()),
         "run_unit_transactions": RUN_TRANSACTIONS,
         "run_unit_seconds": round(bench_run_unit_seconds(), 4),

@@ -36,24 +36,26 @@ The core-facing protocol:
   ``None`` for EVICTION writes, which drain in the background.  A
   PERSIST submitted without a callback still completes and counts.
   The callback is deep-copied with an in-flight write when the
-  controller is (the crash oracle's copies), so it must not be a bound
-  method of an object holding a generator.
-* ``read(address, at_tail)`` returns what the caller waits on: the read
-  latency in cycles when it is known at issue, else a Signal fired with
-  it.  It is known for a WPQ hit, for a design without a Ma-SU, and —
-  when the caller states it is at the tail of a kernel-dispatched event
-  (``at_tail``) and no other event fires before the data returns — for
-  device time plus the Ma-SU verification, computed at issue instead of
-  when the data returns.  A read issued while events are pending at its
-  cycle is booked behind them and always returns a Signal.
-* ``fill(address)`` books the same read but returns nothing (store-miss
+  controller is (the crash oracle's copies).  ``deepcopy`` shares a
+  plain function but copies the object a bound method or a ``partial``
+  is bound to, so the oracle's driver passes closures.
+* ``read(address, at_tail, done)`` returns the read latency in cycles
+  when it is known at issue; otherwise it returns ``None`` and calls
+  ``done(latency)`` when the data is verified.  The latency is known
+  for a WPQ hit, for a design without a Ma-SU, and — when the caller
+  states it is at the tail of a kernel-dispatched event (``at_tail``)
+  and no other event fires before the data returns — for device time
+  plus the Ma-SU verification, computed at issue instead of when the
+  data returns.  A read issued while events are pending at its cycle
+  is booked behind them, so it always returns ``None``.
+* ``fill(address)`` books the same read with no ``done`` (store-miss
   fills, which nothing waits on).
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import ControllerKind, SimConfig
 from repro.core.composition import (
@@ -68,7 +70,7 @@ from repro.core.misu import MinorSecurityUnit, make_misu
 from repro.core.registers import PersistentRegisters
 from repro.core.requests import WriteKind, WriteRequest
 from repro.crypto.keys import KeyStore
-from repro.engine import Signal, Simulator
+from repro.engine import Simulator
 from repro.stats import StatsRegistry
 from repro.wpq.adr import ADRDrain
 from repro.wpq.queue import WritePendingQueue
@@ -167,7 +169,7 @@ class MemoryController:
         if not self._drain_started:
             self._drain_started = True
             sim = self.sim
-            heap = sim._queue._heap
+            heap = sim._heap
             if sim._batch_pending or (heap and heap[0][0] == sim.now):
                 sim.call_after(0, self._drain.wake)
             else:
@@ -190,7 +192,7 @@ class MemoryController:
         self.counts["controller.writes"] += 1
         if on_persist is None and request.kind is _PERSIST:
             on_persist = _unobserved
-        heap = sim._queue._heap
+        heap = sim._heap
         if sim._batch_pending or (heap and heap[0][0] == sim.now):
             sim.call_after(0, partial(self._write.start, request, on_persist))
         else:
@@ -200,40 +202,36 @@ class MemoryController:
         self,
         address: int,
         at_tail: bool = False,
-        wait: bool = True,
+        done: Optional[Callable[[int], None]] = None,
         deferred: bool = False,
-        done: Optional[Signal] = None,
-    ) -> Union[int, Signal, None]:
+    ) -> Optional[int]:
         """Book one read: WPQ tag check, device read, verification.
 
-        A demand read (LLC miss) returns the latency, or a Signal fired
-        with it.  ``at_tail`` states that the caller returns straight to
-        the kernel's drain after this call (nothing else runs in its
-        event), so when no event fires before the data returns, the
-        verification it would compute then is computed at issue.  The
-        trace core sets it; it cannot be inferred here (see the module
-        docstring for when the latency is known at issue).  A fill
-        (``wait`` false, :meth:`fill`) returns nothing and schedules
-        only the verification a Ma-SU owes its data.
+        A demand read (LLC miss) returns the latency when it is known
+        at issue; otherwise it returns ``None`` and the completion event
+        calls ``done(latency)``.  ``at_tail`` states that the caller
+        returns straight to the kernel's drain after this call (nothing
+        else runs in its event), so when no event fires before the data
+        returns, the verification it would compute then is computed at
+        issue.  The trace core sets it; it cannot be inferred here (see
+        the module docstring for when the latency is known at issue).
+        With no ``done`` the read is a fill (:meth:`fill`): nothing
+        waits on it, so it schedules only the verification a Ma-SU owes
+        its data.
 
         An issued read is counted, then booked now — or, with events
         still pending at this cycle, behind them: the ``deferred``
-        booking comes back here with the Signal the waiter already
-        holds (``done``), and schedules its completion.
+        booking comes back here and schedules its completion.
         """
         sim = self.sim
         now = sim.now
         address &= ~0x3F  # line-align
         if not deferred:
             self.counts["controller.reads"] += 1
-            heap = sim._queue._heap
+            heap = sim._heap
             if sim._batch_pending or (heap and heap[0][0] == now):
-                if wait:
-                    done = Signal(sim, "read")
-                sim.call_after(
-                    0, partial(self.read, address, False, wait, True, done)
-                )
-                return done
+                sim.call_after(0, partial(self.read, address, False, done, True))
+                return None
         if self.wpq.lookup(address) is not None:
             self.wpq.read_hits += 1
             finish = now + self._wpq_read_hit_latency()
@@ -245,13 +243,11 @@ class MemoryController:
                     # Nothing fires before the data returns, so the
                     # verification it would compute then is computed now.
                     finish += masu.read_verify_latency(finish, address)
-                elif wait:
-                    if done is None:
-                        done = Signal(sim, "read")
+                elif done is not None:
                     sim.call_at(
                         finish, partial(self._read_verify, address, now, done)
                     )
-                    return done
+                    return None
                 else:
                     # A fill: the verification is the whole event.
                     sim.call_at(
@@ -261,23 +257,24 @@ class MemoryController:
         if not deferred:
             return finish - now
         if done is not None:
-            sim.call_at(finish, partial(self._read_fire, now, done))
+            sim.call_at(finish, partial(done, finish - now))
+        return None
 
     def fill(self, address: int) -> None:
         """Write-allocate fill (store miss): a read nothing waits on.
 
         Books exactly the timing :meth:`read` books — WPQ tag check,
-        device read, Ma-SU verification at data return — but allocates
-        no Signal and schedules no completion event.
+        device read, Ma-SU verification at data return — but schedules
+        no completion event.
         """
-        self.read(address, False, False)
+        self.read(address)
 
-    def _read_verify(self, address: int, arrival: int, done: Signal) -> None:
-        verify = self.masu.read_verify_latency(self.sim.now, address)
-        self.sim.call_after(verify, partial(self._read_fire, arrival, done))
-
-    def _read_fire(self, arrival: int, done: Signal) -> None:
-        done.fire(self.sim.now - arrival)
+    def _read_verify(
+        self, address: int, arrival: int, done: Callable[[int], None]
+    ) -> None:
+        now = self.sim.now
+        verify = self.masu.read_verify_latency(now, address)
+        self.sim.call_after(verify, partial(done, now + verify - arrival))
 
     def crash(self):
         """Power failure: delegate to the persistence-domain policy."""

@@ -4,10 +4,13 @@ A run has two passes.  :func:`repro.cpu.resolve.resolve` walks the op
 stream through the cache hierarchy and the IPC model once, keeping only
 the events the memory controller sees (a :class:`PackedTrace` memoizes
 that per cache geometry, so every design replaying a cached trace
-shares it).  The core then *replays* those events as a single
-simulation process, batching the resolved latency into one delay per
-yield and interacting with the event queue only where concurrency
-matters: demand-miss reads, persist submissions, and fences.
+shares it).  The core then *replays* those events, batching the
+resolved latency into one delay per step and interacting with the
+event queue only where concurrency matters: demand-miss reads, persist
+submissions, and fences.  The replay is a generator the core steps
+itself (:meth:`TraceCore._resume`): it yields a delay, which the core
+turns into its wake-up event, or ``None`` when a callback will resume
+it — a read's completion or the persist completion a fence waits on.
 
 Inside the unbounded drain the core *runs ahead*: when no other event
 can fire before a delay ends (:meth:`repro.engine.Simulator.idle_through`)
@@ -31,6 +34,7 @@ Persist semantics (the crux of the paper):
 from __future__ import annotations
 
 from functools import partial
+from heapq import heappush
 from typing import Iterable, Optional, Tuple, Union
 
 from repro.config import SimConfig
@@ -49,7 +53,7 @@ from repro.cpu.resolve import (
 )
 from repro.cpu.trace import ARRIVAL_CYCLE_MASK, ARRIVAL_TENANT_SHIFT
 from repro.cpu.trace_io import PackedTrace
-from repro.engine import Process, Signal, Simulator
+from repro.engine import Simulator
 from repro.stats import StatsRegistry
 
 _PERSIST = WriteKind.PERSIST
@@ -61,7 +65,7 @@ class TraceCore:
 
     Besides its stats, the core counts :attr:`read_stall_cycles`, the
     cycles it waited on demand reads, whether their latency was booked
-    at issue or came on a Signal.
+    at issue or came with the read's completion.
     """
 
     def __init__(
@@ -86,41 +90,66 @@ class TraceCore:
         #: change every result digest.
         self.read_stall_cycles = 0
         self._outstanding_persists = 0
-        #: Fired when the last outstanding persist completes, and only
-        #: then: a fence waits on it.
-        self._fence_signal = Signal(sim, "core.fence")
-        self._process: Optional[Process] = None
+        #: True while a fence waits on the last outstanding persist;
+        #: that persist's completion resumes the replay.
+        self._fenced = False
+        #: The running replay, and its wake-up (``_resume(None)``, built
+        #: once per run and dropped when the replay ends: it refers to
+        #: the core, so keeping it would keep the core alive).
+        self._replaying = None
+        self._wake = None
         #: Optional instrumentation (span tracing): when attached, the
         #: core logs one ``core.fence_stall`` event per fence wake-up.
         #: The hot path pays a single ``None`` check otherwise.
         self.timeline = None
 
     # ------------------------------------------------------------------
-    def run(self, trace: Union[PackedTrace, Iterable[Tuple]]) -> Process:
-        """Start replaying ``trace``; returns the core process.
+    def run(self, trace: Union[PackedTrace, Iterable[Tuple]]) -> None:
+        """Replay ``trace``: its first step runs now, the rest in ``sim.run()``.
 
         A :class:`PackedTrace` replays its memoized resolved stream; op
-        tuple lists and other iterables are resolved on the spot.
+        tuple lists and other iterables are resolved on the spot.  Call
+        it before any other event is queued at the current cycle: the
+        first step does not wait behind them.
         """
-        if self._process is not None:
+        if self._replaying is not None:
             raise RuntimeError("core already running a trace")
         if isinstance(trace, PackedTrace):
             stream = trace.resolved(self.config)
         else:
             stream = resolve(trace, self.config)
-        self._process = Process(self.sim, self._replay(stream), name="core")
-        return self._process
+        self._replaying = self._replay(stream)
+        self._wake = partial(self._resume, None)
+        self._resume(None)
+
+    def _resume(self, value: Optional[int]) -> None:
+        """Step the replay with ``value`` and schedule the delay it yields.
+
+        The replay yields an int delay, or ``None`` when a callback
+        will resume it.  The wake-up's heap push is inlined: it is the
+        most-executed scheduling call of a timing run.
+        """
+        try:
+            delay = self._replaying.send(value)
+        except StopIteration:
+            self._wake = None
+            return
+        if delay is not None:
+            sim = self.sim
+            heappush(sim._heap, (sim.now + delay, sim._seq, self._wake))
+            sim._seq += 1
 
     def _replay(self, stream: ResolvedTrace):
-        # Hot loop: one iteration per controller-visible event.  Delays
-        # are yielded as bare ints and waits as bare Signals (the
-        # allocation-free directive forms); invariant collaborators are
-        # hoisted into locals once.
+        # Hot loop: one iteration per controller-visible event.  It
+        # yields bare int delays, and ``None`` where a read's completion
+        # or a fence's last persist resumes it; invariant collaborators
+        # are hoisted into locals once.
         sim = self.sim
         idle_through = sim.idle_through
         call_after = sim.call_after
         strict = self.config.core.persist_model == "strict"
         controller_read = self.controller.read
+        resume = self._resume
         controller_fill = self.controller.fill
         submit_write = self.controller.submit_write
         persist_complete = self._persist_complete
@@ -164,10 +193,10 @@ class TraceCore:
             if kind == EV_LOAD:
                 # Demand load: the core (its dependent work) waits for
                 # the memory + verification round trip — a latency
-                # booked at issue, or a Signal fired with it.
-                latency = controller_read(operand, at_tail)
-                if latency.__class__ is not int:
-                    latency = yield latency
+                # booked at issue, or one its completion resumes with.
+                latency = controller_read(operand, at_tail, resume)
+                if latency is None:
+                    latency = yield None
                     at_tail = True
                 elif at_tail and idle_through(sim.now + latency):
                     sim.now += latency
@@ -238,7 +267,8 @@ class TraceCore:
             yield stream.tail
         # Implicit final fence so all persists land before we report.
         while self._outstanding_persists > 0:
-            yield self._fence_signal
+            self._fenced = True
+            yield None
         self.cycles = sim.now
         self.instructions = stream.instructions
         self.finished = True
@@ -255,7 +285,8 @@ class TraceCore:
         stalled = False
         while self._outstanding_persists > 0:
             started = sim.now
-            yield self._fence_signal
+            self._fenced = True
+            yield None
             stalled = True
             stall = sim.now - started
             self.stats.counts["core.fence_stall_cycles"] += stall
@@ -265,10 +296,14 @@ class TraceCore:
 
     # ------------------------------------------------------------------
     def _persist_complete(self) -> None:
-        """The controller's persist-completion callback."""
+        """The controller's persist-completion callback.
+
+        The last outstanding persist resumes a fence waiting on it.
+        """
         self._outstanding_persists -= 1
-        if self._outstanding_persists == 0:
-            self._fence_signal.fire(None)
+        if self._outstanding_persists == 0 and self._fenced:
+            self._fenced = False
+            self._resume(None)
 
     # ------------------------------------------------------------------
     @property
@@ -277,7 +312,3 @@ class TraceCore:
         if not self.instructions:
             return 0.0
         return self.cycles / self.instructions
-
-    @property
-    def done(self) -> bool:
-        return self.finished

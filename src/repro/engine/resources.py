@@ -11,8 +11,8 @@ class PipelineLane:
     The unit accepts a new operation every ``interval`` cycles
     (initiation interval) while each operation's own latency may be much
     larger — the classic latency/throughput split of a pipelined MAC or
-    metadata-update engine.  ``book`` never blocks; callers ``Delay``
-    until the returned completion time.
+    metadata-update engine.  ``book`` never blocks; callers schedule
+    their completion at the returned cycle.
     """
 
     def __init__(self, interval: int, name: str = "") -> None:

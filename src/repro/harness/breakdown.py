@@ -87,8 +87,8 @@ def run_with_breakdown(
     result is the plain run's, stat for stat.  Read-stall cycles are
     the core's own count (``TraceCore.read_stall_cycles``), read
     through ``run_trace``'s ``probe`` hook; the core counts every read
-    it waits on, whether its latency was booked at issue or came back
-    on a Signal.  An optional ``timeline`` (e.g.
+    it waits on, whether its latency was booked at issue or came with
+    the read's completion.  An optional ``timeline`` (e.g.
     :class:`repro.tracing.SpanTracer`) is attached to both the
     controller and the core, so span tracing and the breakdown come
     from the same run.

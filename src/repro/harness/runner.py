@@ -80,6 +80,11 @@ def check_accounting(stats: Mapping[str, int], wpq_read_hits: int = 0) -> None:
             get("nvm.reads", 0) + wpq_read_hits,
         ),
         (
+            "controller.reads == core.memory_reads + core.store_miss_fills",
+            get("controller.reads", 0),
+            get("core.memory_reads", 0) + get("core.store_miss_fills", 0),
+        ),
+        (
             "wpq.inserts == wpq.drained + masu.writes",
             get("wpq.inserts", 0),
             get("wpq.drained", 0) + get("masu.writes", 0),

@@ -12,6 +12,11 @@ for each op::
     3. write one 64 B commit record at ``record_address(seq)``;
     4. wait until the commit record persisted.
 
+The driver is two callbacks: :meth:`OracleExecution._issue_values`
+starts an op (steps 1-2) and :meth:`OracleExecution._issue_record`
+persists its record (steps 3-4); each fence's last persist completion
+calls the next one.
+
 Because the fence orders values before their commit record and records
 are written strictly in sequence, a crash at *any* instant leaves a
 prefix of the op stream durable: the recovered heap must match the
@@ -32,12 +37,12 @@ the next site.
 from __future__ import annotations
 
 import copy
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.config import CACHELINE_BYTES, SimConfig
 from repro.core.controller import MemoryController, make_controller
 from repro.core.requests import WriteKind, WriteRequest
-from repro.engine import Process, Signal, Simulator
+from repro.engine import Simulator
 from repro.oracle.ops import Op
 from repro.persistence.commitlog import (
     OP_DEL,
@@ -71,17 +76,15 @@ class OracleExecution:
         self.commits_fired = 0
         #: Next free value line (bump allocator; out-of-place writes).
         self._value_cursor = VALUE_BASE
-        #: Fired when a fence's last write persisted; the driver waits
-        #: on it at every fence.
-        self._fence = Signal(self.sim, "oracle.fence")
-        self._driver = Process(self.sim, self._drive(), name="oracle.drive")
+        #: True once every op's commit record persisted.
+        self.finished = False
+        #: Index of the next op to start, and the commit record of the
+        #: op in flight (persisted once its values are).
+        self._next_op = 0
+        self._record: Optional[CommitRecord] = None
+        self._issue_values()
 
     # -- lifecycle -----------------------------------------------------
-    @property
-    def finished(self) -> bool:
-        """True once every op's commit record persisted."""
-        return self._driver.finished
-
     def run(self, until: Optional[int] = None) -> None:
         """Advance the simulation (to quiescence if ``until`` is None)."""
         self.sim.run(until=until)
@@ -100,19 +103,22 @@ class OracleExecution:
         return crash_system(controller, battery=battery, injector=injector)
 
     # -- op stream -----------------------------------------------------
-    def _persist(self, lines: List[Tuple[int, bytes]], commit: bool = False):
-        """Generator step: persist ``lines`` and block until all did (a fence).
+    def _persist(
+        self,
+        lines: List[Tuple[int, bytes]],
+        then: Callable[[], None],
+        commit: bool = False,
+    ) -> None:
+        """Persist ``lines``; call ``then()`` once all did (a fence).
 
         Every line gets the same counting callback; the last completion
-        fires the fence the driver waits on.  A completion comes at
-        least one cycle after its submission, so none precedes the
-        wait.  ``commit`` counts the completion in
-        :attr:`commits_fired`.  The callback is a plain function, not a
-        bound method: a crash copy deep-copies it with the in-flight
-        write, and this object holds the driver's generator.
+        calls ``then``.  A completion comes at least one cycle after its
+        submission, so none precedes the last submission.  ``commit``
+        counts the completion in :attr:`commits_fired`.  The callback
+        is a plain function, not a bound method: a crash copy
+        deep-copies the in-flight write but shares functions, so it
+        copies neither this driver nor its op list.
         """
-        fence = self._fence
-        sim = self.sim
         remaining = len(lines)
 
         def persisted() -> None:
@@ -121,7 +127,7 @@ class OracleExecution:
                 self.commits_fired += 1
             remaining -= 1
             if remaining == 0:
-                fence.fire(sim.now)
+                then()
 
         for address, payload in lines:
             if len(payload) < CACHELINE_BYTES:
@@ -129,45 +135,57 @@ class OracleExecution:
             self.controller.submit_write(
                 WriteRequest(address, WriteKind.PERSIST, data=payload), persisted
             )
-        yield fence
 
-    def _drive(self):
-        for op in self.ops:
-            if op.kind == OP_PUT:
-                value = op.value
-                lines = value_lines(len(value))
-                value_address = self._value_cursor
-                self._value_cursor += lines * CACHELINE_BYTES
-                yield from self._persist(
-                    [
-                        (
-                            value_address + i * CACHELINE_BYTES,
-                            value[i * CACHELINE_BYTES:(i + 1) * CACHELINE_BYTES],
-                        )
-                        for i in range(lines)
-                    ]
-                )
-                record = CommitRecord(
-                    seq=op.seq,
-                    op=OP_PUT,
-                    key=op.key,
-                    value_address=value_address,
-                    value_length=len(value),
-                    checksum=value_checksum(value),
-                )
-            else:
-                record = CommitRecord(
-                    seq=op.seq,
-                    op=OP_DEL,
-                    key=op.key,
-                    value_address=0,
-                    value_length=0,
-                    checksum=value_checksum(b""),
-                )
-            # Commit records are strictly ordered: the next op's value
-            # lines may not even be submitted until this record
-            # persisted.
-            yield from self._persist(
-                [(record_address(op.seq), record.encode())], commit=True
+    def _issue_values(self) -> None:
+        """Start the next op: persist a PUT's value lines, then its record."""
+        if self._next_op == len(self.ops):
+            self.finished = True
+            return
+        op = self.ops[self._next_op]
+        self._next_op += 1
+        if op.kind != OP_PUT:
+            self._record = CommitRecord(
+                seq=op.seq,
+                op=OP_DEL,
+                key=op.key,
+                value_address=0,
+                value_length=0,
+                checksum=value_checksum(b""),
             )
-        return self.commits_fired
+            self._issue_record()
+            return
+        value = op.value
+        lines = value_lines(len(value))
+        value_address = self._value_cursor
+        self._value_cursor += lines * CACHELINE_BYTES
+        self._record = CommitRecord(
+            seq=op.seq,
+            op=OP_PUT,
+            key=op.key,
+            value_address=value_address,
+            value_length=len(value),
+            checksum=value_checksum(value),
+        )
+        self._persist(
+            [
+                (
+                    value_address + i * CACHELINE_BYTES,
+                    value[i * CACHELINE_BYTES:(i + 1) * CACHELINE_BYTES],
+                )
+                for i in range(lines)
+            ],
+            self._issue_record,
+        )
+
+    def _issue_record(self) -> None:
+        """Persist the op's commit record; once it did, start the next op.
+
+        Commit records are strictly ordered: the next op's value lines
+        are not even submitted until this record persisted.
+        """
+        record = self._record
+        self._persist(
+            [(record_address(record.seq), record.encode())],
+            self._issue_values,
+            commit=True,
+        )

@@ -124,7 +124,7 @@ def enumerate_sites(config: SimConfig, ops: List[Op]) -> SiteEnumeration:
     """
     probe = CrashSiteProbe()
     execution = OracleExecution(config, ops, probe=probe)
-    queue = execution.sim._queue
+    heap = execution.sim._heap
     boundaries = probe.boundaries
     sites: List[CrashSite] = []
     previous_digest = None
@@ -140,7 +140,7 @@ def enumerate_sites(config: SimConfig, ops: List[Op]) -> SiteEnumeration:
                     CrashSite(len(sites), cycle, boundaries[-1][1], digest)
                 )
                 previous_digest = digest
-        cycle = queue.peek_time()
+        cycle = heap[0][0] if heap else None
     if not execution.finished:
         raise RuntimeError(
             "oracle reference run hung: driver did not finish "

@@ -51,17 +51,15 @@ def record_read():
     """Issue a demand read and collect its latency.
 
     ``controller.read`` returns the latency when it is known at issue
-    and a Signal fired with it otherwise; ``record_read(controller,
+    and otherwise calls its ``done`` with it; ``record_read(controller,
     address, latencies)`` appends the latency to ``latencies`` either
-    way (at once, or when the Signal fires).
+    way (at once, or at the read's completion).
     """
 
     def issue(controller, address, latencies):
-        waited = controller.read(address)
-        if isinstance(waited, int):
-            latencies.append(waited)
-        else:
-            waited.subscribe(latencies.append)
+        latency = controller.read(address, done=latencies.append)
+        if latency is not None:
+            latencies.append(latency)
 
     return issue
 

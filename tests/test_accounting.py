@@ -20,6 +20,8 @@ BALANCED = {
     "core.persists_issued": 6,
     "controller.reads": 5,
     "nvm.reads": 4,
+    "core.memory_reads": 3,
+    "core.store_miss_fills": 2,
     "wpq.drained": 0,
     "masu.writes": 8,
     "misu.protected": 10,
@@ -44,6 +46,11 @@ class TestLaws:
             (
                 "nvm.reads",
                 "controller.reads == nvm.reads + WPQ read hits broken: 5 != 6",
+            ),
+            (
+                "core.memory_reads",
+                "controller.reads == core.memory_reads + "
+                "core.store_miss_fills broken: 5 != 6",
             ),
             (
                 "wpq.drained",

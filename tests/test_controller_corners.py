@@ -37,7 +37,7 @@ class TestReadsVsWrites:
         controller.submit_write(WriteRequest(HEAP, WriteKind.PERSIST))
         sim.run()  # fully drained, tag removed
         latencies = []
-        controller.read(HEAP).subscribe(latencies.append)
+        assert controller.read(HEAP, done=latencies.append) is None
         sim.run()
         assert latencies[0] >= controller.config.nvm.read_latency
 
@@ -53,7 +53,7 @@ class TestReadsVsWrites:
         sim, controller = build()
         done = []
         for _ in range(10):
-            controller.read(HEAP + 0x100000).subscribe(done.append)
+            controller.read(HEAP + 0x100000, done=done.append)
         sim.run()
         assert len(done) == 10
 
@@ -153,13 +153,13 @@ class TestPersistCompletionOrder:
             if pending > 1:
                 violations.append((sim.now, pending))
             if sim.pending_events:
-                sim.schedule(7, check)
+                sim.call_after(7, check)
 
         for i in range(20):
             controller.submit_write(
                 WriteRequest(HEAP + i * 64, WriteKind.PERSIST)
             )
-        sim.schedule(1, check)
+        sim.call_after(1, check)
         sim.run()
         assert violations == []
 

@@ -171,8 +171,7 @@ class TestReads:
     def test_read_miss_goes_to_nvm(self):
         sim, controller = build(ControllerKind.DOLOS)
         latencies = []
-        done = controller.read(0x2000)
-        done.subscribe(latencies.append)
+        assert controller.read(0x2000, done=latencies.append) is None
         sim.run()
         assert latencies[0] >= controller.config.nvm.read_latency
 
@@ -187,6 +186,37 @@ class TestReads:
         assert read_latency(ControllerKind.NON_SECURE_IDEAL) < read_latency(
             ControllerKind.DOLOS
         )
+
+    @pytest.mark.parametrize(
+        "kind", [ControllerKind.DOLOS, ControllerKind.NON_SECURE_IDEAL]
+    )
+    def test_a_read_booked_behind_same_cycle_events_completes_once(self, kind):
+        # A read issued while another event is pending at its cycle is
+        # booked behind it (the deferred booking): it returns None and
+        # its completion calls ``done`` exactly once, with the latency
+        # the same read has when nothing is pending.
+        def issue(pending):
+            sim, controller = build(kind)
+            returned, completions = [], []
+            sim.call_at(
+                5,
+                lambda: returned.append(
+                    controller.read(0x2000, done=completions.append)
+                ),
+            )
+            if pending:
+                sim.call_at(5, lambda: None)
+            sim.run()
+            assert controller.stats.get("controller.reads") == 1
+            return returned[0], completions
+
+        returned, completions = issue(pending=True)
+        assert returned is None
+        assert len(completions) == 1
+        alone, alone_completions = issue(pending=False)
+        if alone is None:
+            (alone,) = alone_completions
+        assert completions[0] == alone
 
 
 class TestFunctionalDataPath:

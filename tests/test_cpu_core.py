@@ -1,5 +1,8 @@
 """Tests for the trace-driven core and trace utilities."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config import ControllerKind, SimConfig
@@ -16,6 +19,8 @@ from repro.cpu.trace import (
     summarize,
 )
 from repro.engine import Simulator
+from repro.harness.runner import run_trace
+from repro.workloads import generate_trace
 
 HEAP = 0x1_0000_0000
 
@@ -133,6 +138,27 @@ class TestTransactions:
         core.run([(OP_WORK, 1)])
         with pytest.raises(RuntimeError):
             core.run([(OP_WORK, 1)])
+
+
+class TestLifetime:
+    def test_the_core_is_freed_when_run_trace_returns(self):
+        # Nothing keeps a finished core alive through a reference cycle
+        # (its wake-up refers back to it): with the collector off, the
+        # core dies with run_trace's frame.
+        config = SimConfig()
+        trace = generate_trace("hashmap", 10, config.transaction_size, 1)
+        cores = []
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_trace(
+                config, trace,
+                probe=lambda sim, controller, core: cores.append(weakref.ref(core)),
+            )
+            assert cores[0]() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestDeterminism:

@@ -1,5 +1,5 @@
-"""Batched-core tests: epoch kernel equivalence, cancellation leak
-bounds, packed trace replay, and unit memoization."""
+"""Batched-core tests: epoch kernel equivalence, packed trace replay,
+and unit memoization."""
 
 import sqlite3
 
@@ -11,7 +11,7 @@ import repro.faults.campaign
 import repro.scenarios.loadcurve
 from repro.config import eager_config, lazy_config
 from repro.cpu.trace_io import PackedTrace, trace_to_arrays
-from repro.engine import EventQueue, Simulator
+from repro.engine import Simulator
 from repro.harness import memo, parallel, trace_store
 from repro.harness.memo import UnitMemo, config_fingerprint, default_unit_memo_path
 from repro.harness.parallel import RunUnit, execute_unit
@@ -21,56 +21,27 @@ from repro.matrix import controller_matrix
 from repro.workloads import GENERATOR_VERSION, generate_trace
 
 # ----------------------------------------------------------------------
-# Satellite: cancelled-event heap leak stays bounded
-# ----------------------------------------------------------------------
-class TestCancelledEventLeak:
-    def test_queue_compacts_10k_cancelled_events(self):
-        queue = EventQueue()
-        queue.push(10**9, lambda: None)  # one live survivor
-        for i in range(10_000):
-            queue.push(1000 + i, lambda: None).cancel()
-        # Compaction keeps the heap at <= 2x the live count (plus the
-        # not-yet-compacted remainder); 10k corpses must not pile up.
-        assert len(queue) <= 16
-        assert queue.live_count == 1
-
-    def test_simulator_schedule_cancel_storm_still_runs(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(20_000, lambda: fired.append(sim.now))
-        for i in range(10_000):
-            sim.schedule(1 + i, lambda: fired.append("dead")).cancel()
-        assert len(sim._queue) <= 16
-        sim.run()
-        assert fired == [20_000]
-        assert sim.events_fired == 1
-
-
-# ----------------------------------------------------------------------
 # Satellite: epoch kernel is event-for-event equivalent to the heap one
 # ----------------------------------------------------------------------
-#: One scheduled event: (time, cancellable, action, param).  Action 0
-#: just logs; 1 spawns a nested call_after(param) from inside the
-#: callback; 2 cancels the param-th cancellable handle *at fire time*
-#: (covering cancellations that land mid-epoch, after the batch was
-#: drained from the heap).
+#: One scheduled event: (time, action, param).  Action 0 just logs; 1
+#: schedules a nested call_after(param) from inside the callback; 2
+#: schedules a nested call_at(now + param) whose callback queues one
+#: more event at its own cycle (ties created mid-epoch, behind a batch
+#: already drained from the heap).
 _EVENT_SPECS = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=6),
-        st.booleans(),
         st.integers(min_value=0, max_value=2),
         st.integers(min_value=0, max_value=5),
     ),
     min_size=1,
     max_size=30,
 )
-_PRE_CANCELS = st.sets(st.integers(min_value=0, max_value=29), max_size=8)
 
 
-def _drive(epoch: bool, spec, pre_cancels):
+def _drive(epoch: bool, spec):
     sim = Simulator(epoch=epoch)
     log = []
-    handles = []
 
     def make_callback(index, action, param):
         def callback():
@@ -79,29 +50,32 @@ def _drive(epoch: bool, spec, pre_cancels):
                 sim.call_after(
                     param, lambda: log.append((sim.now, index + 1000))
                 )
-            elif action == 2 and handles:
-                handles[param % len(handles)].cancel()
+            elif action == 2:
+                def nested():
+                    log.append((sim.now, index + 2000))
+                    sim.call_after(
+                        0, lambda: log.append((sim.now, index + 3000))
+                    )
+
+                sim.call_at(sim.now + param, nested)
         return callback
 
-    for index, (time, cancellable, action, param) in enumerate(spec):
+    for index, (time, action, param) in enumerate(spec):
         callback = make_callback(index, action, param)
-        if cancellable:
-            handles.append(sim.schedule(time, callback))
-        else:
+        if index % 2:
             sim.call_at(time, callback)
-    for j in pre_cancels:
-        if handles:
-            handles[j % len(handles)].cancel()
+        else:
+            sim.call_after(time, callback)
     sim.run()
     return log, sim.now, sim.events_fired
 
 
 class TestEpochEquivalence:
-    @given(_EVENT_SPECS, _PRE_CANCELS)
+    @given(_EVENT_SPECS)
     @settings(max_examples=120, deadline=None)
-    def test_epoch_matches_heap_kernel(self, spec, pre_cancels):
-        epoch = _drive(True, spec, pre_cancels)
-        heap = _drive(False, spec, pre_cancels)
+    def test_epoch_matches_heap_kernel(self, spec):
+        epoch = _drive(True, spec)
+        heap = _drive(False, spec)
         assert epoch[0] == heap[0]  # firing order, timestamped
         assert epoch[1] == heap[1]  # final now
         assert epoch[2] == heap[2]  # events_fired

@@ -34,7 +34,7 @@ from repro.cpu.trace import (
     pack_arrival,
 )
 from repro.cpu.trace_io import PackedTrace
-from repro.engine import Process, Simulator
+from repro.engine import Simulator
 from repro.harness.runner import run_trace
 from repro.mem.hierarchy import CacheHierarchy
 from repro.workloads import generate_trace
@@ -64,13 +64,15 @@ def strict(config: SimConfig) -> SimConfig:
 class PerOpCore(TraceCore):
     """Reference: the per-op loop that resolve-and-replay replaced.
 
-    Walks the hierarchy inside the simulation process and sends store
-    fills through ``read``, as the core used to.
+    Walks the hierarchy inside the replay and sends store fills through
+    ``read``, as the core used to.  It steps its own generator with the
+    core's ``_resume``.
     """
 
     def run(self, trace):
-        self._process = Process(self.sim, self._per_op(trace), name="core")
-        return self._process
+        self._replaying = self._per_op(trace)
+        self._wake = partial(self._resume, None)
+        self._resume(None)
 
     def _launch_persist(self, line):
         self._outstanding_persists += 1
@@ -109,7 +111,7 @@ class PerOpCore(TraceCore):
                     if acc:
                         yield acc
                         acc = 0
-                    yield self.controller.read(op[1])
+                    yield self.controller.read(op[1], done=self._resume)
                     self.stats.add("core.memory_reads")
                 for victim in result.writebacks:
                     self._submit_eviction(victim)
@@ -157,7 +159,8 @@ class PerOpCore(TraceCore):
         if acc:
             yield acc
         while self._outstanding_persists > 0:
-            yield self._fence_signal
+            self._fenced = True
+            yield None
         self.cycles = sim.now
         self.finished = True
         self.stats.set("core.cycles", self.cycles)
@@ -299,8 +302,10 @@ class TestFill:
         # A read whose latency is known at issue (a WPQ hit, or the
         # device read of a design without a Ma-SU) schedules no
         # completion either — its caller waits the latency out — so
-        # the two fire as many events.  A read that waits on a Signal
-        # fires one more than the fill: the completion.
+        # the two fire as many events.  A read whose ``done`` the
+        # completion calls fires one more than the fill: the completion.
+        completions = []
+
         def drive(issue):
             sim = Simulator()
             controller = make_controller(sim, DOLOS.with_(controller=kind))
@@ -309,13 +314,17 @@ class TestFill:
             sim.run()
             return waited, sim.events_fired, controller.stats_snapshot()
 
-        waited, read_events, read_stats = drive(lambda c, a: c.read(a))
+        waited, read_events, read_stats = drive(
+            lambda c, a: c.read(a, done=completions.append)
+        )
         _, fill_events, fill_stats = drive(lambda c, a: c.fill(a))
         assert fill_stats == read_stats
         assert fill_stats["controller.reads"] == 1
         known_at_issue = address == HEAP or kind is ControllerKind.NON_SECURE_IDEAL
         assert isinstance(waited, int) == known_at_issue
         if known_at_issue:
+            assert completions == []
             assert fill_events == read_events
         else:
+            assert waited is None and len(completions) == 1
             assert fill_events == read_events - 1

@@ -72,12 +72,11 @@ class TestIdleThrough:
             lambda sim: sim.run(),
             lambda sim: sim.run(until=100),
             lambda sim: sim.run(max_events=10),
-            lambda sim: sim.step(),
         ):
             sim = Simulator()
             sim.call_at(1, lambda sim=sim: probe(sim))
             drain(sim)
-        assert seen == [True, False, False, False]
+        assert seen == [True, False, False]
         heap_sim = Simulator(epoch=False)
         heap_sim.call_at(1, lambda: seen.append(heap_sim.idle_through(6)))
         heap_sim.run()
@@ -104,25 +103,13 @@ class TestIdleThrough:
         # pending behind it; the last one of the batch does not.
         assert seen == [False, True]
 
-    def test_a_requested_stop_blocks(self):
-        sim = Simulator()
-        seen = []
-
-        def stop_then_probe():
-            sim.stop()
-            seen.append(sim.idle_through(5))
-
-        sim.call_at(1, stop_then_probe)
-        sim.run()
-        assert seen == [False]
-
 
 class TestReadBookedAtIssue:
     def test_verified_read_latency_equals_the_signal_path(self):
         # A Ma-SU read issued at a kernel-resumed tail of an idle drain
         # returns device time plus verification as an int; inside a
-        # bounded run the same read returns a Signal fired with the
-        # same latency.
+        # bounded run the same read returns None and its completion
+        # calls ``done`` with the same latency.
         def issue(drain):
             sim = Simulator()
             config = controller_matrix()["dolos-full"]
@@ -130,11 +117,12 @@ class TestReadBookedAtIssue:
             seen = []
 
             def read():
-                waited = controller.read(0x2000, at_tail=True)
-                if isinstance(waited, int):
-                    seen.append(("int", waited))
-                else:
-                    waited.subscribe(lambda value: seen.append(("signal", value)))
+                latency = controller.read(
+                    0x2000, at_tail=True,
+                    done=lambda value: seen.append(("done", value)),
+                )
+                if latency is not None:
+                    seen.append(("int", latency))
 
             sim.call_at(1, read)
             drain(sim)
@@ -142,7 +130,7 @@ class TestReadBookedAtIssue:
 
         (ahead,), read_latency = issue(lambda sim: sim.run())
         (bounded,), _ = issue(lambda sim: sim.run(max_events=100))
-        assert ahead[0] == "int" and bounded[0] == "signal"
+        assert ahead[0] == "int" and bounded[0] == "done"
         assert ahead[1] == bounded[1] > read_latency
 
 
