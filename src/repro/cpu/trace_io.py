@@ -1,47 +1,59 @@
-"""Trace serialisation: save/load op streams as compact numpy arrays.
+"""Trace serialisation: save/load op streams as two int64 columns.
 
 Generating a WHISPER trace is pure-Python work that dominates short
 experiment runs; serialising the op stream lets sweeps regenerate it
-once and replay it from disk.  The format is a single ``.npz`` with two
-int64 columns (opcode, operand) plus a tiny JSON header for provenance.
+once and replay it from disk.  The columns are stdlib ``array('q')``
+(opcode, operand), and a trace file is flat: :data:`MAGIC`, the JSON
+header's length and the op count, the JSON header (provenance plus
+:data:`FORMAT_VERSION`), then the codes and the operands as
+little-endian int64.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from pathlib import Path
+from struct import Struct
 from typing import Dict, List, Optional, Tuple, Union
-
-import numpy as np
 
 from repro.cpu.resolve import ResolvedTrace, resolve, resolve_key
 from repro.cpu.trace import OP_FENCE
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+#: First bytes of every trace file.
+MAGIC = b"DOLOSTRC"
+
+#: Magic, JSON header length in bytes, op count.
+_PREFIX = Struct("<8sIQ")
+
+#: Bytes per op in the body: one int64 code and one int64 operand.
+_OP_BYTES = 16
+
+#: Files hold little-endian columns; a big-endian host swaps them.
+_SWAP = sys.byteorder == "big"
 
 
-def trace_to_arrays(trace) -> "Tuple[np.ndarray, np.ndarray]":
-    """Split an op list into (opcode, operand) columns.
+def trace_to_arrays(trace) -> Tuple[array, array]:
+    """Split an op list into (opcode, operand) ``array('q')`` columns.
 
     Fences carry no operand; they are stored as operand 0.  A
     :class:`PackedTrace` passes its columns through unchanged.
     """
     if isinstance(trace, PackedTrace):
         return trace.codes, trace.operands
-    codes = np.empty(len(trace), dtype=np.int64)
-    operands = np.zeros(len(trace), dtype=np.int64)
-    for i, op in enumerate(trace):
-        codes[i] = op[0]
-        if len(op) > 1:
-            operands[i] = op[1]
+    codes = array("q", [op[0] for op in trace])
+    operands = array("q", [op[1] if len(op) > 1 else 0 for op in trace])
     return codes, operands
 
 
 class PackedTrace:
     """A column-packed op stream the core can replay directly.
 
-    Holds the two int64 columns of :func:`trace_to_arrays`; no per-op
-    tuple list is ever materialised on the replay path (loading a
+    Holds the two ``array('q')`` columns of :func:`trace_to_arrays`; no
+    per-op tuple list is ever materialised on the replay path (loading a
     cached trace used to rebuild the whole list through a Python loop
     with a per-op length check).  :meth:`resolved` memoizes the
     stream's cache-resolved form per cache geometry and IPC, so every
@@ -52,7 +64,7 @@ class PackedTrace:
 
     __slots__ = ("codes", "operands", "_columns", "_resolved")
 
-    def __init__(self, codes: "np.ndarray", operands: "np.ndarray") -> None:
+    def __init__(self, codes: array, operands: array) -> None:
         if len(codes) != len(operands):
             raise ValueError(
                 f"column length mismatch: {len(codes)} codes vs "
@@ -92,7 +104,7 @@ class PackedTrace:
 
         Resolving reads the columns through one transient pair of
         Python lists rather than caching them: after the first design,
-        only the numpy columns and the (much shorter) resolved stream
+        only the int64 columns and the (much shorter) resolved stream
         stay resident.
         """
         key = resolve_key(config)
@@ -119,7 +131,7 @@ class PackedTrace:
                 yield (code, operand)
 
 
-def arrays_to_trace(codes: "np.ndarray", operands: "np.ndarray") -> List[Tuple]:
+def arrays_to_trace(codes: array, operands: array) -> List[Tuple]:
     """Rebuild the op-tuple list the core model consumes."""
     out: List[Tuple] = []
     append = out.append
@@ -135,26 +147,20 @@ def save_trace(
     path: Union[str, Path],
     trace: List[Tuple],
     metadata: Optional[Dict] = None,
-    compress: bool = True,
 ) -> Path:
-    """Write a trace (and provenance metadata) to ``path`` (.npz).
-
-    ``compress=False`` trades disk space for save/load speed — the
-    persistent trace cache uses it because cache hits sit on the warm
-    path of every experiment run.
-    """
+    """Write a trace (and provenance metadata) to ``path``; returns it."""
     path = Path(path)
     codes, operands = trace_to_arrays(trace)
-    header = {"version": FORMAT_VERSION, **(metadata or {})}
-    savez = np.savez_compressed if compress else np.savez
-    savez(
-        path,
-        codes=codes,
-        operands=operands,
-        header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-    )
-    # numpy appends .npz when absent.
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
+    header = json.dumps({"version": FORMAT_VERSION, **(metadata or {})}).encode()
+    with open(path, "wb") as out:
+        out.write(_PREFIX.pack(MAGIC, len(header), len(codes)))
+        out.write(header)
+        for column in (codes, operands):
+            if _SWAP:
+                column = array("q", column)
+                column.byteswap()
+            column.tofile(out)
+    return path
 
 
 def load_trace(path: Union[str, Path]) -> Tuple[List[Tuple], Dict]:
@@ -168,12 +174,32 @@ def load_trace_packed(path: Union[str, Path]) -> Tuple[PackedTrace, Dict]:
 
     The warm path of the trace cache: the stored columns become the
     replay stream directly.
+
+    Raises:
+        ValueError: on a wrong magic, another format version, or a body
+            that is not 16 bytes per op.
     """
-    with np.load(Path(path)) as archive:
-        header = json.loads(bytes(archive["header"]).decode())
-        if header.get("version") != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported trace format version {header.get('version')}"
-            )
-        packed = PackedTrace(archive["codes"], archive["operands"])
-    return packed, header
+    data = Path(path).read_bytes()
+    if len(data) < _PREFIX.size:
+        raise ValueError(f"truncated trace file ({len(data)} bytes)")
+    magic, header_len, count = _PREFIX.unpack_from(data)
+    if magic != MAGIC:
+        raise ValueError(f"not a trace file (magic {magic!r})")
+    start = _PREFIX.size + header_len
+    header = json.loads(data[_PREFIX.size:start])
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported trace format version {version}")
+    body = memoryview(data)[start:]
+    if len(body) != _OP_BYTES * count:
+        raise ValueError(
+            f"trace body holds {len(body)} bytes, not {_OP_BYTES} x {count} ops"
+        )
+    middle = len(body) // 2
+    codes, operands = array("q"), array("q")
+    codes.frombytes(body[:middle])
+    operands.frombytes(body[middle:])
+    if _SWAP:
+        codes.byteswap()
+        operands.byteswap()
+    return PackedTrace(codes, operands), header

@@ -158,7 +158,10 @@ class Simulator:
         per-event heap drain.
 
         An epoch holding a single event (the common case in sparse
-        regions of the schedule) skips the batch list entirely.
+        regions of the schedule) skips the batch list entirely.  A
+        callback that raises leaves ``now``, ``events_fired`` and the
+        queue as :meth:`_run_fast` would: its batch's undelivered
+        events go back on the heap.
         """
         heap = self._heap
         heappop = heapq.heappop
@@ -178,12 +181,25 @@ class Simulator:
             # behind it.
             last = batch.pop()
             self._batch_pending = True
-            for entry in batch:
-                entry[2]()
+            try:
+                for entry in batch:
+                    entry[2]()
+            except BaseException:
+                # Leave the queue as the per-event drain would: the
+                # events before ``entry`` fired, the rest still wait.
+                delivered = batch.index(entry)
+                self.events_fired += delivered
+                for pending in batch[delivered + 1:]:
+                    heapq.heappush(heap, pending)
+                heapq.heappush(heap, last)
+                del batch[:]
+                self._batch_pending = False
+                raise
             self._batch_pending = False
-            last[2]()
-            self.events_fired += len(batch) + 1
+            self.events_fired += len(batch)
             del batch[:]
+            last[2]()
+            self.events_fired += 1
 
     def _run_fast(self) -> None:
         """Unbounded drain: one heap traversal per fired event.

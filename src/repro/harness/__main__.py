@@ -88,6 +88,11 @@ def main(argv=None) -> int:
         help="also write <experiment>.csv and .json into DIR",
     )
     args = parser.parse_args(argv)
+    choices = [*EXPERIMENTS, "all", "list"]
+    if args.experiment not in choices:
+        parser.error(
+            f"unknown experiment {args.experiment!r}; choose from {choices}"
+        )
 
     if args.experiment == "list":
         for name in EXPERIMENTS:

@@ -7,9 +7,10 @@ payload, seed) trace a stable on-disk identity so sweeps — serial or
 fanned out over a process pool — generate each trace once *ever* and
 replay it from disk afterwards.
 
-Layout: one ``.npz`` per trace (see :mod:`repro.cpu.trace_io`) under a
-single cache directory.  The filename embeds both the human-readable
-key and a SHA-256 digest of the full cache key, which includes
+Layout: one flat ``.trace`` file per trace (see
+:mod:`repro.cpu.trace_io`) under a single cache directory.  The
+filename embeds both the human-readable key and a SHA-256 digest of
+the full cache key, which includes
 :data:`repro.workloads.GENERATOR_VERSION` and the trace-format version
 — bumping either invalidates old entries without any cleanup pass.
 
@@ -119,7 +120,7 @@ class TraceStore:
         workload, transactions, payload, seed = key
         name = (
             f"{workload}-t{transactions}-p{payload}-s{seed}-"
-            f"{self.digest(key)}.npz"
+            f"{self.digest(key)}.trace"
         )
         return self.root / name
 
@@ -193,11 +194,11 @@ class TraceStore:
             "payload_digest": self.payload_digest(trace),
         }
         fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=".tmp-", suffix=".npz"
+            dir=self.root, prefix=".tmp-", suffix=".trace"
         )
         os.close(fd)
         try:
-            trace_io.save_trace(tmp_name, trace, metadata, compress=False)
+            trace_io.save_trace(tmp_name, trace, metadata)
             os.replace(tmp_name, final)
         except BaseException:
             try:

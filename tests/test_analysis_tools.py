@@ -5,8 +5,10 @@ import dataclasses
 import pytest
 
 from repro.config import ControllerKind, SimConfig, eager_config
+from repro.cpu import trace_io
 from repro.cpu.trace import OP_CLWB, OP_FENCE, OP_LOAD, OP_STORE, OP_WORK
 from repro.cpu.trace_io import (
+    FORMAT_VERSION,
     PackedTrace,
     load_trace,
     save_trace,
@@ -172,11 +174,11 @@ class TestTraceIO:
     ]
 
     def test_roundtrip(self, tmp_path):
-        path = save_trace(tmp_path / "t.npz", self.SAMPLE, {"workload": "x"})
+        path = save_trace(tmp_path / "t.trace", self.SAMPLE, {"workload": "x"})
         trace, header = load_trace(path)
         assert trace == self.SAMPLE
         assert header["workload"] == "x"
-        assert header["version"] == 1
+        assert header["version"] == FORMAT_VERSION
 
     def test_real_workload_roundtrip(self, tmp_path):
         original = generate_trace("hashmap", 10, 256, seed=1)
@@ -194,20 +196,26 @@ class TestTraceIO:
         b = run_trace(SimConfig(), loaded, "c", 15)
         assert a.cycles == b.cycles
 
-    def test_version_check(self, tmp_path):
-        import json
+    def test_version_check(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(trace_io, "FORMAT_VERSION", 99)
+        path = save_trace(tmp_path / "bad.trace", self.SAMPLE)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="version 99"):
+            load_trace(path)
 
-        import numpy as np
-
-        bad = tmp_path / "bad.npz"
-        np.savez(
-            bad,
-            codes=np.zeros(1, dtype=np.int64),
-            operands=np.zeros(1, dtype=np.int64),
-            header=np.frombuffer(json.dumps({"version": 99}).encode(), np.uint8),
-        )
-        with pytest.raises(ValueError):
-            load_trace(bad)
+    def test_flat_file_rejects_bad_magic_and_body(self, tmp_path):
+        path = save_trace(tmp_path / "t.trace", self.SAMPLE)
+        data = path.read_bytes()
+        assert data.startswith(trace_io.MAGIC)
+        cases = {
+            "magic": b"X" + data[1:],
+            "body": data[:-8],
+            "truncated": data[:4],
+        }
+        for name, bad in cases.items():
+            path.write_bytes(bad)
+            with pytest.raises(ValueError):
+                load_trace(path)
 
     def test_arrays_shape(self):
         codes, operands = trace_to_arrays(self.SAMPLE)

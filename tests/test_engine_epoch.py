@@ -2,6 +2,7 @@
 and unit memoization."""
 
 import sqlite3
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,55 @@ class TestEpochEquivalence:
         assert sim.events_fired == 10
 
 
+class _Boom(Exception):
+    pass
+
+
+def _drive_raising(epoch: bool, size: int, position: int):
+    """A same-cycle batch of ``size`` events at cycle 5 whose event
+    ``position`` raises after queuing a same-cycle follow-up; the
+    caller catches the error and runs on with two loggers at cycle 10.
+    Returns what each drain leaves after the raise and at the end."""
+    sim = Simulator(epoch=epoch)
+    log = []
+
+    def make_callback(index):
+        def callback():
+            log.append((sim.now, index))
+            sim.call_after(0, lambda: log.append((sim.now, index + 100)))
+            if index == position:
+                raise _Boom(index)
+        return callback
+
+    sim.call_at(1, lambda: log.append((sim.now, "early")))
+    for index in range(size):
+        sim.call_at(5, make_callback(index))
+    sim.call_at(7, lambda: log.append((sim.now, "later")))
+    with pytest.raises(_Boom):
+        sim.run()
+    raised = (list(log), sim.now, sim.events_fired, sim.pending_events)
+    sim.call_at(10, lambda: log.append((sim.now, "a")))
+    sim.call_at(10, lambda: log.append((sim.now, "b")))
+    sim.run()
+    return raised, (log, sim.now, sim.events_fired, sim.pending_events)
+
+
+class TestEpochDrainRaise:
+    """A callback raising inside a multi-event epoch leaves the clock,
+    the fired count and the queue exactly as the per-event drain does,
+    and the simulator runs on from there."""
+
+    @pytest.mark.parametrize("size", [2, 3, 5])
+    def test_raise_at_each_batch_position_matches_heap_kernel(self, size):
+        for position in range(size):
+            epoch = _drive_raising(True, size, position)
+            heap = _drive_raising(False, size, position)
+            assert epoch == heap, f"raise at {position} of {size}"
+            log, now, _fired, pending = epoch[1]
+            assert (now, pending) == (10, 0)
+            assert log[-2:] == [(10, "a"), (10, "b")]
+
+
 # ----------------------------------------------------------------------
 # Tentpole: packed trace replay
 # ----------------------------------------------------------------------
@@ -115,10 +165,8 @@ class TestPackedTrace:
         assert codes is packed.codes and operands is packed.operands
 
     def test_column_length_mismatch_rejected(self):
-        import numpy as np
-
         with pytest.raises(ValueError):
-            PackedTrace(np.zeros(2, dtype=np.int64), np.zeros(3, dtype=np.int64))
+            PackedTrace(array("q", [0] * 2), array("q", [0] * 3))
 
     def test_replay_matches_tuple_trace_bit_for_bit(self):
         config = eager_config()

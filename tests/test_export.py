@@ -75,9 +75,13 @@ class TestCli:
         assert (tmp_path / "tab03.csv").exists()
         assert (tmp_path / "tab03.json").exists()
 
-    def test_unknown_experiment_raises(self):
-        with pytest.raises(KeyError):
+    def test_unknown_experiment_raises(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             cli_main(["fig99"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment 'fig99'; choose from [" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
     def test_every_subcommand_has_help(self, name, capsys):

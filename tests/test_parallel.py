@@ -380,7 +380,7 @@ class TestDiskTraceCache:
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "sub"))
         cache = TraceCache()
         cache.get("hashmap", TXNS, 1024, SEED)
-        assert list((tmp_path / "sub").glob("*.npz"))
+        assert list((tmp_path / "sub").glob("*.trace"))
 
     def test_deterministic_across_hash_seeds(self, tmp_path):
         # Regression: trace generation once keyed the workload RNG off

@@ -6,12 +6,11 @@ Two guarantees the parallel experiment engine leans on:
   (workload, transactions, payload, seed, generator-version) — two
   distinct identities may never share an on-disk entry;
 * racing writers of the *same* key are safe: every writer produces a
-  complete archive with identical member bytes, and the atomic rename
-  means readers only ever observe one whole file.
+  complete file with identical bytes, and the atomic rename means
+  readers only ever observe one whole file.
 """
 
 import threading
-import zipfile
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -66,11 +65,6 @@ def test_generator_version_bump_invalidates(version_a, version_b):
     assume(version_a != version_b)
     key = ("hashmap", 10, 1024, 0)
     assert _digest(*key, version_a) != _digest(*key, version_b)
-
-
-def _archive_members(path):
-    with zipfile.ZipFile(path) as archive:
-        return {name: archive.read(name) for name in archive.namelist()}
 
 
 def test_concurrent_writers_of_same_key_converge(tmp_path):
@@ -197,10 +191,9 @@ def test_wrong_payload_digest_rejected(tmp_path):
 
 
 def test_same_key_writes_identical_bytes(tmp_path):
-    """Two independent writers of the same (key, trace) produce archives
-    whose members are byte-identical — the property that makes the
-    last-rename-wins race benign (zip container timestamps excluded;
-    they are metadata the loader never reads)."""
+    """Two independent writers of the same (key, trace) produce
+    byte-identical files — the property that makes the last-rename-wins
+    race benign."""
     key = ("synthetic", 2, 64, 0)
     trace = generate_trace(*key)
     store_a = TraceStore(tmp_path / "a")
@@ -208,4 +201,4 @@ def test_same_key_writes_identical_bytes(tmp_path):
     path_a = store_a.store(key, trace)
     path_b = store_b.store(key, trace)
     assert path_a.name == path_b.name
-    assert _archive_members(path_a) == _archive_members(path_b)
+    assert path_a.read_bytes() == path_b.read_bytes()
