@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 MINOR_BITS = 7
 MINOR_LIMIT = 1 << MINOR_BITS  # 128
@@ -21,6 +21,11 @@ COUNTERS_PER_BLOCK = 64
 
 #: Template for a freshly-reset minor array (copied, never mutated).
 _ZERO_MINORS = bytes(COUNTERS_PER_BLOCK)
+#: The encoded minors: one little-endian integer, minor ``i`` at bit
+#: ``MINOR_BITS * i``, in ``_MINOR_BYTES`` bytes.
+_MINOR_MASK = MINOR_LIMIT - 1
+_MINOR_SHIFTS = range(0, COUNTERS_PER_BLOCK * MINOR_BITS, MINOR_BITS)
+_MINOR_BYTES = (COUNTERS_PER_BLOCK * MINOR_BITS + 7) // 8
 
 
 @dataclass(slots=True)
@@ -96,46 +101,30 @@ class CounterBlock:
     def encode(self) -> bytes:
         """Serialize to the 64-byte on-NVM layout (8 B major + 56 B minors).
 
-        Seven-bit minors are stored packed; the encoding only needs to
-        be stable and injective for MAC/tree hashing purposes.
+        Seven-bit minors are stored packed, minor ``i`` at bit ``7 i``
+        of one little-endian integer; the encoding only needs to be
+        stable and injective for MAC/tree hashing purposes.
         """
-        out = bytearray(self.major.to_bytes(8, "little", signed=False))
-        acc = 0
-        acc_bits = 0
-        for minor in self.minors:
-            acc |= (minor & (MINOR_LIMIT - 1)) << acc_bits
-            acc_bits += MINOR_BITS
-            while acc_bits >= 8:
-                out.append(acc & 0xFF)
-                acc >>= 8
-                acc_bits -= 8
-        if acc_bits:
-            out.append(acc & 0xFF)
-        return bytes(out)
+        packed = 0
+        for minor in reversed(self.minors):
+            packed = (packed << MINOR_BITS) | (minor & _MINOR_MASK)
+        return self.major.to_bytes(8, "little", signed=False) + packed.to_bytes(
+            _MINOR_BYTES, "little"
+        )
 
     @classmethod
     def decode(cls, payload: bytes) -> "CounterBlock":
         """Rebuild a block from its :meth:`encode` bytes (recovery path)."""
         if len(payload) < 8:
             raise ValueError("counter-block payload too short")
+        if len(payload) < 8 + _MINOR_BYTES:
+            raise ValueError("counter-block payload truncated")
         block = cls()
         block.major = int.from_bytes(payload[:8], "little")
-        acc = 0
-        acc_bits = 0
-        cursor = 8
-        minors: List[int] = []
-        while len(minors) < COUNTERS_PER_BLOCK:
-            if acc_bits < MINOR_BITS:
-                if cursor >= len(payload):
-                    raise ValueError("counter-block payload truncated")
-                acc |= payload[cursor] << acc_bits
-                acc_bits += 8
-                cursor += 1
-                continue
-            minors.append(acc & (MINOR_LIMIT - 1))
-            acc >>= MINOR_BITS
-            acc_bits -= MINOR_BITS
-        block.minors = array("B", minors)
+        packed = int.from_bytes(payload[8:8 + _MINOR_BYTES], "little")
+        block.minors = array(
+            "B", [(packed >> shift) & _MINOR_MASK for shift in _MINOR_SHIFTS]
+        )
         return block
 
     @staticmethod

@@ -9,16 +9,24 @@ pads spatially and temporally unique.
 We stand in for AES with keyed BLAKE2b — a cryptographically strong
 PRF available in the stdlib — so tests can make real confidentiality
 assertions (same plaintext, different counter => unrelated ciphertext).
+
+:func:`keyed_prf` and :func:`ctr_pad` are memoised like
+:func:`repro.crypto.mac.mac_over_fields`: key derivation runs on every
+key read, and a crash walk replays the same pads at every site.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
+
+from repro.crypto.mac import MEMO_ENTRIES
 
 _PAD_CHUNK = 64  # BLAKE2b max digest size
 
 
+@functools.lru_cache(maxsize=MEMO_ENTRIES, typed=True)
 def keyed_prf(key: bytes, message: bytes, length: int = 16) -> bytes:
     """A keyed PRF: deterministic, key-separated pseudo-random bytes.
 
@@ -49,13 +57,15 @@ def make_iv(address: int, counter: int) -> bytes:
     return struct.pack("<QHQ6x", page_id & (2**64 - 1), page_offset, counter & (2**64 - 1))
 
 
+@functools.lru_cache(maxsize=MEMO_ENTRIES, typed=True)
 def ctr_pad(key: bytes, address: int, counter: int, length: int = 64) -> bytes:
     """Generate a counter-mode encryption pad for one memory block.
 
     The pad is a PRF of (key, address, counter); encryption and
-    decryption are both ``data XOR pad``.
+    decryption are both ``data XOR pad``.  It calls the unmemoised PRF,
+    so each pad is cached once, here.
     """
-    return keyed_prf(key, make_iv(address, counter), length)
+    return keyed_prf.__wrapped__(key, make_iv(address, counter), length)
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

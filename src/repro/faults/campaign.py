@@ -331,7 +331,13 @@ def run_fault_unit(
     seed: int = 0,
     sites: int = 2,
 ) -> FaultUnitReport:
-    """Run the fault campaign for one (workload, controller) unit."""
+    """Run the fault campaign for one (workload, controller) unit.
+
+    Faults are injected at ``sites`` interior crash sites, at least 1:
+    ``select_sites`` would read a smaller budget as "every site".
+    """
+    if sites < 1:
+        raise ValueError(f"sites must be at least 1, got {sites}")
     unit = FaultUnitReport(
         workload=workload, controller=label,
         transactions=transactions, seed=seed,
@@ -415,6 +421,8 @@ def run_campaign(
     """Sweep the fault campaign over ``workloads`` x ``controllers``."""
     from repro.harness.parallel import fan_out
 
+    if sites < 1:
+        raise ValueError(f"sites must be at least 1, got {sites}")
     matrix = controller_matrix()
     labels = list(controllers) if controllers else list(matrix)
     for label in labels:
@@ -466,6 +474,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write the JSON campaign report here ('-' for stdout)",
     )
     args = parser.parse_args(argv)
+    if args.sites < 1:
+        parser.error(f"--sites must be at least 1, got {args.sites}")
 
     from repro.harness.parallel import resolve_jobs
 

@@ -9,6 +9,12 @@ tag to a bare ``int`` state (0 clean / 1 dirty) — LRU order is the
 dict's insertion order (oldest first), a touch is delete-and-reinsert,
 and the victim is ``next(iter(set))``.  The public API still speaks
 :class:`CacheLineState`; the integers never escape this module.
+
+:func:`memo_copy` is the one primitive of the ``__deepcopy__`` hooks
+here, in :class:`~repro.mem.nvm.NVMDevice` and in
+:class:`~repro.security.merkle.MerkleTree`: a crash copy of a
+controller copies their flat stores at C speed instead of walking them
+with the generic ``deepcopy``.
 """
 
 from __future__ import annotations
@@ -29,6 +35,21 @@ class CacheLineState(enum.Enum):
 _CLEAN = 0
 _DIRTY = 1
 _STATE_ENUM = (CacheLineState.CLEAN, CacheLineState.DIRTY)
+
+
+def memo_copy(container, memo: dict):
+    """``container.copy()`` for a ``__deepcopy__`` hook, kept in ``memo``.
+
+    For a dict or list whose items are immutable.  The copy is
+    registered under the original's id, and a copy already registered
+    is returned instead, so a container another object also holds (a
+    set dict in ``MajorSecurityUnit._walks``, a ``_sets`` list in
+    ``CacheHierarchy._hot``) maps to the same copy from both holders.
+    """
+    clone = memo.get(id(container))
+    if clone is None:
+        clone = memo[id(container)] = container.copy()
+    return clone
 
 
 @dataclass(frozen=True)
@@ -61,6 +82,23 @@ class SetAssociativeCache:
         self.hits = 0
         self.misses = 0
         self.dirty_evictions = 0
+
+    def __deepcopy__(self, memo: dict) -> "SetAssociativeCache":
+        """Copy each set with ``dict.copy()`` (tag -> int state).
+
+        The frozen config is shared; the ``_sets`` list and each set go
+        through ``memo`` (:func:`memo_copy`).
+        """
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        clone.__dict__.update(self.__dict__)
+        sets = memo.get(id(self._sets))
+        if sets is None:
+            sets = memo[id(self._sets)] = [
+                memo_copy(cache_set, memo) for cache_set in self._sets
+            ]
+        clone._sets = sets
+        return clone
 
     # -- address helpers ----------------------------------------------
     def line_address(self, address: int) -> int:

@@ -15,9 +15,11 @@ and attack tests see one coherent persistent image.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import CACHELINE_BYTES, NVMConfig
+from repro.mem.cache import memo_copy
 
 
 class NVMDevice:
@@ -51,6 +53,32 @@ class NVMDevice:
         #: detections to it.  Media corruption itself goes through the
         #: ``corrupt_*`` helpers below.
         self.fault_injector = None
+
+    def __deepcopy__(self, memo: dict) -> "NVMDevice":
+        """Copy the device with C-level container copies (crash copies).
+
+        Lines and region entries are immutable ``bytes`` and wear counts
+        ints, so one ``dict.copy()`` per store copies it fully; the bank
+        calendars are int lists.  Each copy goes through ``memo``
+        (:func:`~repro.mem.cache.memo_copy`), the frozen config is
+        shared and the fault injector deep-copied.
+        """
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        clone.__dict__.update(self.__dict__)
+        clone._lines = memo_copy(self._lines, memo)
+        regions = memo.get(id(self._regions))
+        if regions is None:
+            regions = memo[id(self._regions)] = {
+                name: memo_copy(region, memo)
+                for name, region in self._regions.items()
+            }
+        clone._regions = regions
+        clone._wear = memo_copy(self._wear, memo)
+        clone._bank_free_at = memo_copy(self._bank_free_at, memo)
+        clone._read_free_at = memo_copy(self._read_free_at, memo)
+        clone.fault_injector = copy.deepcopy(self.fault_injector, memo)
+        return clone
 
     # ------------------------------------------------------------------
     # Functional data plane

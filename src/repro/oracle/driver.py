@@ -97,7 +97,10 @@ class OracleExecution:
         exactly as if no crash had been taken.  Only unprobed
         executions qualify: a probe's wrappers close over the live
         controller.  ``battery`` and ``injector`` are
-        :func:`~repro.recovery.crash.crash_system`'s.
+        :func:`~repro.recovery.crash.crash_system`'s.  The NVM device,
+        the metadata caches' tag stores and the Merkle tree copy their
+        flat stores with ``dict.copy()`` in ``__deepcopy__`` hooks;
+        everything else takes the generic deep copy.
         """
         controller = copy.deepcopy(self.controller, {id(self.sim): self.sim})
         return crash_system(controller, battery=battery, injector=injector)

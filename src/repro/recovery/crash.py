@@ -42,15 +42,27 @@ class CrashImage:
     persisted_oracle: Dict[int, bytes] = field(default_factory=dict)
 
     def clone(self) -> "CrashImage":
-        """Independent deep copy of the crash image.
+        """Independent copy of the crash image, built field by field.
 
         :func:`repro.recovery.recover.recover_system` *mutates* the
         image it recovers (clears the WPQ image region, advances the
         pad counter, rotates the WPQ key) — differential checks that
         recover the same crash twice (e.g. once clean and once after an
-        attack mutation) need isolated copies.
+        attack mutation) need isolated copies.  The frozen config is
+        shared; the device is deep-copied (its stores at C speed,
+        :meth:`NVMDevice.__deepcopy__`); the registers copy themselves
+        (:meth:`PersistentRegisters.snapshot`); the key store holds a
+        bytes seed and an int epoch, and a drain record ints, bytes and
+        a bool, so a shallow copy of each is a full one.
         """
-        return copy.deepcopy(self)
+        return CrashImage(
+            config=self.config,
+            nvm=copy.deepcopy(self.nvm),
+            registers=self.registers.snapshot(),
+            keys=copy.copy(self.keys),
+            drained=[copy.copy(record) for record in self.drained],
+            persisted_oracle=dict(self.persisted_oracle),
+        )
 
 
 def crash_system(

@@ -17,11 +17,13 @@ policies maintain.
 
 from __future__ import annotations
 
+import copy
 import math
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.config import MAC_BYTES
 from repro.crypto.mac import mac_over_fields
+from repro.mem.cache import memo_copy
 
 EMPTY_HASH = b"\x00" * MAC_BYTES
 
@@ -50,6 +52,20 @@ class MerkleTree:
         #: Optional ``observe(site, detail)`` callback fired on every
         #: failed verification (fault-campaign detection accounting).
         self.observer = None
+
+    def __deepcopy__(self, memo: dict) -> "MerkleTree":
+        """Copy the node store with ``dict.copy()`` (values are bytes).
+
+        The node dict goes through ``memo``
+        (:func:`~repro.mem.cache.memo_copy`) and the observer is
+        deep-copied, as the generic copy would.
+        """
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        clone.__dict__.update(self.__dict__)
+        clone._nodes = memo_copy(self._nodes, memo)
+        clone.observer = copy.deepcopy(self.observer, memo)
+        return clone
 
     # ------------------------------------------------------------------
     # Structure helpers

@@ -7,16 +7,30 @@ Two equivalences keep the walk honest:
   on exactly as an uncrashed run;
 * the one-pass site enumeration equals the two-pass enumeration it
   replaced (kept below as the reference).
+
+A third check guards the copies themselves: a crash copy of the
+controller, and a clone of a crash image, share no mutable object with
+their original (the ``__deepcopy__`` hooks copy stores by hand, so a
+store one of them forgets would otherwise stay shared).
 """
 
 from __future__ import annotations
 
+import collections
+import copy
+import dataclasses
+import enum
+import gc
+import pickle
+import types
+from array import array
 from typing import List
 
 import pytest
 
 from repro.config import ControllerKind, SimConfig
 from repro.instrumentation import CrashSiteProbe
+from repro.mem.hierarchy import CacheHierarchy
 from repro.matrix import controller_matrix
 from repro.oracle.driver import OracleExecution
 from repro.oracle.ops import Op, generate_ops
@@ -118,3 +132,99 @@ def test_one_pass_enumeration_equals_two_pass(label, seed):
     config = MATRIX[label]
     ops = generate_ops("hashmap", 12, seed)
     assert enumerate_sites(config, ops) == two_pass_enumerate_sites(config, ops)
+
+
+# ----------------------------------------------------------------------
+# Crash copies share no mutable state with the live machine
+# ----------------------------------------------------------------------
+#: Objects a copy shares by design; the reachability walk stops there.
+_SHARED_KINDS = (
+    type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType,
+    enum.Enum,
+)
+_MUTABLE = (dict, list, set, bytearray, array, collections.deque)
+
+
+def _reachable(root, stop=None):
+    """Every object reachable from ``root`` through ``gc.get_referents``.
+
+    The walk stops at ``stop`` (the simulator a crash copy shares), at
+    classes, modules, functions, enum members and frozen dataclass
+    instances.  Functions are where it must stop: an in-flight write's
+    completion callback is a closure the copy shares with the driver.
+    """
+    seen = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if (
+            id(obj) in seen
+            or obj is stop
+            or isinstance(obj, _SHARED_KINDS)
+            or (
+                dataclasses.is_dataclass(obj)
+                and obj.__dataclass_params__.frozen
+            )
+        ):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return seen
+
+
+def _shared_mutables(original, copied, stop=None):
+    """Containers and instances reachable from both ``original`` and ``copied``."""
+    left = _reachable(original, stop)
+    right = _reachable(copied, stop)
+    return [
+        right[key]
+        for key in right.keys() & left.keys()
+        if isinstance(right[key], _MUTABLE)
+        or hasattr(right[key], "__dict__")
+        or hasattr(type(right[key]), "__slots__")
+    ]
+
+
+@pytest.mark.parametrize("label", sorted(MATRIX))
+def test_crash_copy_and_clone_share_no_mutable_state(label):
+    config = MATRIX[label]
+    ops = generate_ops("hashmap", 10, 0)
+    sites = enumerate_sites(config, ops).sites
+    walk = OracleExecution(config, ops)
+    walk.run(until=sites[len(sites) // 2].cycle)
+
+    copied = copy.deepcopy(walk.controller, {id(walk.sim): walk.sim})
+    assert _shared_mutables(walk.controller, copied, walk.sim) == []
+    if copied.masu is not None:
+        # The Ma-SU's walk memo holds MT-cache set dicts: the copy's
+        # must be the copy's own sets, not a second copy of them.
+        own_sets = {id(s) for s in copied.masu.mt_cache._cache._sets}
+        assert all(
+            id(cache_set) in own_sets
+            for _keys, slots in copied.masu._walks.values()
+            for cache_set, _tag, _index in slots
+        )
+
+    image = walk.crash_copy(config.controller is ControllerKind.EADR_SECURE)
+    image.persisted_oracle = {0x1000: b"\x5a" * 64}
+    clone = image.clone()
+    assert _shared_mutables(image, clone) == []
+    # Built field by field: every field is set, to an equal value.
+    for spec in dataclasses.fields(CrashImage):
+        assert pickle.dumps(getattr(clone, spec.name)) == pickle.dumps(
+            getattr(image, spec.name)
+        ), spec.name
+
+
+def test_hierarchy_copy_keeps_its_hot_handles_on_its_own_sets():
+    """``CacheHierarchy._hot`` holds each level's ``_sets`` list; the
+    cache hooks register their copies in ``memo``, so the copy's handles
+    point at the copy's own sets."""
+    hierarchy = CacheHierarchy(SimConfig())
+    for address in range(0, 1 << 18, 64):
+        hierarchy.access(address, address % 128 == 0)
+    copied = copy.deepcopy(hierarchy)
+    for level, (cache, sets, _, _) in zip(copied._levels, copied._hot):
+        assert cache is level and sets is level._sets
+    assert copied.l1.occupancy == hierarchy.l1.occupancy > 0
+    assert _shared_mutables(hierarchy, copied) == []

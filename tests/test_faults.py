@@ -333,3 +333,27 @@ class TestCampaignDriver:
     def test_unknown_workload_rejected(self):
         with pytest.raises(KeyError):
             run_campaign(["nonesuch"], controllers=["dolos-full"])
+
+    @pytest.mark.parametrize("sites", [0, -2])
+    def test_non_positive_sites_rejected(self, sites):
+        """A budget below 1 would select the cold-boot and quiescent
+        sites (0) or every site (negative), not interior ones."""
+        with pytest.raises(ValueError, match="sites"):
+            run_campaign([WORKLOAD], controllers=["dolos-full"], sites=sites)
+        with pytest.raises(ValueError, match="sites"):
+            run_fault_unit(
+                WORKLOAD, "dolos-full", controller_matrix()["dolos-full"],
+                TXNS, SEED, sites=sites,
+            )
+
+    @pytest.mark.parametrize("sites", ["0", "-2"])
+    def test_cli_rejects_non_positive_sites(self, sites, capsys):
+        from repro.faults.campaign import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--workloads", WORKLOAD, "--controllers", "dolos-partial",
+                  "--transactions", "8", "--sites", sites])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--sites must be at least 1" in err
+        assert "Traceback" not in err
